@@ -43,7 +43,9 @@ from .dynamics import (
     TrajectoryDiagnostics,
     exact_propagate,
     integrate,
+    phase_residuals,
     phase_evolution_residual,
+    spectral_deviation,
     trajectory_diagnostics,
 )
 from .quantum_function import (

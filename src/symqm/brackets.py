@@ -140,6 +140,15 @@ class ComplexFunction:
         return complex(self.func(v))
 
 
+def _worst(a: float, b: float) -> float:
+    """The larger of two residuals; NaN when either is NaN.
+
+    The builtin ``max(0.0, nan)`` returns ``0.0``, so a residual loop that
+    reduces with it would report a NaN residual as zero.
+    """
+    return a if a != a or a > b else b
+
+
 def _coordinate_steps(x: np.ndarray, step) -> np.ndarray:
     if step is not None:
         return np.full(x.shape, float(step))
@@ -319,9 +328,9 @@ def bracket_commutator_report(a: HermitianOperator, b: HermitianOperator,
     for i in range(int(samples)):
         psi = random_unit_state(space.complex_dim, seed, i)
         target = quadratic_form(comm, psi)
-        analytic_max = max(analytic_max, abs(ih * poisson_bracket(f, g, psi) - target))
+        analytic_max = _worst(analytic_max, abs(ih * poisson_bracket(f, g, psi) - target))
         fd = poisson_bracket(f, g, psi, method="finite_difference", step=BRACKET_REPORT_STEP)
-        fd_max = max(fd_max, abs(ih * fd - target))
+        fd_max = _worst(fd_max, abs(ih * fd - target))
     scale = 1.0 + a.spectral_norm * b.spectral_norm
     return BracketCommutatorReport(
         dimension=a.dim,

@@ -22,8 +22,9 @@ from .errors import (
     DimensionMismatchError,
     MethodUnsupportedError,
     NonConvergenceError,
+    NonHermitianError,
 )
-from .operators import HermitianOperator, spectral_decompose
+from .operators import HermitianOperator, _imaginary_tolerance, spectral_decompose
 from .spaces import StatePoint, _as_complex_vector
 
 __all__ = [
@@ -32,12 +33,25 @@ __all__ = [
     "TrajectoryDiagnostics",
     "exact_propagate",
     "integrate",
+    "phase_residuals",
     "phase_evolution_residual",
+    "spectral_deviation",
     "trajectory_diagnostics",
 ]
 
 METHODS = ("exact", "midpoint", "cayley", "rk4")
 MAX_STORED_STEPS = 10**6
+
+# Stored steps handled per block by the array checks along a trajectory.
+# Each block's ``(rows, n)`` temporaries stay a fraction of the trajectory
+# itself, so the checks add little to peak memory at large ``n``.
+_ROW_BLOCK = 256
+
+
+def _row_blocks(count: int):
+    """Slices that cover ``range(count)`` in blocks of ``_ROW_BLOCK`` rows."""
+    for start in range(0, count, _ROW_BLOCK):
+        yield slice(start, min(start + _ROW_BLOCK, count))
 
 
 @dataclass(frozen=True)
@@ -206,6 +220,26 @@ def _rk4_step(field, psi, dt):
     return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _energies(f: ObservableFunction, states: np.ndarray) -> np.ndarray:
+    """``f`` at every row of ``states``.
+
+    For ``f = <A>`` this is ``Re <psi_k|A psi_k>`` from one product
+    ``psi A^T`` per row block, with the imaginary-part guard of
+    :func:`symqm.operators.expectation`; generic ``f`` is called per row.
+    """
+    if f.operator is None:
+        return np.array([f(psi) for psi in states])
+    values = np.empty(states.shape[0], dtype=complex)
+    for rows in _row_blocks(states.shape[0]):
+        block = states[rows]
+        values[rows] = np.einsum("ki,ki->k", block.conj(), block @ f.operator.matrix.T)
+    residue = np.abs(values.imag)
+    bad = residue > _imaginary_tolerance(f.operator)
+    if np.any(bad):
+        raise NonHermitianError(residue[bad][0], "expectation value has a nonzero imaginary part")
+    return values.real
+
+
 def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig,
               hbar: float | None = None) -> Trajectory:
     """Integrate the Hamilton equation ``dxi/dt = X_f(xi)``.
@@ -216,6 +250,10 @@ def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig,
     carries finite-difference noise of order ``1e-8``, so the midpoint
     ``solver_tol`` must be chosen above ``dt`` times that noise or the
     fixed point cannot settle.
+
+    The energies ``f(xi(t_k))`` are computed here, once, and stored in
+    :attr:`Trajectory.energies`; for ``f = <A>`` they come from one
+    matrix product per block of stored steps instead of a call per step.
     """
     hbar = f.space.hbar if hbar is None else float(hbar)
     psi = _as_complex_vector(xi0).copy()
@@ -267,7 +305,7 @@ def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig,
                 iterations[idx] = iters
 
     norms = np.linalg.norm(states, axis=1)
-    energies = np.array([f(states[k]) for k in range(stored + 1)])
+    energies = _energies(f, states)
     return Trajectory(
         times=times,
         states=states,
@@ -278,30 +316,81 @@ def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig,
     )
 
 
+def phase_residuals(states, basis, eigenvalues, times, hbar: float) -> np.ndarray:
+    """Phase-evolution residual of every eigen-coordinate along a trajectory.
+
+    The coordinates are ``C = states @ basis.conj()``, so ``C[k, n]`` is
+    ``u_n(xi(t_k)) = <phi_n|xi(t_k)>`` for the columns ``phi_n`` of
+    ``basis``.  Returns, for every ``n``,
+    ``max_k |u_n(xi(t_k)) - exp(-i a_n (t_k - t_0) / hbar) u_n(xi(t_0))|``.
+    ``C`` and the phases are formed per block of stored steps, one product
+    per block; a NaN coordinate makes its residual NaN.
+    """
+    s = np.asarray(states, dtype=complex)
+    v = np.asarray(basis, dtype=complex)
+    a = np.asarray(eigenvalues, dtype=float)
+    elapsed = np.asarray(times, dtype=float)
+    elapsed = elapsed - elapsed[0]
+    residuals = np.zeros(a.shape[0])
+    c0 = None
+    for rows in _row_blocks(s.shape[0]):
+        coords = (s[rows].conj() @ v).conj()
+        if c0 is None:  # from the same product, so the t_0 row cancels exactly
+            c0 = coords[0].copy()
+        phases = np.exp(-1j * a * elapsed[rows, None] / float(hbar))
+        residuals = np.maximum(residuals, np.max(np.abs(coords - phases * c0), axis=0))
+    return residuals
+
+
 def phase_evolution_residual(u: ComplexFunction, a: float, traj: Trajectory,
                              hbar: float = 1.0) -> float:
     """Max deviation of ``u`` along the trajectory from pure phase rotation.
 
     Measures ``max_k |u(xi(t_k)) - exp(-i a (t_k - t_0) / hbar) u(xi(t_0))|``,
     which vanishes when ``i*hbar*{f, u} = a u`` holds along the flow of
-    ``f`` and grows to order one when ``a`` is wrong.
+    ``f`` and grows to order one when ``a`` is wrong.  This is
+    :func:`phase_residuals` for the one coordinate ``u``: a coordinate
+    functional ``u = <phi|.>`` is evaluated on all stored steps by matrix
+    products, a generic ``u`` by one call per step.
     """
-    u0 = u(traj.states[0])
+    if u.vector is not None:
+        u.space.check_dim(traj.states[0], "state")
+        return float(phase_residuals(traj.states, u.vector[:, None], [a], traj.times, hbar)[0])
+    # A generic u's values are its own coordinates in the one-vector basis (1).
+    values = np.array([[u(psi)] for psi in traj.states], dtype=complex)
+    return float(phase_residuals(values, np.ones((1, 1)), [a], traj.times, hbar)[0])
+
+
+def spectral_deviation(traj: Trajectory, eigenvalues, basis, hbar: float) -> float:
+    """Max distance of the stored states from the spectral solution.
+
+    ``basis`` holds the orthonormal eigenvectors ``V`` of the generator as
+    columns, with ``eigenvalues`` ``a``.  Returns
+    ``max_k ||xi(t_k) - V exp(-i a (t_k - t_0) / hbar) V^H xi(t_0)||``,
+    forming the exact states with one product per block of stored steps.
+    """
+    v = np.asarray(basis, dtype=complex)
+    a = np.asarray(eigenvalues, dtype=float)
     elapsed = traj.times - traj.times[0]
-    phases = np.exp(-1j * float(a) * elapsed / float(hbar))
-    residual = 0.0
-    for k in range(len(traj)):
-        residual = max(residual, abs(u(traj.states[k]) - phases[k] * u0))
-    return float(residual)
+    coeffs = (traj.states[0].conj() @ v).conj()
+    deviation = 0.0
+    for rows in _row_blocks(len(traj)):
+        phased = coeffs * np.exp(-1j * a * (elapsed[rows, None] / float(hbar)))
+        gaps = np.linalg.norm(traj.states[rows] - phased @ v.T, axis=1)
+        deviation = float(np.maximum(deviation, np.max(gaps)))
+    return deviation
 
 
-def trajectory_diagnostics(traj: Trajectory, f: ObservableFunction) -> TrajectoryDiagnostics:
-    """Norm drift, energy drift along the flow of ``f``, and solver stats."""
-    energies = np.array([f(traj.states[k]) for k in range(len(traj))])
+def trajectory_diagnostics(traj: Trajectory) -> TrajectoryDiagnostics:
+    """Norm drift, energy drift and solver stats of a trajectory.
+
+    The energy drift reads :attr:`Trajectory.energies`, which
+    :func:`integrate` computed once; ``f`` is not evaluated again.
+    """
     iters = traj.solver_iterations
     return TrajectoryDiagnostics(
         max_norm_drift=float(np.max(np.abs(traj.norms - 1.0))),
-        max_energy_drift=float(np.max(np.abs(energies - energies[0]))),
+        max_energy_drift=float(np.max(np.abs(traj.energies - traj.energies[0]))),
         max_solver_iterations=int(np.max(iters)) if iters.size else 0,
         mean_solver_iterations=float(np.mean(iters)) if iters.size else 0.0,
         steps_stored=len(traj),

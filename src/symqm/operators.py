@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,27 +48,26 @@ class HermitianOperator:
 
     matrix: np.ndarray
     label: str | None = None
+    #: Max-abs-entry norm, the scale used in construction tolerances.
+    max_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
-        scale = 1.0 + float(np.max(np.abs(m))) if m.size else 1.0
+        max_norm = float(np.max(np.abs(m))) if m.size else 0.0
+        scale = 1.0 + max_norm
         deviation = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
         if deviation > HERMITICITY_TOL * scale:
             raise NonHermitianError(deviation)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "max_norm", max_norm)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def max_norm(self) -> float:
-        """Max-abs-entry norm, the scale used in construction tolerances."""
-        return float(np.max(np.abs(self.matrix)))
 
     @property
     def spectral_norm(self) -> float:
@@ -175,6 +174,12 @@ def quadratic_form(mx, psi) -> complex:
     return complex(np.vdot(v, m @ v))
 
 
+def _imaginary_tolerance(a) -> float:
+    """``1e-12 * (1 + max|A|)``, the largest imaginary part an expectation may carry."""
+    max_norm = a.max_norm if isinstance(a, HermitianOperator) else float(np.max(np.abs(_as_matrix(a))))
+    return 1e-12 * (1.0 + max_norm)
+
+
 def expectation(a: HermitianOperator, psi) -> float:
     """The real expectation value ``<psi | A psi>``.
 
@@ -182,8 +187,7 @@ def expectation(a: HermitianOperator, psi) -> float:
     residue indicates a corrupted operator and raises.
     """
     value = quadratic_form(a, psi)
-    scale = 1.0 + (a.max_norm if isinstance(a, HermitianOperator) else float(np.max(np.abs(_as_matrix(a)))))
-    if abs(value.imag) > 1e-12 * scale:
+    if abs(value.imag) > _imaginary_tolerance(a):
         raise NonHermitianError(abs(value.imag), "expectation value has a nonzero imaginary part")
     return value.real
 

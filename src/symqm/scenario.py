@@ -109,7 +109,9 @@ class Scenario:
         }
 
 
-def _resolve_operator(text, base_dir: Path, fieldname: str) -> HermitianOperator:
+def _resolve_operator(text, base_dir: Path, fieldname: str,
+                      num_qubits: int | None = None) -> HermitianOperator:
+    """Build the operator of ``text``; a Pauli sum on ``num_qubits`` sites if given."""
     if not isinstance(text, str) or not text.strip():
         raise ScenarioError("must be a non-empty string", fieldname)
     text = text.strip()
@@ -123,10 +125,14 @@ def _resolve_operator(text, base_dir: Path, fieldname: str) -> HermitianOperator
             raise ScenarioError(f"cannot read matrix file: {exc}", fieldname) from exc
     else:
         try:
-            matrix = parse_operator_expr(text).to_matrix()
+            expr = parse_operator_expr(text)
         except OperatorSyntaxError as exc:
             raise ScenarioError(f"cannot parse operator expression {text!r}: {exc}",
                                 fieldname) from exc
+        try:
+            matrix = expr.to_matrix(num_qubits=num_qubits)
+        except ValueError as exc:
+            raise ScenarioError(str(exc), fieldname) from exc
     try:
         return make_hermitian(matrix, label=text)
     except NonHermitianError as exc:
@@ -242,7 +248,11 @@ def load_scenario(path) -> Scenario:
     operator = _resolve_operator(raw["operator"], base_dir, "operator")
     second = None
     if raw.get("second_operator") is not None:
-        second = _resolve_operator(raw["second_operator"], base_dir, "second_operator")
+        # A Pauli second operator acts on the operator's qubits, so "Y0"
+        # next to a two-qubit operator means Y0*I1.
+        qubits = operator.dim.bit_length() - 1
+        second = _resolve_operator(raw["second_operator"], base_dir, "second_operator",
+                                   qubits if operator.dim == 2 ** qubits else None)
         if second.dim != operator.dim:
             raise ScenarioError(
                 f"dimension {second.dim} does not match operator dimension {operator.dim}",

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line drivers."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,3 +162,13 @@ def test_byte_identical_reruns(tmp_path, command):
     assert files_a == files_b and files_a
     for name in files_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_readme_scenario_verifies(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    scenario = tmp_path / "readme.json"
+    scenario.write_text(block)
+    assert _run("verify", scenario, tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["bracket_commutator"]["passed"] is True

@@ -200,18 +200,18 @@ def test_phase_evolution_residual_wrong_eigenvalue():
 def test_trajectory_diagnostics_exact_and_midpoint():
     f = ObservableFunction.expectation_of(Z, SPACE)
     exact = trajectory_diagnostics(
-        integrate(f, UNIFORM, IntegratorConfig("exact", 1e-2, 100)), f
+        integrate(f, UNIFORM, IntegratorConfig("exact", 1e-2, 100))
     )
     assert exact.max_norm_drift <= 1e-12
     assert exact.max_energy_drift <= 1e-12
 
     mid = trajectory_diagnostics(
-        integrate(f, UNIFORM, IntegratorConfig("midpoint", 1e-2, 10_000)), f
+        integrate(f, UNIFORM, IntegratorConfig("midpoint", 1e-2, 10_000))
     )
     assert mid.max_energy_drift <= 1e-10
     assert mid.max_solver_iterations >= 1
 
     rk4 = trajectory_diagnostics(
-        integrate(f, UNIFORM, IntegratorConfig("rk4", 1e-2, 10_000)), f
+        integrate(f, UNIFORM, IntegratorConfig("rk4", 1e-2, 10_000))
     )
     assert rk4.max_norm_drift > mid.max_norm_drift

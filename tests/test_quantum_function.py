@@ -8,6 +8,7 @@ import pytest
 from symqm import (
     ComplexFunction,
     IntegratorConfig,
+    ObservableFunction,
     StatePoint,
     SymplecticSpace,
     evaluate,
@@ -115,6 +116,19 @@ def test_verify_axioms_non_orthonormal_eigenfunctions():
     )
     report = verify_axioms(broken, 100, seed=4)
     assert report.normalization > 1e-3
+    assert not report.passed
+
+
+def test_verify_axioms_nan_fails():
+    # f is NaN on part of the phase space; the stationary state e_0 lies in it
+    def f(v):
+        return np.nan if abs(v[0]) > 0.5 else expectation(Z, v)
+
+    qf = dataclasses.replace(from_operator(Z, SPACE),
+                             f=ObservableFunction.from_callable(f, SPACE))
+    report = verify_axioms(qf, 30, seed=2)
+    assert report.method == "finite_difference"
+    assert np.isnan(report.stationary_value)
     assert not report.passed
 
 
