@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .operators import HermitianOperator, commutator, expectation, quadratic_form
+from .operators import HermitianOperator, commutator, expectation, expectations, quadratic_form
 from .sampling import random_unit_state
 from .spaces import (
     SymplecticSpace,
@@ -155,32 +155,58 @@ def _coordinate_steps(x: np.ndarray, step) -> np.ndarray:
     return _SQRT_EPS * (1.0 + np.abs(x))
 
 
-def _real_gradient(eval_real, x: np.ndarray, step=None) -> np.ndarray:
-    """Central-difference gradient of a scalar function of real coordinates."""
+def _central_differences(values, space: SymplecticSpace, x: np.ndarray, step=None) -> np.ndarray:
+    """Central differences of a function of the canonical real coordinates.
+
+    The ``2m`` points ``x +- h_i e_i`` (``m = 2n``) are the rows of one
+    ``(2m, m)`` array, turned into complex states by one array operation.
+    ``values`` maps that ``(2m, n)`` stack to a real or complex value (or
+    row of values) per state; row ``i`` of the result is
+    ``(values(x + h_i e_i) - values(x - h_i e_i)) / (2 h_i)``.
+    """
+    m = x.shape[0]
     h = _coordinate_steps(x, step)
-    grad = np.empty_like(x)
-    for i in range(x.shape[0]):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        grad[i] = (eval_real(xp) - eval_real(xm)) / (2.0 * h[i])
-    return grad
+    points = np.tile(x, (2 * m, 1))
+    diag = np.arange(m)
+    points[diag, diag] += h
+    points[m + diag, diag] -= h
+    n, s = space.complex_dim, space.coord_scale
+    rows = values(points[:, :n] / s + 1j * (points[:, n:] / s))
+    diff = rows[:m] - rows[m:]
+    width = (2.0 * h).reshape((m,) + (1,) * (diff.ndim - 1))
+    if np.iscomplexobj(diff):  # Re and Im each divided as a real function's
+        return diff.real / width + 1j * (diff.imag / width)
+    return diff / width
 
 
-def _observable_on_reals(f: ObservableFunction):
-    space = f.space
-    return lambda x: f(from_real_coords(x, space))
+def _observable_values(f: ObservableFunction, states: np.ndarray) -> np.ndarray:
+    """``f`` at every row of ``states``: one guarded product for ``<A>``, else a call per row."""
+    if f.operator is not None:
+        return expectations(f.operator, states)
+    return np.array([f(psi) for psi in states], dtype=float)
+
+
+def _complex_values(u: ComplexFunction, states: np.ndarray) -> np.ndarray:
+    """``u`` at every row of ``states``: one product for ``<phi|.>``, else a call per row."""
+    if u.vector is not None:
+        return (states.conj() @ u.vector).conj()
+    return np.array([u(psi) for psi in states], dtype=complex)
 
 
 def _fd_gradient(f: ObservableFunction, psi: np.ndarray, step=None) -> np.ndarray:
-    return _real_gradient(_observable_on_reals(f), to_real_coords(psi, f.space), step)
+    return _central_differences(lambda s: _observable_values(f, s), f.space,
+                                to_real_coords(psi, f.space), step)
 
 
 def _apply_canonical_j(space: SymplecticSpace, x: np.ndarray) -> np.ndarray:
     """Multiply by ``J = [[0, I], [-I, 0]]`` without forming the matrix."""
     n = space.complex_dim
     return np.concatenate([x[n:], -x[:n]])
+
+
+def _fd_field(f: ObservableFunction, psi: np.ndarray, step=None) -> np.ndarray:
+    """``X_f`` at ``psi`` in canonical real coordinates, ``J grad f`` by central differences."""
+    return _apply_canonical_j(f.space, _fd_gradient(f, psi, step))
 
 
 def differential(f: ObservableFunction, psi, y, step=None) -> float:
@@ -210,8 +236,7 @@ def hamiltonian_vector_field(f: ObservableFunction, psi, step=None) -> TangentVe
     f.space.check_dim(v, "state")
     if f.operator is not None:
         return TangentVector(-1j / f.space.hbar * f.operator.apply(v))
-    grad = _fd_gradient(f, v, step)
-    return TangentVector(from_real_coords(_apply_canonical_j(f.space, grad), f.space))
+    return TangentVector(from_real_coords(_fd_field(f, v, step), f.space))
 
 
 def _require_same_space(f: ObservableFunction, g) -> None:
@@ -240,9 +265,7 @@ def poisson_bracket(f: ObservableFunction, g: ObservableFunction, psi,
         raise ValueError("analytic bracket requires two expectation observables")
     if analytic and method != "finite_difference":
         return (2.0 / f.space.hbar) * hermitian_inner(f.operator.apply(v), g.operator.apply(v)).imag
-    grad_f = _fd_gradient(f, v, step)
-    grad_g = _fd_gradient(g, v, step)
-    return float(grad_f @ _apply_canonical_j(f.space, grad_g))
+    return float(_fd_gradient(f, v, step) @ _fd_field(g, v, step))
 
 
 def complex_bracket(f: ObservableFunction, u: ComplexFunction, psi,
@@ -254,7 +277,7 @@ def complex_bracket(f: ObservableFunction, u: ComplexFunction, psi,
     ``i*hbar*complex_bracket(<A>, u_n, psi) = a_n u_n(psi)`` whenever
     ``phi`` is an eigenvector of ``A``.  Generic inputs differentiate
     ``u`` by central finite differences along the (analytic or numeric)
-    field ``X_f``.
+    field ``X_f``, all ``4n`` perturbed states evaluated in one batch.
     """
     _require_same_space(f, u)
     v = _as_complex_vector(psi)
@@ -266,15 +289,12 @@ def complex_bracket(f: ObservableFunction, u: ComplexFunction, psi,
     if f.operator is not None and not use_fd:
         field = -1j / f.space.hbar * f.operator.apply(v)
     else:
-        grad = _fd_gradient(f, v, step)
-        field = from_real_coords(_apply_canonical_j(f.space, grad), f.space)
+        field = from_real_coords(_fd_field(f, v, step), f.space)
     if u.vector is not None and not use_fd:
         return hermitian_inner(u.vector, field)
-    x = to_real_coords(v, f.space)
-    grad_re = _real_gradient(lambda xr: u(from_real_coords(xr, u.space)).real, x, step)
-    grad_im = _real_gradient(lambda xr: u(from_real_coords(xr, u.space)).imag, x, step)
-    y = to_real_coords(field, f.space)
-    return complex(grad_re @ y + 1j * (grad_im @ y))
+    jac = _central_differences(lambda s: _complex_values(u, s), f.space,
+                               to_real_coords(v, f.space), step)
+    return complex(to_real_coords(field, f.space) @ jac)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .brackets import ObservableFunction, bracket_commutator_report
 from .dynamics import integrate, phase_residuals, spectral_deviation, trajectory_diagnostics
-from .errors import NonConvergenceError, NormalizationError, SymqmError, ScenarioError
+from .errors import NonConvergenceError, SymqmError, ScenarioError
 from .quantum_function import (
     AxiomTolerances,
     from_operator,
@@ -198,11 +198,9 @@ def _cmd_reconstruct(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     space = _space(scenario)
     qf = from_operator(scenario.operator, space)
     traj = integrate(qf.f, scenario.initial_state, scenario.integrator, scenario.hbar)
-    rec = verify_reconstruction(qf, traj, scenario.hbar,
-                                samples=scenario.samples, seed=scenario.seed)
+    rec = verify_reconstruction(qf, traj, samples=scenario.samples, seed=scenario.seed)
     phi = _phi_candidate(scenario, qf)
-    qfe = qfe_residual(scenario.operator, phi, space,
-                       samples=scenario.samples, seed=scenario.seed, hbar=scenario.hbar)
+    qfe = qfe_residual(scenario.operator, phi, space, samples=scenario.samples, seed=scenario.seed)
 
     tol_an = scenario.tolerance("reconstruction_analytic")
     tol_fd = scenario.tolerance("reconstruction_finite_difference")
@@ -271,9 +269,6 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         code = _COMMANDS[args.command](scenario, out_dir, args.quiet)
-    except (ScenarioError, NormalizationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SymqmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .brackets import ComplexFunction, ObservableFunction, hamiltonian_vector_field
+from .brackets import ComplexFunction, ObservableFunction, _observable_values, hamiltonian_vector_field
 from .errors import (
     DimensionMismatchError,
     MethodUnsupportedError,
     NonConvergenceError,
-    NonHermitianError,
 )
-from .operators import HermitianOperator, _imaginary_tolerance, spectral_decompose
+from .operators import HermitianOperator, spectral_decompose
 from .spaces import StatePoint, _as_complex_vector
 
 __all__ = [
@@ -220,26 +219,6 @@ def _rk4_step(field, psi, dt):
     return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _energies(f: ObservableFunction, states: np.ndarray) -> np.ndarray:
-    """``f`` at every row of ``states``.
-
-    For ``f = <A>`` this is ``Re <psi_k|A psi_k>`` from one product
-    ``psi A^T`` per row block, with the imaginary-part guard of
-    :func:`symqm.operators.expectation`; generic ``f`` is called per row.
-    """
-    if f.operator is None:
-        return np.array([f(psi) for psi in states])
-    values = np.empty(states.shape[0], dtype=complex)
-    for rows in _row_blocks(states.shape[0]):
-        block = states[rows]
-        values[rows] = np.einsum("ki,ki->k", block.conj(), block @ f.operator.matrix.T)
-    residue = np.abs(values.imag)
-    bad = residue > _imaginary_tolerance(f.operator)
-    if np.any(bad):
-        raise NonHermitianError(residue[bad][0], "expectation value has a nonzero imaginary part")
-    return values.real
-
-
 def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig,
               hbar: float | None = None) -> Trajectory:
     """Integrate the Hamilton equation ``dxi/dt = X_f(xi)``.
@@ -305,7 +284,8 @@ def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig,
                 iterations[idx] = iters
 
     norms = np.linalg.norm(states, axis=1)
-    energies = _energies(f, states)
+    energies = np.concatenate([_observable_values(f, states[rows])
+                               for rows in _row_blocks(states.shape[0])])
     return Trajectory(
         times=times,
         states=states,

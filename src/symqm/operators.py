@@ -23,6 +23,7 @@ __all__ = [
     "spectral_decompose",
     "quadratic_form",
     "expectation",
+    "expectations",
     "reconstruct_from_spectrum",
     "read_matrix_file",
 ]
@@ -35,7 +36,7 @@ DEGENERACY_TOL = 1e-9
 class HermitianOperator:
     """A validated ``n x n`` complex Hermitian matrix.
 
-    Construction rejects matrices with
+    Construction rejects matrices with a non-finite entry or with
     ``max|M - M†| > 1e-12 * (1 + max|M|)``.
 
     Parameters
@@ -56,6 +57,8 @@ class HermitianOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
         max_norm = float(np.max(np.abs(m))) if m.size else 0.0
+        if not np.isfinite(max_norm):
+            raise NonHermitianError(max_norm, "matrix has a non-finite entry")
         scale = 1.0 + max_norm
         deviation = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
         if deviation > HERMITICITY_TOL * scale:
@@ -190,6 +193,19 @@ def expectation(a: HermitianOperator, psi) -> float:
     if abs(value.imag) > _imaginary_tolerance(a):
         raise NonHermitianError(abs(value.imag), "expectation value has a nonzero imaginary part")
     return value.real
+
+
+def expectations(a: HermitianOperator, states: np.ndarray) -> np.ndarray:
+    """:func:`expectation` at every row of ``states``, from one product ``states A^T``.
+
+    The first row whose imaginary part exceeds the tolerance raises.
+    """
+    values = np.einsum("ki,ki->k", states.conj(), states @ a.matrix.T)
+    residue = np.abs(values.imag)
+    bad = residue > _imaginary_tolerance(a)
+    if np.any(bad):
+        raise NonHermitianError(residue[bad][0], "expectation value has a nonzero imaginary part")
+    return values.real
 
 
 def reconstruct_from_spectrum(spectral: SpectralData) -> np.ndarray:

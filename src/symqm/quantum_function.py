@@ -28,17 +28,15 @@ from .brackets import (
     ComplexFunction,
     ObservableFunction,
     _apply_canonical_j,
-    _real_gradient,
+    _central_differences,
+    _fd_field,
     _worst,
-    complex_bracket,
 )
-from .errors import (
-    DimensionMismatchError,
-    NormalizationError,
-    PreconditionFailedError,
-)
+from .dynamics import _row_blocks
+from .errors import DimensionMismatchError, NormalizationError, PreconditionFailedError
 from .operators import (
     HermitianOperator,
+    expectations,
     make_hermitian,
     quadratic_form,
     spectral_decompose,
@@ -48,7 +46,6 @@ from .spaces import (
     StatePoint,
     SymplecticSpace,
     _as_complex_vector,
-    from_real_coords,
     to_real_coords,
 )
 
@@ -119,6 +116,11 @@ class QuantumFunction:
         if any(u.vector is None for u in self.eigenfunctions):
             return None
         return np.column_stack([u.vector for u in self.eigenfunctions])
+
+    @property
+    def operator_backed(self) -> bool:
+        """``f = <A>`` and every ``u_n`` a coordinate functional: the closed forms apply."""
+        return self.f.operator is not None and all(u.vector is not None for u in self.eigenfunctions)
 
     def value(self, xi) -> float:
         """Evaluate the defining sum ``sum_n a_n |u_n(xi)|^2``."""
@@ -251,6 +253,28 @@ class AxiomReport:
         }
 
 
+def _coordinate_rows(qf: QuantumFunction, basis, states: np.ndarray) -> np.ndarray:
+    """Every ``u_n`` at every row of ``states``: one product with ``basis``, else a call per row."""
+    if basis is not None:
+        return (states.conj() @ basis).conj()
+    return np.array([qf.quantum_coordinates(psi) for psi in states], dtype=complex)
+
+
+def _analytic_brackets(qf: QuantumFunction, psi: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Every ``{f, u_n}(psi) = <phi_n, -(i/hbar) A psi>`` from one product."""
+    field = -1j / qf.space.hbar * qf.f.operator.apply(psi)
+    return (field.conj() @ basis).conj()
+
+
+def _fd_brackets(qf: QuantumFunction, psi: np.ndarray, basis) -> np.ndarray:
+    """Every ``{f, u_n}(psi)`` from one central-difference gradient of ``f`` and
+    one Jacobian of all the ``u_n``, step ``BRACKET_REPORT_STEP``; no closed-form field."""
+    field = _fd_field(qf.f, psi, BRACKET_REPORT_STEP)
+    jac = _central_differences(lambda s: _coordinate_rows(qf, basis, s), qf.space,
+                               to_real_coords(psi, qf.space), BRACKET_REPORT_STEP)
+    return field @ jac
+
+
 def verify_axioms(qf: QuantumFunction, samples: int, seed: int,
                   tol: AxiomTolerances | None = None,
                   method: str = "auto") -> AxiomReport:
@@ -258,18 +282,18 @@ def verify_axioms(qf: QuantumFunction, samples: int, seed: int,
 
     ``method`` selects the bracket backend: ``"auto"`` picks the analytic
     path when the quantum function is operator-backed, else central finite
-    differences (step ``1e-5``).  The analytic path checks all ``n``
-    brackets of a sample with one product: with ``U`` the coordinate
-    vectors, ``i*hbar*U^H X_f(psi)`` against ``a * coords``, where
-    ``X_f(psi) = -(i/hbar) A psi`` and ``coords`` come from
-    :meth:`QuantumFunction.quantum_coordinates`.  A NaN residual fails.
+    differences (step ``1e-5``).  Either path checks all ``n`` brackets of
+    a sample at once: with ``U`` the coordinate vectors, the analytic
+    ``i*hbar*U^H X_f(psi)`` (``X_f(psi) = -(i/hbar) A psi``) or the
+    finite-difference ``i*hbar*{f, u_n}`` against ``a * coords``, where
+    ``coords`` come from :meth:`QuantumFunction.quantum_coordinates`.  A
+    NaN residual fails.
     """
     n = qf.space.complex_dim
     basis = qf.coordinate_matrix()
-    analytic_ok = qf.f.operator is not None and basis is not None
     if method == "auto":
-        method = "analytic" if analytic_ok else "finite_difference"
-    if method == "analytic" and not analytic_ok:
+        method = "analytic" if qf.operator_backed else "finite_difference"
+    if method == "analytic" and not qf.operator_backed:
         raise ValueError("analytic axiom verification requires an operator-backed quantum function")
     if tol is None:
         tol = AxiomTolerances() if method == "analytic" else AxiomTolerances.finite_difference()
@@ -283,15 +307,8 @@ def verify_axioms(qf: QuantumFunction, samples: int, seed: int,
         weight = float(np.sum(qf.eigenvalues * np.abs(coords) ** 2))
         decomposition = _worst(decomposition, abs(qf.f(psi) - weight))
         normalization = _worst(normalization, abs(float(np.sum(np.abs(coords) ** 2)) - 1.0))
-        if method == "analytic":
-            field = -1j / qf.f.space.hbar * qf.f.operator.apply(psi)
-            lhs = ih * (field.conj() @ basis).conj()
-            bracket = _worst(bracket, float(np.max(np.abs(lhs - qf.eigenvalues * coords))))
-        else:
-            for k, u in enumerate(qf.eigenfunctions):
-                lhs = ih * complex_bracket(qf.f, u, psi, method="finite_difference",
-                                           step=BRACKET_REPORT_STEP)
-                bracket = _worst(bracket, abs(lhs - qf.eigenvalues[k] * coords[k]))
+        brackets = (_analytic_brackets if method == "analytic" else _fd_brackets)(qf, psi, basis)
+        bracket = _worst(bracket, float(np.max(np.abs(ih * brackets - qf.eigenvalues * coords))))
 
     stationary_delta = stationary_value = 0.0
     for m, xi in enumerate(qf.stationary_states):
@@ -380,54 +397,50 @@ class ReconstructionReport:
         }
 
 
-def verify_reconstruction(qf: QuantumFunction, traj, hbar: float | None = None,
-                          samples: int = 100, seed: int = 0) -> ReconstructionReport:
+def verify_reconstruction(qf: QuantumFunction, traj, samples: int = 100,
+                          seed: int = 0) -> ReconstructionReport:
     """Check the recovered picture against a trajectory of the flow of ``qf.f``.
 
     The trajectory must have been generated by the flow of ``qf.f``; its
     image under the reconstruction map is compared with the exact spectral
-    evolution generated by the recovered diagonal operator.  Pointwise
-    identities are measured on ``samples`` seeded random unit states.
+    evolution generated by the recovered diagonal operator, one block of
+    stored steps at a time.  Pointwise identities are measured on
+    ``samples`` seeded random unit states, every eigen-index of a sample at
+    once: the finite-difference flow check takes one gradient of ``f`` and
+    one Jacobian of all the ``u_n`` per sample.
     """
-    hbar = qf.space.hbar if hbar is None else float(hbar)
-    phi = reconstruction_map(qf)
+    hbar = qf.space.hbar
     a = qf.eigenvalues
+    basis = qf.coordinate_matrix()
 
-    image0 = phi(traj.states[0])
+    image0 = qf.quantum_coordinates(traj.states[0])
     elapsed = traj.times - traj.times[0]
     intertwining = 0.0
-    for k in range(len(traj)):
-        evolved = np.exp(-1j * a * (elapsed[k] / hbar)) * image0
-        intertwining = _worst(intertwining, float(np.linalg.norm(phi(traj.states[k]) - evolved)))
+    for rows in _row_blocks(len(traj)):
+        evolved = np.exp(-1j * a * (elapsed[rows, None] / hbar)) * image0
+        drift = np.linalg.norm(_coordinate_rows(qf, basis, traj.states[rows]) - evolved, axis=1)
+        intertwining = _worst(intertwining, float(np.max(drift)))
 
-    analytic_ok = qf.f.operator is not None and all(
-        u.vector is not None for u in qf.eigenfunctions
-    )
     ih = 1j * hbar
-    flow_analytic = 0.0 if analytic_ok else None
-    flow_fd = 0.0
-    value = norm_res = 0.0
+    flow_analytic = 0.0 if qf.operator_backed else None
+    flow_fd = value = norm_res = 0.0
     for i in range(int(samples)):
         psi = random_unit_state(qf.space.complex_dim, seed, i)
         coords = qf.quantum_coordinates(psi)
-        for k, u in enumerate(qf.eigenfunctions):
-            target = a[k] * coords[k]
-            if analytic_ok:
-                flow_analytic = _worst(
-                    flow_analytic, abs(ih * complex_bracket(qf.f, u, psi) - target)
-                )
-            fd = complex_bracket(qf.f, u, psi, method="finite_difference",
-                                 step=BRACKET_REPORT_STEP)
-            flow_fd = _worst(flow_fd, abs(ih * fd - target))
+        target = a * coords
+        if flow_analytic is not None:
+            lhs = ih * _analytic_brackets(qf, psi, basis)
+            flow_analytic = _worst(flow_analytic, float(np.max(np.abs(lhs - target))))
+        lhs = ih * _fd_brackets(qf, psi, basis)
+        flow_fd = _worst(flow_fd, float(np.max(np.abs(lhs - target))))
         value = _worst(value, abs(qf.f(psi) - float(np.sum(a * np.abs(coords) ** 2))))
         norm_res = _worst(norm_res, abs(float(np.linalg.norm(coords)) - 1.0))
 
     stationary = 0.0
     for m, xi in enumerate(qf.stationary_states):
-        image = phi(xi)
         target = np.zeros(qf.size, dtype=complex)
         target[m] = 1.0
-        stationary = _worst(stationary, float(np.linalg.norm(image - target)))
+        stationary = _worst(stationary, float(np.linalg.norm(qf.quantum_coordinates(xi) - target)))
 
     return ReconstructionReport(
         intertwining_residual=float(intertwining),
@@ -443,38 +456,22 @@ def verify_reconstruction(qf: QuantumFunction, traj, hbar: float | None = None,
 
 
 def _map_callable(phi) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(phi, ReconstructionMap):
-        return lambda v: phi(v)
     return lambda v: np.asarray(phi(v), dtype=complex)
 
 
-def _map_jacobian(phi_fn, space: SymplecticSpace, x: np.ndarray, out_dim: int,
-                  step: float) -> np.ndarray:
-    """Finite-difference Jacobian of a complex-vector map wrt real coordinates."""
-    jac = np.empty((out_dim, x.shape[0]), dtype=complex)
-    for i in range(x.shape[0]):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        fp = phi_fn(from_real_coords(xp, space))
-        fm = phi_fn(from_real_coords(xm, space))
-        jac[:, i] = (fp - fm) / (2.0 * step)
-    return jac
-
-
 def qfe_residual(a: HermitianOperator, phi, space: SymplecticSpace,
-                 samples: int = 100, seed: int = 0, hbar: float | None = None,
+                 samples: int = 100, seed: int = 0,
                  norm_tol: float = UNIT_STATE_TOL) -> float:
     """Max residual of ``i*hbar*{<Phi|A|Phi>, Phi} = A Phi`` on sampled states.
 
     ``phi`` maps unit states of ``space`` to unit vectors of the operator's
     Hilbert space (checked on the samples to ``norm_tol``).  The bracket of
     the induced observable with each component of ``phi`` is computed by
-    the finite-difference backend; the residual is the max over components
-    and samples.
+    central differences: ``phi`` is evaluated once at each of the ``4n``
+    perturbed states of a sample, and both the gradient of the induced
+    observable and the Jacobian of ``phi`` come from those images.  The
+    residual is the max over components and samples.
     """
-    hbar = space.hbar if hbar is None else float(hbar)
     phi_fn = _map_callable(phi)
     states = [random_unit_state(space.complex_dim, seed, i) for i in range(int(samples))]
 
@@ -493,35 +490,32 @@ def qfe_residual(a: HermitianOperator, phi, space: SymplecticSpace,
             f"map violates unit-norm output by {worst_norm:.3e} (tolerance {norm_tol:.1e})"
         )
 
-    def induced(v: np.ndarray) -> float:
-        return quadratic_form(a, phi_fn(v)).real
+    def induced_and_images(rows: np.ndarray) -> np.ndarray:
+        # Column 0 holds <Phi|A|Phi>, the others Phi, per perturbed state.
+        out = np.array([phi_fn(v) for v in rows], dtype=complex)
+        return np.column_stack([expectations(a, out), out])
 
+    ih = 1j * space.hbar
     residual = 0.0
     for psi, img in zip(states, images):
-        x = to_real_coords(psi, space)
-        grad = _real_gradient(
-            lambda xr: induced(from_real_coords(xr, space)), x, BRACKET_REPORT_STEP
-        )
-        field = _apply_canonical_j(space, grad)
-        jac = _map_jacobian(phi_fn, space, x, a.dim, BRACKET_REPORT_STEP)
-        bracket_vec = jac @ field
-        residual = _worst(residual, float(np.max(np.abs(1j * hbar * bracket_vec - a.apply(img)))))
+        jac = _central_differences(induced_and_images, space, to_real_coords(psi, space),
+                                   BRACKET_REPORT_STEP)
+        bracket_vec = _apply_canonical_j(space, jac[:, 0].real) @ jac[:, 1:]
+        residual = _worst(residual, float(np.max(np.abs(ih * bracket_vec - a.apply(img)))))
     return float(residual)
 
 
 def quantum_function_from_qfe(a: HermitianOperator, phi, xi_n: Sequence,
                               space: SymplecticSpace, samples: int = 100,
-                              seed: int = 0, hbar: float | None = None,
-                              tol: float = 1e-5) -> QuantumFunction:
+                              seed: int = 0, tol: float = 1e-5) -> QuantumFunction:
     """Package ``<Phi|A|Phi>`` as a quantum function, checking the hypotheses.
 
     Verifies in order: unit-norm outputs on sampled states, stationary
     images ``Phi(xi_n) = psi_n`` up to a per-``n`` global phase, and the
     quantum-function equation residual, each against ``tol``.  The
     resulting eigenfunctions are the expansion coefficients of ``Phi`` in
-    the eigenbasis of ``A``.
+    the eigenbasis of ``A``.  A NaN residual fails its check.
     """
-    hbar = space.hbar if hbar is None else float(hbar)
     phi_fn = _map_callable(phi)
     spectral = spectral_decompose(a)
     if len(xi_n) != a.dim:
@@ -532,8 +526,8 @@ def quantum_function_from_qfe(a: HermitianOperator, phi, xi_n: Sequence,
     worst_norm = 0.0
     for i in range(int(samples)):
         psi = random_unit_state(space.complex_dim, seed, i)
-        worst_norm = max(worst_norm, abs(float(np.linalg.norm(phi_fn(psi))) - 1.0))
-    if worst_norm > tol:
+        worst_norm = _worst(worst_norm, abs(float(np.linalg.norm(phi_fn(psi))) - 1.0))
+    if not worst_norm <= tol:
         raise PreconditionFailedError("normalization", worst_norm)
 
     basis = spectral.eigenvectors
@@ -542,16 +536,14 @@ def quantum_function_from_qfe(a: HermitianOperator, phi, xi_n: Sequence,
         image = phi_fn(_as_complex_vector(xi))
         overlap = complex(np.vdot(basis[:, k], image))
         phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-        worst_match = max(
+        worst_match = _worst(
             worst_match, float(np.linalg.norm(image * np.conj(phase) - basis[:, k]))
         )
-    if worst_match > tol:
+    if not worst_match <= tol:
         raise PreconditionFailedError("stationary-state match", worst_match)
 
-    equation_residual = qfe_residual(
-        a, phi_fn, space, samples=samples, seed=seed, hbar=hbar, norm_tol=tol
-    )
-    if equation_residual > tol:
+    equation_residual = qfe_residual(a, phi_fn, space, samples=samples, seed=seed, norm_tol=tol)
+    if not equation_residual <= tol:
         raise PreconditionFailedError("quantum-function equation", equation_residual)
 
     def coords_fn(v: np.ndarray, b=basis) -> np.ndarray:

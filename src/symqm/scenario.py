@@ -135,11 +135,8 @@ def _resolve_operator(text, base_dir: Path, fieldname: str,
             raise ScenarioError(str(exc), fieldname) from exc
     try:
         return make_hermitian(matrix, label=text)
-    except NonHermitianError as exc:
-        raise ScenarioError(
-            f"operator {text!r} is not Hermitian (deviation {exc.deviation:.3e})",
-            fieldname,
-        ) from exc
+    except NonHermitianError as exc:  # also a non-finite entry
+        raise ScenarioError(f"operator {text!r}: {exc}", fieldname) from exc
     except NonSquareError as exc:
         raise ScenarioError(f"operator {text!r} is not square: {exc}", fieldname) from exc
 

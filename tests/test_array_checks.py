@@ -29,13 +29,22 @@ from symqm import (
     SymplecticSpace,
     Trajectory,
     from_operator,
+    from_real_coords,
     integrate,
     make_hermitian,
     phase_evolution_residual,
     phase_residuals,
     spectral_deviation,
+    to_real_coords,
     trajectory_diagnostics,
     verify_axioms,
+    verify_reconstruction,
+)
+from symqm.brackets import (
+    BRACKET_REPORT_STEP,
+    _central_differences,
+    _complex_values,
+    _observable_values,
 )
 from symqm.cli import main
 from symqm.errors import NonHermitianError
@@ -243,8 +252,9 @@ def test_analytic_axioms_make_no_complex_bracket_calls(monkeypatch):
     qf = from_operator(_operator(8, 1), SymplecticSpace(8))
     assert verify_axioms(qf, 20, seed=0).passed
     assert calls == []
-    verify_axioms(qf, 2, seed=0, method="finite_difference")
-    assert len(calls) == 2 * 8
+    # The finite-difference path takes all n brackets of a sample from one Jacobian.
+    assert verify_axioms(qf, 2, seed=0, method="finite_difference").passed
+    assert calls == []
 
 
 def test_cayley_evolve_decomposes_once(monkeypatch, tmp_path):
@@ -271,3 +281,96 @@ def test_operator_energies_and_diagnostics_never_call_f(monkeypatch):
     assert calls == []
     f(traj.states[0])
     assert len(calls) == 1
+
+
+def _reference_jacobian(func, space, psi, step):
+    """Central differences one perturbed point at a time, Re and Im apart."""
+    x = to_real_coords(psi, space)
+    if step is None:
+        h = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(x))
+    else:
+        h = np.full(x.shape, step)
+    re, im = [], []
+    for i in range(x.shape[0]):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h[i]
+        xm[i] -= h[i]
+        fp = np.asarray(func(from_real_coords(xp, space)), dtype=complex)
+        fm = np.asarray(func(from_real_coords(xm, space)), dtype=complex)
+        re.append((fp.real - fm.real) / (2.0 * h[i]))
+        im.append((fp.imag - fm.imag) / (2.0 * h[i]))
+    return np.array(re), np.array(im)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_batched_jacobian_matches_pointwise_reference(n):
+    space = SymplecticSpace(n, hbar=0.7)
+    a = _operator(n, 70 + n)
+    phi = random_unit_state(n, 71, n)
+    psi = random_unit_state(n, 72, n)
+    cubic = ObservableFunction.from_callable(
+        lambda v: float(np.vdot(v, a.matrix @ v).real + np.sum(v.real ** 3)), space)
+    twisted = ComplexFunction.from_callable(lambda v: np.vdot(phi, v) * v[0] ** 2, space)
+    for step in (None, BRACKET_REPORT_STEP):
+        # Generic callables see the same states and are called once per
+        # perturbed point, so their differences are bit-identical.
+        jac = _central_differences(lambda s: _observable_values(cubic, s), space,
+                                   to_real_coords(psi, space), step)
+        re, im = _reference_jacobian(cubic, space, psi, step)
+        assert jac.dtype == float and np.array_equal(jac, re) and not np.any(im)
+        jac = _central_differences(lambda s: _complex_values(twisted, s), space,
+                                   to_real_coords(psi, space), step)
+        re, im = _reference_jacobian(twisted, space, psi, step)
+        assert np.array_equal(jac.real, re) and np.array_equal(jac.imag, im)
+    # Products differ from the per-point formulas in the last ulp of each
+    # value; divided by the step, that stays far below the 1e-5 tolerances.
+    for func, rows in ((ObservableFunction.expectation_of(a, space), _observable_values),
+                       (ComplexFunction.coordinate(phi, space), _complex_values)):
+        jac = _central_differences(lambda s: rows(func, s), space, to_real_coords(psi, space),
+                                   BRACKET_REPORT_STEP)
+        re, im = _reference_jacobian(func, space, psi, BRACKET_REPORT_STEP)
+        assert np.max(np.abs(jac - (re + 1j * im))) <= 1e-9
+
+
+def _cubic_observable(qf, weight):
+    """``<A>`` plus ``weight * sum Re(psi_k)^3``, evaluated without ``A``'s closed forms."""
+    a = qf.f.operator.matrix
+    return ObservableFunction.from_callable(
+        lambda v: float(np.vdot(v, a @ v).real + weight * np.sum(v.real ** 3)), qf.space)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_fd_checks_see_a_term_the_operator_lacks(n):
+    qf = from_operator(_operator(n, 80 + n), SymplecticSpace(n))
+    traj = integrate(qf.f, random_unit_state(n, 81, n), IntegratorConfig("cayley", 1e-2, 50))
+    for weight, fails in ((0.0, False), (0.05, True)):
+        generic = dataclasses.replace(qf, f=_cubic_observable(qf, weight))
+        axioms = verify_axioms(generic, 20, seed=3)
+        assert axioms.method == "finite_difference"
+        rec = verify_reconstruction(generic, traj, samples=20, seed=3)
+        assert rec.flow_equation_residual_analytic is None
+        # The flow and bracket residuals both come from the finite
+        # differences of f, so they see the cubic term or nothing.
+        assert (axioms.bracket > 1e-5) is fails, axioms.bracket
+        assert (rec.flow_equation_residual_fd > 1e-5) is fails, rec.flow_equation_residual_fd
+        assert (axioms.bracket <= 1e-6) is not fails
+
+
+@pytest.mark.parametrize("n", (2, 5))
+def test_reconstruction_work_counts(monkeypatch, n):
+    calls = _counting(monkeypatch, [symqm.brackets, symqm.quantum_function],
+                      "complex_bracket")
+    qf = from_operator(_operator(n, 90 + n), SymplecticSpace(n))
+    traj = integrate(qf.f, random_unit_state(n, 91, n), IntegratorConfig("cayley", 1e-2, 20))
+    evaluated = []
+    inner = _cubic_observable(qf, 0.0)
+    counted = dataclasses.replace(
+        qf, f=ObservableFunction.from_callable(lambda v: evaluated.append(1) or inner(v), qf.space))
+    samples = 7
+    verify_reconstruction(qf, traj, samples=samples, seed=4)
+    verify_reconstruction(counted, traj, samples=samples, seed=4)
+    assert calls == []
+    # 4n perturbed points per sample, not 4n per eigen-index, plus f at
+    # the sample itself for the value residual.
+    assert len(evaluated) == samples * (4 * n + 1)

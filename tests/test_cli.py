@@ -131,6 +131,16 @@ def test_non_hermitian_operator_exit_code(tmp_path):
     assert _run("verify", scenario, tmp_path / "out") == 2
 
 
+@pytest.mark.parametrize("field", ["operator", "second_operator"])
+def test_non_finite_operator_exit_code(tmp_path, field, capsys):
+    (tmp_path / "nan.mat").write_text("2\nnan 0\n0 1\n")
+    extra = {"second_operator": "X0", field: "file:nan.mat"}
+    scenario = _scenario(tmp_path, extra)
+    for command in ("verify", "evolve", "bracket", "reconstruct"):
+        assert _run(command, scenario, tmp_path / command) == 2
+        assert f"error: {field}: " in capsys.readouterr().err
+
+
 def test_missing_scenario_exit_code(tmp_path):
     assert _run("verify", tmp_path / "nope.json", tmp_path / "out") == 2
 

@@ -102,6 +102,14 @@ def test_spectral_reconstruction():
         assert np.max(np.abs(rebuilt - a.matrix)) <= 1e-10 * (1 + np.max(np.abs(a.matrix)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)])
+def test_non_finite_entries_rejected(bad):
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(NonHermitianError, match="non-finite"):
+        make_hermitian(m)
+
+
 def test_quadratic_form_examples():
     psi = StatePoint([1, 0], normalized=True)
     assert quadratic_form(np.eye(2), psi) == 1

@@ -257,6 +257,21 @@ def test_quantum_function_from_qfe_permuted_stationary_states():
     assert err.value.hypothesis == "stationary-state match"
 
 
+def test_quantum_function_from_qfe_nan_fails():
+    # NaN at one stationary state: the builtin max would drop it and pass.
+    qf_ref = from_operator(Z, SPACE)
+
+    def phi(v):
+        v = np.asarray(v, dtype=complex)
+        return np.full(2, np.nan, dtype=complex) if np.array_equal(v, [1, 0]) else v
+
+    with pytest.raises(PreconditionFailedError) as err:
+        quantum_function_from_qfe(Z, phi, list(qf_ref.stationary_states), SPACE,
+                                  samples=10, seed=15)
+    assert err.value.hypothesis == "stationary-state match"
+    assert np.isnan(err.value.residual)
+
+
 def test_quantum_function_from_qfe_equation_failure():
     # a unitary but flow-incompatible map: conjugation is antiunitary on
     # coordinates, so the bracket side picks up the wrong sign
