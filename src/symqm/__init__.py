@@ -9,7 +9,6 @@ Hamiltonian flows and spectral data reproduce the standard quantum picture.
 from .spaces import (
     SymplecticSpace,
     StatePoint,
-    TangentVector,
     to_real_coords,
     from_real_coords,
     hermitian_inner,
@@ -66,11 +65,10 @@ from .pauli import (
     PauliFactor,
     PauliTerm,
     PauliSumExpr,
-    MatrixFileExpr,
     parse_operator_expr,
 )
 from .scenario import Scenario, load_scenario, DEFAULT_TOLERANCES
-from .sampling import random_unit_state, sample_unit_states, random_hermitian
+from .sampling import random_unit_state, random_hermitian
 from . import errors
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ from .operators import HermitianOperator, commutator, expectation, expectations,
 from .sampling import random_unit_state
 from .spaces import (
     SymplecticSpace,
-    TangentVector,
     _as_complex_vector,
     from_real_coords,
     hermitian_inner,
@@ -226,17 +225,18 @@ def differential(f: ObservableFunction, psi, y, step=None) -> float:
     return float(grad @ to_real_coords(w, f.space))
 
 
-def hamiltonian_vector_field(f: ObservableFunction, psi, step=None) -> TangentVector:
+def hamiltonian_vector_field(f: ObservableFunction, psi, step=None) -> np.ndarray:
     """The vector field ``X_f`` with ``Omega(X_f, Y) = df(Y)`` for all ``Y``.
 
-    For ``f = <A>`` this is ``-(i/hbar) A psi`` exactly; otherwise the
-    finite-difference gradient is mapped through the canonical form.
+    Returned as a complex vector.  For ``f = <A>`` this is
+    ``-(i/hbar) A psi`` exactly; otherwise the finite-difference gradient
+    is mapped through the canonical form.
     """
     v = _as_complex_vector(psi)
     f.space.check_dim(v, "state")
     if f.operator is not None:
-        return TangentVector(-1j / f.space.hbar * f.operator.apply(v))
-    return TangentVector(from_real_coords(_fd_field(f, v, step), f.space))
+        return -1j / f.space.hbar * f.operator.apply(v)
+    return from_real_coords(_fd_field(f, v, step), f.space)
 
 
 def _require_same_space(f: ObservableFunction, g) -> None:
@@ -313,18 +313,6 @@ class BracketCommutatorReport:
     analytic_max: float
     finite_difference_max: float
     scale: float
-
-    def as_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "samples": self.samples,
-            "seed": self.seed,
-            "hbar": self.hbar,
-            "analytic_max": self.analytic_max,
-            "finite_difference_max": self.finite_difference_max,
-            "scale": self.scale,
-            "identity": "i*hbar*{<A>,<B>} = <[A,B]>",
-        }
 
 
 def bracket_commutator_report(a: HermitianOperator, b: HermitianOperator,

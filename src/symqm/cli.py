@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .brackets import ObservableFunction, bracket_commutator_report
 from .dynamics import integrate, phase_residuals, spectral_deviation, trajectory_diagnostics
 from .errors import NonConvergenceError, SymqmError, ScenarioError
+from .operators import spectral_decompose
 from .quantum_function import (
     AxiomTolerances,
     from_operator,
@@ -27,7 +29,6 @@ from .quantum_function import (
 )
 from .reports import write_report, write_trajectory_csv
 from .scenario import Scenario, load_scenario
-from .spaces import SymplecticSpace
 
 __all__ = ["main"]
 
@@ -62,41 +63,37 @@ def _emit(quiet: bool, name: str, value: float, tol: float, ok: bool) -> None:
         print(f"{name}: residual={value:.6e} tol={tol:.3e} {'PASS' if ok else 'FAIL'}")
 
 
-def _space(scenario: Scenario) -> SymplecticSpace:
-    return SymplecticSpace(complex_dim=scenario.dimension, hbar=scenario.hbar)
+def _judge(quiet: bool, prefix: str, measured: dict) -> dict:
+    """``residual <= tol`` for each ``name: (residual, tol)``, printing one line each."""
+    checks = {}
+    for name, (value, tol) in measured.items():
+        checks[name] = value <= tol
+        _emit(quiet, f"{prefix}.{name}", value, tol, checks[name])
+    return checks
 
 
 def _axiom_tolerances(scenario: Scenario) -> AxiomTolerances:
-    return AxiomTolerances(
-        decomposition=scenario.tolerance("axiom_decomposition"),
-        bracket=scenario.tolerance("axiom_bracket"),
-        normalization=scenario.tolerance("axiom_normalization"),
-        stationary_delta=scenario.tolerance("axiom_stationary_delta"),
-        stationary_value=scenario.tolerance("axiom_stationary_value"),
-    )
+    return AxiomTolerances(**{field.name: scenario.tolerance(f"axiom_{field.name}")
+                              for field in fields(AxiomTolerances)})
 
 
-def _bracket_section(scenario: Scenario, space: SymplecticSpace, quiet: bool) -> dict:
+def _bracket_section(scenario: Scenario, quiet: bool) -> dict:
     report = bracket_commutator_report(
-        scenario.operator, scenario.second_operator, space,
+        scenario.operator, scenario.second_operator, scenario.space,
         scenario.samples, scenario.seed,
     )
-    tol_analytic = scenario.tolerance("bracket_analytic") * report.scale
-    tol_fd = scenario.tolerance("bracket_finite_difference") * report.scale
-    checks = {
-        "analytic": report.analytic_max <= tol_analytic,
-        "finite_difference": report.finite_difference_max <= tol_fd,
-    }
-    _emit(quiet, "bracket_commutator.analytic", report.analytic_max,
-          tol_analytic, checks["analytic"])
-    _emit(quiet, "bracket_commutator.finite_difference", report.finite_difference_max,
-          tol_fd, checks["finite_difference"])
-    return {**report.as_dict(), "checks": checks, "passed": all(checks.values())}
+    checks = _judge(quiet, "bracket_commutator", {
+        "analytic": (report.analytic_max,
+                     scenario.tolerance("bracket_analytic") * report.scale),
+        "finite_difference": (report.finite_difference_max,
+                              scenario.tolerance("bracket_finite_difference") * report.scale),
+    })
+    return {**asdict(report), "identity": "i*hbar*{<A>,<B>} = <[A,B]>",
+            "checks": checks, "passed": all(checks.values())}
 
 
 def _cmd_verify(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    space = _space(scenario)
-    qf = from_operator(scenario.operator, space)
+    qf = from_operator(scenario.operator, scenario.space)
     axioms = verify_axioms(qf, scenario.samples, scenario.seed,
                            _axiom_tolerances(scenario))
     for name, ok in axioms.checks().items():
@@ -109,7 +106,7 @@ def _cmd_verify(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     }
     passed = axioms.passed
     if scenario.second_operator is not None:
-        section = _bracket_section(scenario, space, quiet)
+        section = _bracket_section(scenario, quiet)
         report["bracket_commutator"] = section
         passed = passed and section["passed"]
     report["passed"] = passed
@@ -120,8 +117,7 @@ def _cmd_verify(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
 def _cmd_bracket(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     if scenario.second_operator is None:
         raise ScenarioError("the bracket command requires this field", "second_operator")
-    space = _space(scenario)
-    section = _bracket_section(scenario, space, quiet)
+    section = _bracket_section(scenario, quiet)
     report = {
         "command": "bracket",
         "scenario": scenario.resolved_dict(),
@@ -133,13 +129,12 @@ def _cmd_bracket(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
 
 
 def _cmd_evolve(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    space = _space(scenario)
-    qf = from_operator(scenario.operator, space)
-    f = ObservableFunction.expectation_of(scenario.operator, space)
+    spectral = spectral_decompose(scenario.operator)
+    f = ObservableFunction.expectation_of(scenario.operator, scenario.space)
     report = {"command": "evolve", "scenario": scenario.resolved_dict()}
     report_path = out_dir / scenario.outputs.get("report", "evolve_report.json")
     try:
-        traj = integrate(f, scenario.initial_state, scenario.integrator, scenario.hbar)
+        traj = integrate(f, scenario.initial_state, scenario.integrator)
     except NonConvergenceError as exc:
         report["error"] = {"type": "NonConvergence", "step": exc.step,
                            "iterations": exc.iterations}
@@ -149,31 +144,26 @@ def _cmd_evolve(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
             print(f"integrator failed to converge at step {exc.step}")
         return 1
 
-    basis = qf.coordinate_matrix()
-    deviation = spectral_deviation(traj, qf.eigenvalues, basis, scenario.hbar)
+    hbar = scenario.space.hbar
+    deviation = spectral_deviation(traj, spectral, hbar)
     diagnostics = trajectory_diagnostics(traj)
-    residuals = phase_residuals(traj.states, basis, qf.eigenvalues, traj.times, scenario.hbar)
+    residuals = phase_residuals(traj.states, spectral.eigenvectors, spectral.eigenvalues,
+                                traj.times, hbar)
     worst_phase = float(np.max(residuals))
 
-    tol_dev = scenario.tolerance("evolve_deviation")
-    tol_phase = scenario.tolerance("evolve_phase")
-    checks = {
-        "deviation_from_exact": deviation <= tol_dev,
-        "phase_evolution": worst_phase <= tol_phase,
-    }
-    _emit(quiet, "evolve.deviation_from_exact", deviation, tol_dev,
-          checks["deviation_from_exact"])
-    _emit(quiet, "evolve.phase_evolution", worst_phase, tol_phase,
-          checks["phase_evolution"])
+    checks = _judge(quiet, "evolve", {
+        "deviation_from_exact": (deviation, scenario.tolerance("evolve_deviation")),
+        "phase_evolution": (worst_phase, scenario.tolerance("evolve_phase")),
+    })
 
     csv_path = out_dir / scenario.outputs.get("trajectory", "trajectory.csv")
     write_trajectory_csv(traj, csv_path)
 
     report.update({
         "deviation_from_exact": deviation,
-        "diagnostics": diagnostics.as_dict(),
+        "diagnostics": asdict(diagnostics),
         "phase_evolution": {
-            "eigenvalues": [float(a) for a in qf.eigenvalues],
+            "eigenvalues": [float(a) for a in spectral.eigenvalues],
             "residuals": [float(r) for r in residuals],
         },
         "trajectory_file": csv_path.name,
@@ -195,43 +185,32 @@ def _phi_candidate(scenario: Scenario, qf):
 
 
 def _cmd_reconstruct(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    space = _space(scenario)
-    qf = from_operator(scenario.operator, space)
-    traj = integrate(qf.f, scenario.initial_state, scenario.integrator, scenario.hbar)
+    qf = from_operator(scenario.operator, scenario.space)
+    traj = integrate(qf.f, scenario.initial_state, scenario.integrator)
     rec = verify_reconstruction(qf, traj, samples=scenario.samples, seed=scenario.seed)
     phi = _phi_candidate(scenario, qf)
-    qfe = qfe_residual(scenario.operator, phi, space, samples=scenario.samples, seed=scenario.seed)
+    qfe = qfe_residual(scenario.operator, phi, scenario.space, samples=scenario.samples,
+                       seed=scenario.seed)
 
+    # qf comes from an operator, so the analytic flow residual is never None.
     tol_an = scenario.tolerance("reconstruction_analytic")
-    tol_fd = scenario.tolerance("reconstruction_finite_difference")
-    tol_tw = scenario.tolerance("reconstruction_intertwining")
-    tol_qfe = scenario.tolerance("qfe")
-    checks = {
-        "flow_equation_finite_difference": rec.flow_equation_residual_fd <= tol_fd,
-        "value": rec.value_residual <= tol_an,
-        "norm": rec.norm_residual <= tol_an,
-        "stationary": rec.stationary_residual <= tol_an,
-        "intertwining": rec.intertwining_residual <= tol_tw,
-        "qfe": qfe <= tol_qfe,
-    }
-    if rec.flow_equation_residual_analytic is not None:
-        checks["flow_equation_analytic"] = rec.flow_equation_residual_analytic <= tol_an
-        _emit(quiet, "reconstruction.flow_equation_analytic",
-              rec.flow_equation_residual_analytic, tol_an, checks["flow_equation_analytic"])
-    _emit(quiet, "reconstruction.flow_equation_finite_difference",
-          rec.flow_equation_residual_fd, tol_fd, checks["flow_equation_finite_difference"])
-    _emit(quiet, "reconstruction.value", rec.value_residual, tol_an, checks["value"])
-    _emit(quiet, "reconstruction.norm", rec.norm_residual, tol_an, checks["norm"])
-    _emit(quiet, "reconstruction.stationary", rec.stationary_residual, tol_an,
-          checks["stationary"])
-    _emit(quiet, "reconstruction.intertwining", rec.intertwining_residual, tol_tw,
-          checks["intertwining"])
-    _emit(quiet, f"qfe[{scenario.phi_map}]", qfe, tol_qfe, checks["qfe"])
+    checks = _judge(quiet, "reconstruction", {
+        "flow_equation_analytic": (rec.flow_equation_residual_analytic, tol_an),
+        "flow_equation_finite_difference": (
+            rec.flow_equation_residual_fd, scenario.tolerance("reconstruction_finite_difference")),
+        "value": (rec.value_residual, tol_an),
+        "norm": (rec.norm_residual, tol_an),
+        "stationary": (rec.stationary_residual, tol_an),
+        "intertwining": (rec.intertwining_residual,
+                         scenario.tolerance("reconstruction_intertwining")),
+    })
+    checks["qfe"] = qfe <= scenario.tolerance("qfe")
+    _emit(quiet, f"qfe[{scenario.phi_map}]", qfe, scenario.tolerance("qfe"), checks["qfe"])
 
     report = {
         "command": "reconstruct",
         "scenario": scenario.resolved_dict(),
-        "reconstruction": rec.as_dict(),
+        "reconstruction": asdict(rec),
         "qfe": {"phi_map": scenario.phi_map, "residual": qfe},
         "degenerate_flag": qf.degenerate_flag,
         "checks": checks,
@@ -257,8 +236,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
 
     try:
-        if args.tol_scale <= 0:
-            raise ScenarioError("--tol-scale must be positive")
+        if not 0 < args.tol_scale < np.inf:
+            raise ScenarioError("--tol-scale must be positive and finite")
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
             if args.seed < 0:

@@ -23,7 +23,12 @@ from .errors import (
     MethodUnsupportedError,
     NonConvergenceError,
 )
-from .operators import HermitianOperator, spectral_decompose
+from .operators import (
+    SpectralData,
+    _evolved_coefficients,
+    _row_blocks,
+    spectral_decompose,
+)
 from .spaces import StatePoint, _as_complex_vector
 
 __all__ = [
@@ -41,16 +46,16 @@ __all__ = [
 METHODS = ("exact", "midpoint", "cayley", "rk4")
 MAX_STORED_STEPS = 10**6
 
-# Stored steps handled per block by the array checks along a trajectory.
-# Each block's ``(rows, n)`` temporaries stay a fraction of the trajectory
-# itself, so the checks add little to peak memory at large ``n``.
-_ROW_BLOCK = 256
 
-
-def _row_blocks(count: int):
-    """Slices that cover ``range(count)`` in blocks of ``_ROW_BLOCK`` rows."""
-    for start in range(0, count, _ROW_BLOCK):
-        yield slice(start, min(start + _ROW_BLOCK, count))
+def _count(value, name: str) -> int:
+    """``value`` as a positive int; a fraction or a non-finite value is rejected."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = 0
+    if count < 1 or count != value:
+        raise ValueError(f"{name} must be a positive integer")
+    return count
 
 
 @dataclass(frozen=True)
@@ -71,41 +76,24 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if int(self.steps) < 1:
-            raise ValueError("steps must be a positive integer")
-        if not self.solver_tol >= 1e-15:
-            raise ValueError("solver_tol must be at least 1e-15")
-        if int(self.solver_max_iter) < 1:
-            raise ValueError("solver_max_iter must be a positive integer")
-        if int(self.stride) < 1:
-            raise ValueError("stride must be a positive integer")
-        if int(self.steps) % int(self.stride) != 0:
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 1e-15 <= self.solver_tol < np.inf:
+            raise ValueError("solver_tol must be finite and at least 1e-15")
+        for name in ("steps", "solver_max_iter", "stride"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
+        if self.steps % self.stride != 0:
             raise ValueError("stride must divide steps")
-        if int(self.steps) // int(self.stride) > MAX_STORED_STEPS:
+        if self.steps // self.stride > MAX_STORED_STEPS:
             raise ValueError(
                 f"more than {MAX_STORED_STEPS} stored steps; increase stride"
             )
         object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "steps", int(self.steps))
         object.__setattr__(self, "solver_tol", float(self.solver_tol))
-        object.__setattr__(self, "solver_max_iter", int(self.solver_max_iter))
-        object.__setattr__(self, "stride", int(self.stride))
 
     @property
     def total_time(self) -> float:
         return self.dt * self.steps
-
-    def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "dt": self.dt,
-            "steps": self.steps,
-            "solver_tol": self.solver_tol,
-            "solver_max_iter": self.solver_max_iter,
-            "stride": self.stride,
-        }
 
 
 @dataclass(frozen=True)
@@ -163,41 +151,29 @@ class TrajectoryDiagnostics:
     steps_stored: int
     method: str
 
-    def as_dict(self) -> dict:
-        return {
-            "max_norm_drift": self.max_norm_drift,
-            "max_energy_drift": self.max_energy_drift,
-            "max_solver_iterations": self.max_solver_iterations,
-            "mean_solver_iterations": self.mean_solver_iterations,
-            "steps_stored": self.steps_stored,
-            "method": self.method,
-        }
 
-
-def exact_propagate(h: HermitianOperator, psi0, t: float, hbar: float = 1.0) -> StatePoint:
-    """Spectral solution of ``i*hbar*dpsi/dt = H psi`` at time ``t``.
+def exact_propagate(f: ObservableFunction, psi0, t: float) -> StatePoint:
+    """Spectral solution of ``i*hbar*dpsi/dt = H psi`` at time ``t``, for ``f = <H>``.
 
     Expands ``psi0`` in the eigenbasis of ``H`` and advances each mode by
-    its own phase ``exp(-i a_n t / hbar)``.
+    its own phase ``exp(-i a_n t / hbar)``, with ``hbar`` of ``f.space``.
     """
-    spectral = spectral_decompose(h)
+    if f.operator is None:
+        raise MethodUnsupportedError("the spectral solution requires an expectation observable")
     v = _as_complex_vector(psi0)
-    if v.shape[0] != h.dim:
-        raise DimensionMismatchError(f"state length {v.shape[0]} != operator dimension {h.dim}")
-    coeffs = spectral.eigenvectors.conj().T @ v
-    phased = coeffs * np.exp(-1j * spectral.eigenvalues * (float(t) / float(hbar)))
-    return StatePoint(spectral.eigenvectors @ phased)
+    f.space.check_dim(v, "state")
+    return StatePoint(spectral_decompose(f.operator).propagate(v, [t], f.space.hbar)[0])
 
 
-def _linear_generator(f: ObservableFunction, hbar: float) -> np.ndarray:
-    return (-1j / hbar) * f.operator.matrix
+def _linear_generator(f: ObservableFunction) -> np.ndarray:
+    return (-1j / f.space.hbar) * f.operator.matrix
 
 
-def _field_evaluator(f: ObservableFunction, hbar: float):
+def _field_evaluator(f: ObservableFunction):
     if f.operator is not None:
-        k = _linear_generator(f, hbar)
+        k = _linear_generator(f)
         return lambda psi: k @ psi
-    return lambda psi: np.asarray(hamiltonian_vector_field(f, psi))
+    return lambda psi: hamiltonian_vector_field(f, psi)
 
 
 def _midpoint_step(field, psi, dt, tol, max_iter, step_index):
@@ -219,22 +195,19 @@ def _rk4_step(field, psi, dt):
     return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig,
-              hbar: float | None = None) -> Trajectory:
-    """Integrate the Hamilton equation ``dxi/dt = X_f(xi)``.
+def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig) -> Trajectory:
+    """Integrate the Hamilton equation ``dxi/dt = X_f(xi)`` on ``f.space``.
 
-    ``hbar`` defaults to ``f.space.hbar``.  The ``exact`` and ``cayley``
-    methods require an expectation observable (linear field); ``midpoint``
-    and ``rk4`` accept any observable.  For generic observables the field
-    carries finite-difference noise of order ``1e-8``, so the midpoint
-    ``solver_tol`` must be chosen above ``dt`` times that noise or the
-    fixed point cannot settle.
+    The ``exact`` and ``cayley`` methods require an expectation observable
+    (linear field); ``midpoint`` and ``rk4`` accept any observable.  For
+    generic observables the field carries finite-difference noise of order
+    ``1e-8``, so the midpoint ``solver_tol`` must be chosen above ``dt``
+    times that noise or the fixed point cannot settle.
 
     The energies ``f(xi(t_k))`` are computed here, once, and stored in
     :attr:`Trajectory.energies`; for ``f = <A>`` they come from one
     matrix product per block of stored steps instead of a call per step.
     """
-    hbar = f.space.hbar if hbar is None else float(hbar)
     psi = _as_complex_vector(xi0).copy()
     f.space.check_dim(psi, "initial state")
 
@@ -251,13 +224,10 @@ def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig,
         )
 
     if cfg.method == "exact":
-        spectral = spectral_decompose(f.operator)
-        coeffs = spectral.eigenvectors.conj().T @ psi
-        for k in range(1, stored + 1):
-            phased = coeffs * np.exp(-1j * spectral.eigenvalues * (times[k] / hbar))
-            states[k] = spectral.eigenvectors @ phased
+        states = spectral_decompose(f.operator).propagate(psi, times, f.space.hbar)
+        states[0] = psi
     elif cfg.method == "cayley":
-        k_mat = _linear_generator(f, hbar)
+        k_mat = _linear_generator(f)
         eye = np.eye(psi.shape[0], dtype=complex)
         forward = eye + (cfg.dt / 2.0) * k_mat
         backward = scipy.linalg.lu_factor(eye - (cfg.dt / 2.0) * k_mat)
@@ -268,7 +238,7 @@ def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig,
                 idx += 1
                 states[idx] = psi
     else:
-        field = _field_evaluator(f, hbar)
+        field = _field_evaluator(f)
         idx = 0
         for step in range(1, cfg.steps + 1):
             if cfg.method == "midpoint":
@@ -317,22 +287,22 @@ def phase_residuals(states, basis, eigenvalues, times, hbar: float) -> np.ndarra
         coords = (s[rows].conj() @ v).conj()
         if c0 is None:  # from the same product, so the t_0 row cancels exactly
             c0 = coords[0].copy()
-        phases = np.exp(-1j * a * elapsed[rows, None] / float(hbar))
-        residuals = np.maximum(residuals, np.max(np.abs(coords - phases * c0), axis=0))
+        evolved = _evolved_coefficients(c0, a, elapsed[rows], hbar)
+        residuals = np.maximum(residuals, np.max(np.abs(coords - evolved), axis=0))
     return residuals
 
 
-def phase_evolution_residual(u: ComplexFunction, a: float, traj: Trajectory,
-                             hbar: float = 1.0) -> float:
+def phase_evolution_residual(u: ComplexFunction, a: float, traj: Trajectory) -> float:
     """Max deviation of ``u`` along the trajectory from pure phase rotation.
 
-    Measures ``max_k |u(xi(t_k)) - exp(-i a (t_k - t_0) / hbar) u(xi(t_0))|``,
-    which vanishes when ``i*hbar*{f, u} = a u`` holds along the flow of
-    ``f`` and grows to order one when ``a`` is wrong.  This is
-    :func:`phase_residuals` for the one coordinate ``u``: a coordinate
-    functional ``u = <phi|.>`` is evaluated on all stored steps by matrix
-    products, a generic ``u`` by one call per step.
+    Measures ``max_k |u(xi(t_k)) - exp(-i a (t_k - t_0) / hbar) u(xi(t_0))|``
+    with ``hbar`` of ``u.space``, which vanishes when ``i*hbar*{f, u} = a u``
+    holds along the flow of ``f`` and grows to order one when ``a`` is
+    wrong.  This is :func:`phase_residuals` for the one coordinate ``u``: a
+    coordinate functional ``u = <phi|.>`` is evaluated on all stored steps
+    by matrix products, a generic ``u`` by one call per step.
     """
+    hbar = u.space.hbar
     if u.vector is not None:
         u.space.check_dim(traj.states[0], "state")
         return float(phase_residuals(traj.states, u.vector[:, None], [a], traj.times, hbar)[0])
@@ -341,22 +311,18 @@ def phase_evolution_residual(u: ComplexFunction, a: float, traj: Trajectory,
     return float(phase_residuals(values, np.ones((1, 1)), [a], traj.times, hbar)[0])
 
 
-def spectral_deviation(traj: Trajectory, eigenvalues, basis, hbar: float) -> float:
+def spectral_deviation(traj: Trajectory, spectral: SpectralData, hbar: float) -> float:
     """Max distance of the stored states from the spectral solution.
 
-    ``basis`` holds the orthonormal eigenvectors ``V`` of the generator as
-    columns, with ``eigenvalues`` ``a``.  Returns
-    ``max_k ||xi(t_k) - V exp(-i a (t_k - t_0) / hbar) V^H xi(t_0)||``,
-    forming the exact states with one product per block of stored steps.
+    Returns ``max_k ||xi(t_k) - V exp(-i a (t_k - t_0) / hbar) V^H xi(t_0)||``
+    for the eigenpairs ``(a, V)`` of ``spectral``, propagating one block of
+    stored steps at a time.
     """
-    v = np.asarray(basis, dtype=complex)
-    a = np.asarray(eigenvalues, dtype=float)
     elapsed = traj.times - traj.times[0]
-    coeffs = (traj.states[0].conj() @ v).conj()
     deviation = 0.0
     for rows in _row_blocks(len(traj)):
-        phased = coeffs * np.exp(-1j * a * (elapsed[rows, None] / float(hbar)))
-        gaps = np.linalg.norm(traj.states[rows] - phased @ v.T, axis=1)
+        exact = spectral.propagate(traj.states[0], elapsed[rows], hbar)
+        gaps = np.linalg.norm(traj.states[rows] - exact, axis=1)
         deviation = float(np.maximum(deviation, np.max(gaps)))
     return deviation
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +31,30 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
+# Largest dimension n of a dense n x n operator (12 qubits, 256 MiB).
+MAX_DENSE_DIM = 4096
+
+# Rows (times or stored steps) handled per block by the array products along
+# a trajectory.  Each block's ``(rows, n)`` temporaries stay a fraction of
+# the trajectory itself, so they add little to peak memory at large ``n``.
+_ROW_BLOCK = 256
+
+
+def _row_blocks(count: int):
+    """Slices that cover ``range(count)`` in blocks of ``_ROW_BLOCK`` rows."""
+    for start in range(0, count, _ROW_BLOCK):
+        yield slice(start, min(start + _ROW_BLOCK, count))
+
+
+def _evolved_coefficients(coeffs, eigenvalues, elapsed, hbar: float) -> np.ndarray:
+    """Row ``k`` holds ``exp(-i a (t_k - t_0) / hbar) c_0`` for ``elapsed[k] = t_k - t_0``.
+
+    The spectral coefficients ``c_0`` of a state, advanced along the flow of
+    ``<H>`` for the eigenvalues ``a`` of ``H``: the one place the phase
+    formula is written.
+    """
+    a = np.asarray(eigenvalues, dtype=float)
+    return coeffs * np.exp(-1j * a * (np.asarray(elapsed, dtype=float)[:, None] / float(hbar)))
 
 
 @dataclass(frozen=True)
@@ -84,6 +109,25 @@ class HermitianOperator:
             )
         return self.matrix @ v
 
+    @functools.cached_property
+    def spectral(self) -> SpectralData:
+        """The :func:`spectral_decompose` data, computed once: the matrix is immutable."""
+        try:
+            vals, vecs = np.linalg.eigh(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
+        cols = [_fix_phase(vecs[:, k]) for k in range(vals.shape[0])]
+        order = sorted(
+            range(vals.shape[0]),
+            key=lambda k: (vals[k], tuple(cols[k].real)),
+        )
+        vals = vals[order]
+        vecs = np.column_stack([cols[k] for k in order])
+        scale = 1.0 + float(np.max(np.abs(vals))) if vals.size else 1.0
+        gaps = np.diff(vals)
+        degenerate = bool(gaps.size and np.min(gaps) <= DEGENERACY_TOL * scale)
+        return SpectralData(vals, vecs, degenerate)
+
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -107,12 +151,23 @@ class SpectralData:
         object.__setattr__(self, "eigenvalues", a)
         object.__setattr__(self, "eigenvectors", v)
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def vector(self, k: int) -> np.ndarray:
         return self.eigenvectors[:, k]
+
+    def propagate(self, psi0, times, hbar: float) -> np.ndarray:
+        """The spectral solution ``V exp(-i a t / hbar) V^H psi0`` of
+        ``i*hbar*dpsi/dt = H psi`` at every ``t`` in ``times``.
+
+        Row ``k`` of the result is the state at ``times[k]``, formed by one
+        product per block of ``_ROW_BLOCK`` rows.
+        """
+        v = self.eigenvectors
+        coeffs = (_as_complex_vector(psi0).conj() @ v).conj()
+        times = np.asarray(times, dtype=float)
+        states = np.empty((times.shape[0], v.shape[0]), dtype=complex)
+        for rows in _row_blocks(times.shape[0]):
+            states[rows] = _evolved_coefficients(coeffs, self.eigenvalues, times[rows], hbar) @ v.T
+        return states
 
 
 def make_hermitian(m, label: str | None = None) -> HermitianOperator:
@@ -148,22 +203,9 @@ def spectral_decompose(a: HermitianOperator) -> SpectralData:
 
     Exact eigenvalue ties are ordered by lexicographic comparison of the
     phase-fixed eigenvectors' real parts, so the output is deterministic.
+    Each operator is decomposed once; later calls return the same data.
     """
-    try:
-        vals, vecs = np.linalg.eigh(_as_matrix(a))
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
-    cols = [_fix_phase(vecs[:, k]) for k in range(vals.shape[0])]
-    order = sorted(
-        range(vals.shape[0]),
-        key=lambda k: (vals[k], tuple(cols[k].real)),
-    )
-    vals = vals[order]
-    vecs = np.column_stack([cols[k] for k in order])
-    scale = 1.0 + float(np.max(np.abs(vals))) if vals.size else 1.0
-    gaps = np.diff(vals)
-    degenerate = bool(gaps.size and np.min(gaps) <= DEGENERACY_TOL * scale)
-    return SpectralData(vals, vecs, degenerate)
+    return a.spectral
 
 
 def quadratic_form(mx, psi) -> complex:
@@ -232,6 +274,8 @@ def read_matrix_file(path) -> np.ndarray:
         raise ValueError(f"{path}: first line must be the dimension, got {lines[0]!r}") from exc
     if n < 1:
         raise ValueError(f"{path}: dimension must be positive, got {n}")
+    if n > MAX_DENSE_DIM:
+        raise ValueError(f"{path}: dimension {n} exceeds the dense limit {MAX_DENSE_DIM}")
     if len(lines) - 1 < n:
         raise ValueError(f"{path}: expected {n} rows, found {len(lines) - 1}")
     rows = []

@@ -25,7 +25,6 @@ __all__ = [
     "PauliFactor",
     "PauliTerm",
     "PauliSumExpr",
-    "MatrixFileExpr",
     "parse_operator_expr",
 ]
 
@@ -90,13 +89,6 @@ class PauliSumExpr:
         return " + ".join(rendered)
 
 
-@dataclass(frozen=True)
-class MatrixFileExpr:
-    """Reference to a dense-matrix file in the text exchange format."""
-
-    path: str
-
-
 def _embed(letter: str, site: int, num_qubits: int) -> np.ndarray:
     acc = np.array([[1.0 + 0.0j]])
     for k in range(num_qubits):
@@ -116,11 +108,6 @@ class _Parser:
     def peek(self) -> str | None:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def expect_char(self, ch: str):
-        if self.peek() != ch:
-            raise OperatorSyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
 
     def number(self) -> float | None:
         self._skip_ws()

@@ -18,7 +18,7 @@ arbitrary candidate maps ``Phi``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,10 +32,11 @@ from .brackets import (
     _fd_field,
     _worst,
 )
-from .dynamics import _row_blocks
 from .errors import DimensionMismatchError, NormalizationError, PreconditionFailedError
 from .operators import (
     HermitianOperator,
+    _evolved_coefficients,
+    _row_blocks,
     expectations,
     make_hermitian,
     quadratic_form,
@@ -186,22 +187,7 @@ class AxiomTolerances:
         return cls(1e-5, 1e-5, 1e-5, 1e-5, 1e-5)
 
     def scaled(self, factor: float) -> "AxiomTolerances":
-        return AxiomTolerances(
-            self.decomposition * factor,
-            self.bracket * factor,
-            self.normalization * factor,
-            self.stationary_delta * factor,
-            self.stationary_value * factor,
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "decomposition": self.decomposition,
-            "bracket": self.bracket,
-            "normalization": self.normalization,
-            "stationary_delta": self.stationary_delta,
-            "stationary_value": self.stationary_value,
-        }
+        return AxiomTolerances(**{name: tol * factor for name, tol in asdict(self).items()})
 
 
 @dataclass(frozen=True)
@@ -221,14 +207,7 @@ class AxiomReport:
 
     def checks(self) -> dict:
         """Residual vs tolerance verdict per axiom."""
-        tol = self.tolerances
-        return {
-            "decomposition": self.decomposition <= tol.decomposition,
-            "bracket": self.bracket <= tol.bracket,
-            "normalization": self.normalization <= tol.normalization,
-            "stationary_delta": self.stationary_delta <= tol.stationary_delta,
-            "stationary_value": self.stationary_value <= tol.stationary_value,
-        }
+        return {name: getattr(self, name) <= tol for name, tol in asdict(self.tolerances).items()}
 
     @property
     def passed(self) -> bool:
@@ -236,14 +215,8 @@ class AxiomReport:
 
     def as_dict(self) -> dict:
         return {
-            "residuals": {
-                "decomposition": self.decomposition,
-                "bracket": self.bracket,
-                "normalization": self.normalization,
-                "stationary_delta": self.stationary_delta,
-                "stationary_value": self.stationary_value,
-            },
-            "tolerances": self.tolerances.as_dict(),
+            "residuals": {name: getattr(self, name) for name in asdict(self.tolerances)},
+            "tolerances": asdict(self.tolerances),
             "checks": self.checks(),
             "samples": self.samples,
             "seed": self.seed,
@@ -347,14 +320,6 @@ class ReconstructionMap:
     def __call__(self, xi) -> np.ndarray:
         return self.qf.quantum_coordinates(xi)
 
-    @property
-    def domain_space(self) -> SymplecticSpace:
-        return self.qf.space
-
-    @property
-    def output_dim(self) -> int:
-        return self.qf.size
-
 
 def reconstruction_map(qf: QuantumFunction) -> ReconstructionMap:
     """Bundle the quantum coordinates with the recovered diagonal operator."""
@@ -383,19 +348,6 @@ class ReconstructionReport:
     seed: int
     degenerate_flag: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "intertwining_residual": self.intertwining_residual,
-            "flow_equation_residual_analytic": self.flow_equation_residual_analytic,
-            "flow_equation_residual_fd": self.flow_equation_residual_fd,
-            "value_residual": self.value_residual,
-            "norm_residual": self.norm_residual,
-            "stationary_residual": self.stationary_residual,
-            "samples": self.samples,
-            "seed": self.seed,
-            "degenerate_flag": self.degenerate_flag,
-        }
-
 
 def verify_reconstruction(qf: QuantumFunction, traj, samples: int = 100,
                           seed: int = 0) -> ReconstructionReport:
@@ -417,7 +369,7 @@ def verify_reconstruction(qf: QuantumFunction, traj, samples: int = 100,
     elapsed = traj.times - traj.times[0]
     intertwining = 0.0
     for rows in _row_blocks(len(traj)):
-        evolved = np.exp(-1j * a * (elapsed[rows, None] / hbar)) * image0
+        evolved = _evolved_coefficients(image0, a, elapsed[rows], hbar)
         drift = np.linalg.norm(_coordinate_rows(qf, basis, traj.states[rows]) - evolved, axis=1)
         intertwining = _worst(intertwining, float(np.max(drift)))
 

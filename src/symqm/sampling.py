@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["random_unit_state", "sample_unit_states", "random_hermitian"]
+__all__ = ["random_unit_state", "random_hermitian"]
 
 
 def _rng(seed, index=None):
@@ -23,14 +23,6 @@ def random_unit_state(n: int, seed, index=None) -> np.ndarray:
     rng = _rng(seed, index)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
-
-
-def sample_unit_states(n: int, samples: int, seed) -> np.ndarray:
-    """``samples`` seeded unit states, one derived child seed per sample.
-
-    Returns an array of shape ``(samples, n)``.
-    """
-    return np.stack([random_unit_state(n, seed, i) for i in range(samples)])
 
 
 def random_hermitian(n: int, seed, index=None, norm_bound=None) -> np.ndarray:

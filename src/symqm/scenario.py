@@ -2,8 +2,9 @@
 
 Recognized keys::
 
-    hbar            positive real, default 1
-    operator        Pauli-sum expression, or "file:PATH" for a dense matrix
+    hbar            positive finite real, default 1
+    operator        Pauli-sum expression, or "file:PATH" for a dense matrix;
+                    at most MAX_DENSE_DIM = 4096 dimensions (12 qubits)
     second_operator optional, same forms; enables bracket reports
     initial_state   "uniform" | "basis:k" | list of entries ("a+bj" strings
                     or plain numbers); normalized on load
@@ -21,7 +22,7 @@ Defaults are applied on load and echoed into every report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,9 @@ from .errors import (
     OperatorSyntaxError,
     ScenarioError,
 )
-from .operators import HermitianOperator, make_hermitian, read_matrix_file
+from .operators import MAX_DENSE_DIM, HermitianOperator, make_hermitian, read_matrix_file
 from .pauli import parse_operator_expr
+from .spaces import SymplecticSpace
 
 __all__ = ["Scenario", "load_scenario", "DEFAULT_TOLERANCES", "PHI_MAPS"]
 
@@ -68,12 +70,11 @@ _DEFAULT_INTEGRATOR = {"method": "midpoint", "dt": 1e-3, "steps": 1000}
 class Scenario:
     """A fully resolved scenario, defaults applied."""
 
-    hbar: float
+    space: SymplecticSpace
     operator_text: str
     operator: HermitianOperator
     second_operator_text: str | None
     second_operator: HermitianOperator | None
-    initial_state_spec: object
     initial_state: np.ndarray
     integrator: IntegratorConfig
     outputs: dict
@@ -86,11 +87,19 @@ class Scenario:
     def dimension(self) -> int:
         return self.operator.dim
 
+    @property
+    def hbar(self) -> float:
+        return self.space.hbar
+
     def tolerance(self, name: str) -> float:
         return self.tolerances[name]
 
     def scale_tolerances(self, factor: float) -> None:
-        self.tolerances = {k: v * factor for k, v in self.tolerances.items()}
+        scaled = {k: v * factor for k, v in self.tolerances.items()}
+        if not all(0 < v < np.inf for v in scaled.values()):
+            raise ScenarioError(f"scaling by {factor!r} leaves a tolerance that is not "
+                                "positive and finite", "tolerances")
+        self.tolerances = scaled
 
     def resolved_dict(self) -> dict:
         """Echo of the resolved configuration, embedded in reports."""
@@ -100,7 +109,7 @@ class Scenario:
             "second_operator": self.second_operator_text,
             "dimension": self.dimension,
             "initial_state": [[float(z.real), float(z.imag)] for z in self.initial_state],
-            "integrator": self.integrator.as_dict(),
+            "integrator": asdict(self.integrator),
             "outputs": dict(self.outputs),
             "seed": self.seed,
             "samples": self.samples,
@@ -129,6 +138,10 @@ def _resolve_operator(text, base_dir: Path, fieldname: str,
         except OperatorSyntaxError as exc:
             raise ScenarioError(f"cannot parse operator expression {text!r}: {exc}",
                                 fieldname) from exc
+        qubits = max(expr.num_qubits, num_qubits or 0)
+        if qubits >= MAX_DENSE_DIM.bit_length():  # 2**qubits > MAX_DENSE_DIM, a power of 2
+            raise ScenarioError(f"{qubits} qubits exceed the dense limit of "
+                                f"{MAX_DENSE_DIM} dimensions", fieldname)
         try:
             matrix = expr.to_matrix(num_qubits=num_qubits)
         except ValueError as exc:
@@ -210,8 +223,8 @@ def _resolve_tolerances(spec) -> dict:
             raise ScenarioError(
                 f"unknown check {key!r}; known: {sorted(DEFAULT_TOLERANCES)}", "tolerances"
             )
-        if not isinstance(value, (int, float)) or not value > 0:
-            raise ScenarioError(f"{key} must be a positive real", "tolerances")
+        if not isinstance(value, (int, float)) or not 0 < value < np.inf:
+            raise ScenarioError(f"{key} must be a positive finite real", "tolerances")
         merged[key] = float(value)
     return merged
 
@@ -237,12 +250,12 @@ def load_scenario(path) -> Scenario:
     if "operator" not in raw:
         raise ScenarioError("required field missing", "operator")
 
-    hbar = raw.get("hbar", 1.0)
-    if not isinstance(hbar, (int, float)) or not hbar > 0:
-        raise ScenarioError("must be a positive real", "hbar")
-
     base_dir = path.parent
     operator = _resolve_operator(raw["operator"], base_dir, "operator")
+    try:
+        space = SymplecticSpace(operator.dim, raw.get("hbar", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError("must be a positive finite real", "hbar") from exc
     second = None
     if raw.get("second_operator") is not None:
         # A Pauli second operator acts on the operator's qubits, so "Y0"
@@ -256,8 +269,7 @@ def load_scenario(path) -> Scenario:
                 "second_operator",
             )
 
-    state_spec = raw.get("initial_state", "uniform")
-    initial_state = _resolve_initial_state(state_spec, operator.dim)
+    initial_state = _resolve_initial_state(raw.get("initial_state", "uniform"), operator.dim)
     integrator = _resolve_integrator(raw.get("integrator", {}))
 
     outputs = raw.get("outputs", {})
@@ -281,13 +293,12 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"must be one of {PHI_MAPS}", "phi_map")
 
     return Scenario(
-        hbar=float(hbar),
+        space=space,
         operator_text=str(raw["operator"]).strip(),
         operator=operator,
         second_operator_text=(str(raw["second_operator"]).strip()
                               if second is not None else None),
         second_operator=second,
-        initial_state_spec=state_spec,
         initial_state=initial_state,
         integrator=integrator,
         outputs=dict(outputs),

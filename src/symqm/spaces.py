@@ -24,7 +24,6 @@ from .errors import DimensionMismatchError, NormalizationError
 __all__ = [
     "SymplecticSpace",
     "StatePoint",
-    "TangentVector",
     "to_real_coords",
     "from_real_coords",
     "hermitian_inner",
@@ -36,15 +35,10 @@ NORMALIZATION_TOL = 1e-12
 
 
 def _as_complex_vector(v) -> np.ndarray:
-    """Coerce a StatePoint, TangentVector or array-like to a 1-d complex array."""
+    """Coerce a StatePoint or array-like to a 1-d complex array."""
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"expected a vector, got shape {arr.shape}")
-    return arr
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
     return arr
 
 
@@ -57,7 +51,8 @@ class SymplecticSpace:
     complex_dim : int
         Complex dimension ``n``; the real dimension is ``2n``.
     hbar : float
-        Action scale, default 1 (natural units).
+        Action scale, positive and finite, default 1 (natural units).  Every
+        function on the space reads ``hbar`` from here.
 
     Notes
     -----
@@ -74,8 +69,8 @@ class SymplecticSpace:
     def __post_init__(self):
         if int(self.complex_dim) < 1:
             raise ValueError("complex_dim must be a positive integer")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
         object.__setattr__(self, "complex_dim", int(self.complex_dim))
         object.__setattr__(self, "hbar", float(self.hbar))
 
@@ -116,7 +111,8 @@ class StatePoint:
 
     def __post_init__(self):
         arr = _as_complex_vector(self.amplitudes).copy()
-        object.__setattr__(self, "amplitudes", _readonly(arr))
+        arr.setflags(write=False)
+        object.__setattr__(self, "amplitudes", arr)
         if self.normalized:
             deviation = abs(float(np.linalg.norm(arr)) - 1.0)
             if deviation > NORMALIZATION_TOL:
@@ -139,24 +135,6 @@ class StatePoint:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.amplitudes, dtype=dtype)
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector at a phase-space point, stored as a complex vector."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_complex_vector(self.components).copy()
-        object.__setattr__(self, "components", _readonly(arr))
-
-    @property
-    def dim(self) -> int:
-        return self.components.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.components, dtype=dtype)
 
 
 def to_real_coords(psi, space: SymplecticSpace) -> np.ndarray:

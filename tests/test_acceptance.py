@@ -88,7 +88,7 @@ def test_criterion_3_schroedinger_as_hamilton_flow():
         f = ObservableFunction.expectation_of(h, space)
         psi0 = random_unit_state(n, 3001, index=trial)
         traj = integrate(f, psi0, IntegratorConfig("midpoint", 1e-3, 1000))
-        target = np.asarray(exact_propagate(h, psi0, 1.0))
+        target = np.asarray(exact_propagate(f, psi0, 1.0))
         worst_dev = max(worst_dev, float(np.linalg.norm(traj.states[-1] - target)))
     flow_ok = worst_dev <= 1e-5
 

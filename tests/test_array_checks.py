@@ -34,6 +34,7 @@ from symqm import (
     make_hermitian,
     phase_evolution_residual,
     phase_residuals,
+    spectral_decompose,
     spectral_deviation,
     to_real_coords,
     trajectory_diagnostics,
@@ -142,18 +143,19 @@ def test_analytic_bracket_matches_reference(n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_phase_residuals_and_deviation_match_reference(n):
-    qf = from_operator(_operator(n, 10 + n), SymplecticSpace(n))
-    basis = qf.coordinate_matrix()
+    op = _operator(n, 10 + n)
     traj = _random_trajectory(n, 40 + n)
     for hbar in (1.0, 0.3):
+        qf = from_operator(op, SymplecticSpace(n, hbar=hbar))
+        basis = qf.coordinate_matrix()
         ref = _reference_phase(basis, qf.eigenvalues, traj, hbar)
         assert np.min(ref) > 1e-3
         new = phase_residuals(traj.states, basis, qf.eigenvalues, traj.times, hbar)
         _close(new, ref)
-        wrapped = [phase_evolution_residual(u, a, traj, hbar)
+        wrapped = [phase_evolution_residual(u, a, traj)
                    for u, a in zip(qf.eigenfunctions, qf.eigenvalues)]
         _close(wrapped, ref)
-        _close(spectral_deviation(traj, qf.eigenvalues, basis, hbar),
+        _close(spectral_deviation(traj, spectral_decompose(op), hbar),
                _reference_deviation(basis, qf.eigenvalues, traj, hbar))
 
 
@@ -166,7 +168,7 @@ def test_flow_residuals_match_reference(n):
     traj = integrate(qf.f, psi0, IntegratorConfig("cayley", 1e-2, STEPS))
     _ulps(phase_residuals(traj.states, basis, qf.eigenvalues, traj.times, 1.0),
           _reference_phase(basis, qf.eigenvalues, traj, 1.0), 1.0)
-    _ulps(spectral_deviation(traj, qf.eigenvalues, basis, 1.0),
+    _ulps(spectral_deviation(traj, spectral_decompose(qf.f.operator), 1.0),
           _reference_deviation(basis, qf.eigenvalues, traj, 1.0), 1.0)
     # The a -> a+1 control stays of order one.
     wrong = phase_residuals(traj.states, basis, qf.eigenvalues + 1.0, traj.times, 1.0)
@@ -213,7 +215,7 @@ def test_nan_state_propagates_to_phase_and_deviation():
     basis = qf.coordinate_matrix()
     assert np.all(np.isnan(phase_residuals(broken.states, basis, qf.eigenvalues,
                                            broken.times, 1.0)))
-    assert np.isnan(spectral_deviation(broken, qf.eigenvalues, basis, 1.0))
+    assert np.isnan(spectral_deviation(broken, spectral_decompose(qf.f.operator), 1.0))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -269,6 +271,22 @@ def test_cayley_evolve_decomposes_once(monkeypatch, tmp_path):
         "integrator": {"method": "cayley", "dt": 0.001, "steps": 300},
     }))
     assert main(["evolve", "--scenario", str(scenario), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, method", [
+    ("evolve", "exact"), ("evolve", "cayley"), ("verify", "exact"), ("reconstruct", "exact"),
+])
+def test_one_eigendecomposition_per_command(monkeypatch, tmp_path, command, method):
+    calls = _counting(monkeypatch, [np.linalg], "eigh")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "operator": "0.5*X0*X1 + 0.3*Z0 + 0.3*Z1",
+        "second_operator": "Y0",
+        "integrator": {"method": method, "dt": 0.001, "steps": 300},
+    }))
+    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out"),
                  "--quiet"]) == 0
     assert len(calls) == 1
 

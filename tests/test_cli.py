@@ -182,3 +182,37 @@ def test_readme_scenario_verifies(tmp_path):
     assert _run("verify", scenario, tmp_path / "out") == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["bracket_commutator"]["passed"] is True
+
+
+_INTEGRATOR = {"method": "midpoint", "dt": 0.01, "steps": 10}
+
+
+@pytest.mark.parametrize("command", ["verify", "evolve", "bracket", "reconstruct"])
+@pytest.mark.parametrize("extra, field", [
+    ({"hbar": float("inf")}, "hbar"),
+    ({"hbar": float("nan")}, "hbar"),
+    ({"integrator": {"method": "cayley", "dt": float("inf"), "steps": 10}}, "dt"),
+    ({"integrator": {**_INTEGRATOR, "steps": 10.7}}, "steps"),
+    ({"integrator": {**_INTEGRATOR, "stride": 2.5}}, "stride"),
+    ({"integrator": {**_INTEGRATOR, "solver_max_iter": 7.5}}, "solver_max_iter"),
+    ({"integrator": {**_INTEGRATOR, "solver_tol": float("inf")}}, "solver_tol"),
+    ({"tolerances": {"axiom_bracket": float("inf")}}, "axiom_bracket"),
+    ({"tolerances": {"qfe": float("inf")}}, "qfe"),
+])
+def test_non_finite_or_fractional_value_exit_code(tmp_path, capsys, command, extra, field):
+    scenario = _scenario(tmp_path, {"second_operator": "X0", **extra})
+    assert _run(command, scenario, tmp_path / "out") == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan"])
+def test_tol_scale_must_be_positive_and_finite(tmp_path, capsys, scale):
+    scenario = _scenario(tmp_path)
+    assert _run("verify", scenario, tmp_path / "out", "--tol-scale", scale) == 2
+    assert "--tol-scale" in capsys.readouterr().err
+
+
+def test_tol_scale_overflowing_a_tolerance_rejected(tmp_path, capsys):
+    scenario = _scenario(tmp_path, {"tolerances": {"qfe": 10.0}})
+    assert _run("verify", scenario, tmp_path / "out", "--tol-scale", "1e308") == 2
+    assert "tolerances" in capsys.readouterr().err

@@ -40,13 +40,16 @@ def test_integrator_config_validation():
 
 def test_exact_propagate_examples():
     np.testing.assert_array_equal(
-        np.asarray(exact_propagate(Z, UNIFORM, 0.0)), UNIFORM
+        np.asarray(exact_propagate(ObservableFunction.expectation_of(Z, SPACE), UNIFORM, 0.0)),
+        UNIFORM,
     )
-    flipped = np.asarray(exact_propagate(Z, UNIFORM, np.pi))
+    flipped = np.asarray(exact_propagate(ObservableFunction.expectation_of(Z, SPACE),
+                                         UNIFORM, np.pi))
     np.testing.assert_allclose(flipped, -UNIFORM, atol=1e-15)
     ident = make_hermitian(np.eye(2))
     psi = random_unit_state(2, 0)
-    evolved = np.asarray(exact_propagate(ident, psi, 0.7, hbar=2.0))
+    f_ident = ObservableFunction.expectation_of(ident, SymplecticSpace(2, hbar=2.0))
+    evolved = np.asarray(exact_propagate(f_ident, psi, 0.7))
     np.testing.assert_allclose(evolved, np.exp(-1j * 0.7 / 2.0) * psi, atol=1e-15)
 
 
@@ -56,14 +59,15 @@ def test_exact_propagate_norm_preserved():
         h = make_hermitian(random_hermitian(n, 10, index=n))
         psi = random_unit_state(n, 11, index=n)
         for t in rng.uniform(0, 10, size=5):
-            out = np.asarray(exact_propagate(h, psi, t))
+            out = np.asarray(exact_propagate(
+                ObservableFunction.expectation_of(h, SymplecticSpace(n)), psi, t))
             assert abs(np.linalg.norm(out) - 1) <= 1e-12
 
 
 def test_midpoint_matches_exact_propagator():
     f = ObservableFunction.expectation_of(Z, SPACE)
     traj = integrate(f, UNIFORM, IntegratorConfig("midpoint", 1e-3, 1000))
-    target = np.asarray(exact_propagate(Z, UNIFORM, 1.0))
+    target = np.asarray(exact_propagate(f, UNIFORM, 1.0))
     assert np.linalg.norm(traj.states[-1] - target) <= 1e-6
 
 
@@ -105,7 +109,7 @@ def test_flow_equivalence_random_hamiltonians():
         f = ObservableFunction.expectation_of(h, space)
         psi0 = random_unit_state(n, 21, index=trial)
         traj = integrate(f, psi0, IntegratorConfig("midpoint", 1e-3, 1000))
-        target = np.asarray(exact_propagate(h, psi0, 1.0))
+        target = np.asarray(exact_propagate(f, psi0, 1.0))
         assert np.linalg.norm(traj.states[-1] - target) <= 1e-5
 
 
@@ -215,3 +219,18 @@ def test_trajectory_diagnostics_exact_and_midpoint():
         integrate(f, UNIFORM, IntegratorConfig("rk4", 1e-2, 10_000))
     )
     assert rk4.max_norm_drift > mid.max_norm_drift
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"dt": np.inf}, "dt"),
+    ({"dt": np.nan}, "dt"),
+    ({"solver_tol": np.inf}, "solver_tol"),
+    ({"steps": 10.7}, "steps"),
+    ({"steps": np.inf}, "steps"),
+    ({"stride": 2.5}, "stride"),
+    ({"solver_max_iter": 7.5}, "solver_max_iter"),
+])
+def test_integrator_config_rejects_non_finite_and_fractional_values(changes, field):
+    with pytest.raises(ValueError, match=field):
+        IntegratorConfig(**{"method": "midpoint", "dt": 0.01, "steps": 10, **changes})
+    assert IntegratorConfig("midpoint", 0.01, 10.0, stride=2.0).steps == 10

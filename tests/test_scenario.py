@@ -7,6 +7,7 @@ import pytest
 
 from symqm import load_scenario
 from symqm.errors import ScenarioError
+from symqm.pauli import PauliSumExpr
 from symqm.scenario import DEFAULT_TOLERANCES
 
 
@@ -155,3 +156,26 @@ def test_outputs_validation(tmp_path):
     assert sc.outputs["report"] == "r.json"
     with pytest.raises(ScenarioError, match="outputs"):
         load_scenario(_write(tmp_path, {"operator": "Z0", "outputs": {"plot": "p.png"}}))
+
+
+def test_dense_limit_rejects_pauli_expressions_before_building(tmp_path, monkeypatch):
+    build = PauliSumExpr.to_matrix
+
+    def guarded(self, num_qubits=None):
+        assert (num_qubits or self.num_qubits) <= 12, "dense matrix above the limit"
+        return build(self, num_qubits)
+
+    monkeypatch.setattr(PauliSumExpr, "to_matrix", guarded)
+    for text in ("X40", "Z0 + X12", "X999999999"):
+        with pytest.raises(ScenarioError, match=r"^operator: .*4096"):
+            load_scenario(_write(tmp_path, {"operator": text}))
+    with pytest.raises(ScenarioError, match=r"^second_operator: .*4096"):
+        load_scenario(_write(tmp_path, {"operator": "Z0", "second_operator": "X40"}))
+
+
+def test_dense_limit_rejects_matrix_files_by_their_first_line(tmp_path):
+    (tmp_path / "big.txt").write_text("4097\n1 0\n")
+    with pytest.raises(ScenarioError, match=r"^operator: .*4097 exceeds the dense limit 4096"):
+        load_scenario(_write(tmp_path, {"operator": "file:big.txt"}))
+    with pytest.raises(ScenarioError, match=r"^second_operator: .*exceeds the dense limit"):
+        load_scenario(_write(tmp_path, {"operator": "Z0", "second_operator": "file:big.txt"}))
