@@ -48,12 +48,12 @@ MAX_STORED_STEPS = 10**6
 
 
 def _count(value, name: str) -> int:
-    """``value`` as a positive int; a fraction or a non-finite value is rejected."""
+    """``value`` as a positive int; a boolean, a fraction or a non-finite value is rejected."""
     try:
         count = int(value)
     except (TypeError, ValueError, OverflowError):
         count = 0
-    if count < 1 or count != value:
+    if isinstance(value, bool) or count < 1 or count != value:
         raise ValueError(f"{name} must be a positive integer")
     return count
 
@@ -76,9 +76,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if not 0 < self.dt < np.inf:
+        if isinstance(self.dt, bool) or not 0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
-        if not 1e-15 <= self.solver_tol < np.inf:
+        if isinstance(self.solver_tol, bool) or not 1e-15 <= self.solver_tol < np.inf:
             raise ValueError("solver_tol must be finite and at least 1e-15")
         for name in ("steps", "solver_max_iter", "stride"):
             object.__setattr__(self, name, _count(getattr(self, name), name))

@@ -116,13 +116,17 @@ class HermitianOperator:
             vals, vecs = np.linalg.eigh(self.matrix)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
-        cols = [_fix_phase(vecs[:, k]) for k in range(vals.shape[0])]
-        order = sorted(
-            range(vals.shape[0]),
-            key=lambda k: (vals[k], tuple(cols[k].real)),
-        )
+        # Rotate each column's first largest-magnitude entry to real positive
+        # (never zero: eigh returns unit columns); order as spectral_decompose says.
+        peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vals.shape[0])]
+        vecs = vecs * (peak.conj() / np.abs(peak))
+        order = np.argsort(vals, kind="stable")
         vals = vals[order]
-        vecs = np.column_stack([cols[k] for k in order])
+        _, starts, counts = np.unique(vals, return_index=True, return_counts=True)
+        for start, count in zip(starts[counts > 1], counts[counts > 1]):
+            run = order[start:start + count]
+            order[start:start + count] = sorted(run, key=lambda k: tuple(vecs[:, k].real))
+        vecs = vecs[:, order]
         scale = 1.0 + float(np.max(np.abs(vals))) if vals.size else 1.0
         gaps = np.diff(vals)
         degenerate = bool(gaps.size and np.min(gaps) <= DEGENERACY_TOL * scale)
@@ -187,15 +191,6 @@ def commutator(a, b) -> np.ndarray:
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"shape mismatch: {ma.shape} vs {mb.shape}")
     return ma @ mb - mb @ ma
-
-
-def _fix_phase(column: np.ndarray) -> np.ndarray:
-    """Rotate so the largest-magnitude component (first on ties) is real positive."""
-    mags = np.abs(column)
-    k = int(np.argmax(mags))  # argmax takes the first index on exact ties
-    if mags[k] == 0.0:
-        return column
-    return column * (column[k].conjugate() / mags[k])
 
 
 def spectral_decompose(a: HermitianOperator) -> SpectralData:

@@ -175,7 +175,7 @@ def _resolve_initial_state(spec, dim: int) -> np.ndarray:
     if isinstance(spec, (list, tuple)):
         entries = []
         for item in spec:
-            if isinstance(item, (int, float)):
+            if isinstance(item, (int, float)) and not isinstance(item, bool):
                 entries.append(complex(item))
             elif isinstance(item, str):
                 try:
@@ -223,7 +223,8 @@ def _resolve_tolerances(spec) -> dict:
             raise ScenarioError(
                 f"unknown check {key!r}; known: {sorted(DEFAULT_TOLERANCES)}", "tolerances"
             )
-        if not isinstance(value, (int, float)) or not 0 < value < np.inf:
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not 0 < value < np.inf):
             raise ScenarioError(f"{key} must be a positive finite real", "tolerances")
         merged[key] = float(value)
     return merged

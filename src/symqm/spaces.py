@@ -69,7 +69,7 @@ class SymplecticSpace:
     def __post_init__(self):
         if int(self.complex_dim) < 1:
             raise ValueError("complex_dim must be a positive integer")
-        if not 0 < self.hbar < np.inf:
+        if isinstance(self.hbar, bool) or not 0 < self.hbar < np.inf:
             raise ValueError("hbar must be positive and finite")
         object.__setattr__(self, "complex_dim", int(self.complex_dim))
         object.__setattr__(self, "hbar", float(self.hbar))

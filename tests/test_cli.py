@@ -205,6 +205,24 @@ def test_non_finite_or_fractional_value_exit_code(tmp_path, capsys, command, ext
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "evolve", "bracket", "reconstruct"])
+@pytest.mark.parametrize("extra, field", [
+    ({"hbar": True}, "hbar"),
+    ({"integrator": {**_INTEGRATOR, "dt": True}}, "dt"),
+    ({"integrator": {**_INTEGRATOR, "steps": True}}, "steps"),
+    ({"integrator": {**_INTEGRATOR, "solver_tol": True}}, "solver_tol"),
+    ({"integrator": {**_INTEGRATOR, "solver_max_iter": True}}, "solver_max_iter"),
+    ({"integrator": {**_INTEGRATOR, "stride": True}}, "stride"),
+    ({"tolerances": {"qfe": True}}, "qfe"),
+    ({"initial_state": [True, 0]}, "initial_state"),
+])
+def test_boolean_value_exit_code(tmp_path, capsys, command, extra, field):
+    # JSON true is a Python bool, a subclass of int; it must not load as 1.
+    scenario = _scenario(tmp_path, {"second_operator": "X0", **extra})
+    assert _run(command, scenario, tmp_path / "out") == 2
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scale", ["inf", "nan"])
 def test_tol_scale_must_be_positive_and_finite(tmp_path, capsys, scale):
     scenario = _scenario(tmp_path)

@@ -1,5 +1,9 @@
-"""Seeded property tests of the spectral propagator and the conserving integrators.
+"""Seeded property tests of the Pauli build, the spectral data, the propagator
+and the conserving integrators.
 
+The bit-form ``PauliSumExpr.to_matrix`` is compared bit for bit with a
+Kronecker-product build kept here as the reference, and the array gauge fix
+and ordering of ``HermitianOperator.spectral`` with a per-column reference.
 ``SpectralData.propagate`` is compared with ``scipy.linalg.expm``, an
 independent reference, and checked for the group law and unitarity.
 Midpoint and Cayley conserve the quadratic invariants norm and ``<H>``
@@ -12,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +28,10 @@ from symqm import (
     SymplecticSpace,
     integrate,
     make_hermitian,
+    parse_operator_expr,
     spectral_decompose,
 )
+from symqm.pauli import PauliFactor, PauliSumExpr, PauliTerm
 from symqm.sampling import random_hermitian, random_unit_state
 
 # Hypothesis caches the constants of the source modules in its home
@@ -89,3 +96,90 @@ def test_midpoint_and_cayley_conserve_norm_and_energy(n, seed, hbar, dt, method)
     bound = 10 * cfg.steps * cfg.solver_tol
     assert np.max(np.abs(traj.norms - 1.0)) <= bound
     assert np.max(np.abs(traj.energies - traj.energies[0])) <= bound * (1.0 + h.spectral_norm)
+
+
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def _kronecker_reference(expr, num_qubits):
+    """Each term as the product of its factors, each embedded by Kronecker products."""
+    dim = 2 ** num_qubits
+    total = np.zeros((dim, dim), dtype=complex)
+    for term in expr.terms:
+        acc = term.coefficient * np.eye(dim, dtype=complex)
+        for factor in term.factors:
+            embedded = np.array([[1.0 + 0.0j]])
+            for site in range(num_qubits):
+                embedded = np.kron(embedded, PAULI[factor.letter if site == factor.site else "I"])
+            acc = acc @ embedded
+        total += acc
+    return total
+
+
+def _assert_same_bits(actual, expected):
+    # Compare bit patterns, so that -0.0 against +0.0 counts as a difference.
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+# Exact values such as 1 and -1 cancel to zero; tiny and signed-zero ones test the signs.
+coefficients = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 5e-324]),
+                         st.floats(min_value=-1e6, max_value=1e6))
+
+
+@st.composite
+def pauli_sums(draw, max_qubits, coefficient):
+    """Sums of up to five terms of up to five factors, sites repeating freely."""
+    q = draw(st.integers(min_value=1, max_value=max_qubits))
+    factor = st.builds(PauliFactor, st.sampled_from("IXYZ"), st.integers(0, q - 1))
+    term = st.builds(PauliTerm, coefficient, st.lists(factor, min_size=1, max_size=5).map(tuple))
+    return PauliSumExpr(tuple(draw(st.lists(term, min_size=1, max_size=5))))
+
+
+@SEEDED
+@given(expr=pauli_sums(6, coefficients), pad=st.integers(min_value=0, max_value=2))
+def test_bit_form_build_matches_kronecker_reference(expr, pad):
+    num_qubits = expr.num_qubits + pad
+    _assert_same_bits(expr.to_matrix(num_qubits), _kronecker_reference(expr, num_qubits))
+
+
+def _fix_phase(column):
+    """Rotate so the largest-magnitude component (first on ties) is real positive."""
+    mags = np.abs(column)
+    k = int(np.argmax(mags))
+    if mags[k] == 0.0:
+        return column
+    return column * (column[k].conjugate() / mags[k])
+
+
+def _assert_spectral_matches_per_column_reference(h):
+    vals, vecs = np.linalg.eigh(h.matrix)
+    cols = [_fix_phase(vecs[:, k]) for k in range(vals.shape[0])]
+    order = sorted(range(vals.shape[0]), key=lambda k: (vals[k], tuple(cols[k].real)))
+    spectral = spectral_decompose(h)
+    _assert_same_bits(spectral.eigenvalues, vals[order])
+    _assert_same_bits(spectral.eigenvectors, np.column_stack([cols[k] for k in order]))
+
+
+@SEEDED
+@given(n=dims, seed=seeds,
+       expr=pauli_sums(3, st.integers(min_value=-2, max_value=2).map(float)))
+def test_array_gauge_fix_matches_per_column_reference(n, seed, expr):
+    _assert_spectral_matches_per_column_reference(make_hermitian(random_hermitian(n, seed)))
+    # Small integer Pauli sums have exactly repeated eigenvalues.
+    m = expr.to_matrix()
+    _assert_spectral_matches_per_column_reference(make_hermitian(m + m.conj().T))
+
+
+@pytest.mark.parametrize("text", ["Z0 + Z1 + Z2", "I0*I3", "X0*X1 + Y0*Y1 + Z2",
+                                  "X0*Y1 - Y0*X1 + Z0*Z1"])
+def test_array_gauge_fix_orders_exact_ties_as_reference(text):
+    # Each operator has exactly equal eigenvalues whose order the tie-break decides.
+    h = make_hermitian(parse_operator_expr(text).to_matrix())
+    assert np.any(np.diff(spectral_decompose(h).eigenvalues) == 0.0)
+    _assert_spectral_matches_per_column_reference(h)
