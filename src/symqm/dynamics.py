@@ -8,6 +8,17 @@ Four integrators:
 * ``cayley``: the closed-form midpoint solution for linear fields,
   ``(I - dt/2 K)^{-1} (I + dt/2 K)``; exactly norm-preserving.
 * ``rk4``: classical explicit Runge-Kutta, the non-preserving baseline.
+
+For ``f = <H>`` the field ``K psi`` with ``K = -(i/hbar) H`` is linear, so
+midpoint, Cayley and RK4 take every step as ``psi + Q psi`` with one
+precomputed increment matrix ``Q`` (the increment form, not
+``(I + Q) psi``, whose round-off in ``I + Q`` drifts the norm).  The
+midpoint iterate after ``m`` fixed-point iterations is
+``Q_m = 2 (A + ... + A^(m+1))`` with ``A = (dt/2) K``, and the ``j``-th
+update has norm ``2 ||A^(j+1) psi||``; each step's count is audited
+against that stopping rule, so states, counts and ``NonConvergenceError``
+are those of the per-step iteration.  Generic observables keep the
+per-step fixed-point and RK4 loops.
 """
 
 from __future__ import annotations
@@ -15,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .brackets import ComplexFunction, ObservableFunction, _observable_values, hamiltonian_vector_field
 from .errors import (
@@ -24,6 +34,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .operators import (
+    _ROW_BLOCK,
     SpectralData,
     _evolved_coefficients,
     _row_blocks,
@@ -165,17 +176,6 @@ def exact_propagate(f: ObservableFunction, psi0, t: float) -> StatePoint:
     return StatePoint(spectral_decompose(f.operator).propagate(v, [t], f.space.hbar)[0])
 
 
-def _linear_generator(f: ObservableFunction) -> np.ndarray:
-    return (-1j / f.space.hbar) * f.operator.matrix
-
-
-def _field_evaluator(f: ObservableFunction):
-    if f.operator is not None:
-        k = _linear_generator(f)
-        return lambda psi: k @ psi
-    return lambda psi: hamiltonian_vector_field(f, psi)
-
-
 def _midpoint_step(field, psi, dt, tol, max_iter, step_index):
     y = psi + dt * field(psi)  # explicit predictor
     for iteration in range(1, max_iter + 1):
@@ -195,14 +195,90 @@ def _rk4_step(field, psi, dt):
     return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _midpoint_counts(starts: np.ndarray, a_t: np.ndarray, tol: float, upto: int) -> np.ndarray:
+    """Fixed-point iterations the midpoint step takes from each row of ``starts``.
+
+    From ``psi`` the ``j``-th update of the iteration is ``2 A^(j+1) psi``,
+    so a row needs the first ``j >= 1`` with ``2 ||A^(j+1) psi|| <= tol``.
+    The powers of all rows come from one product chain ``X A^T, X (A^T)^2,
+    ...``; a row that needs more than ``upto`` iterations gets ``upto + 1``.
+    """
+    counts = np.full(starts.shape[0], upto + 1)
+    power = starts @ a_t
+    for j in range(1, upto + 1):
+        power = power @ a_t
+        counts[(counts > upto) & (2.0 * np.linalg.norm(power, axis=1) <= tol)] = j
+        if np.all(counts <= upto):
+            break
+    return counts
+
+
+def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iterations) -> None:
+    """Midpoint, Cayley or RK4 on ``f = <H>``, each step ``psi + Q psi``.
+
+    Cayley's ``Q`` is ``2 (I - A)^{-1} A`` and RK4's
+    ``dK + (dK)^2/2 + (dK)^3/6 + (dK)^4/24``.  A midpoint block takes its
+    count ``m`` from its first start state, steps up to ``_ROW_BLOCK`` steps
+    with ``Q_m``, then audits its other start states in one product chain;
+    the next block starts at the first state that needs another count and
+    is at most twice as long as the steps kept.
+    """
+    a = (0.5 * cfg.dt) * ((-1j / f.space.hbar) * f.operator.matrix)
+    b = 2.0 * a  # dt K
+    if cfg.method == "midpoint":
+        increments = {}  # Q_m for each count m met so far
+
+        def counts(starts, upto):
+            return _midpoint_counts(starts, a.T, cfg.solver_tol, upto)
+    else:
+        eye = np.eye(psi.shape[0], dtype=complex)
+        if cfg.method == "cayley":
+            increments = {0: np.linalg.solve(eye - a, b)}
+        else:  # rk4, in Horner form
+            increments = {0: b @ (eye + (b / 2.0) @ (eye + (b / 3.0) @ (eye + b / 4.0)))}
+
+        def counts(starts, upto):
+            return np.zeros(starts.shape[0], dtype=int)
+
+    block_states = np.empty((_ROW_BLOCK + 1, psi.shape[0]), dtype=complex)
+    done = span = 0
+    while done < cfg.steps:
+        m = int(counts(psi[None, :], cfg.solver_max_iter)[0])
+        if m > cfg.solver_max_iter:
+            raise NonConvergenceError(done + 1, cfg.solver_max_iter)
+        if m not in increments:  # Q_0 = 2A and Q_j = 2A + A Q_(j-1), as the iteration
+            q = b
+            for _ in range(m):
+                q = b + a @ q
+            increments[m] = q
+        q = increments[m]
+        block = min(span or _ROW_BLOCK, cfg.steps - done)
+        block_states[0] = psi
+        for i in range(1, block + 1):
+            psi = psi + q @ psi
+            block_states[i] = psi
+        wrong = np.flatnonzero(counts(block_states[1:block], m) != m)
+        if wrong.size:  # keep the steps up to the first start state that needs another count
+            block = int(wrong[0]) + 1
+            psi = block_states[block].copy()
+        step = done + np.arange(1, block + 1)
+        kept = step % cfg.stride == 0
+        states[step[kept] // cfg.stride] = block_states[1:block + 1][kept]
+        iterations[step[kept] // cfg.stride] = m
+        done += block
+        span = min(2 * block, _ROW_BLOCK)
+
+
 def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the Hamilton equation ``dxi/dt = X_f(xi)`` on ``f.space``.
 
     The ``exact`` and ``cayley`` methods require an expectation observable
     (linear field); ``midpoint`` and ``rk4`` accept any observable.  For
-    generic observables the field carries finite-difference noise of order
-    ``1e-8``, so the midpoint ``solver_tol`` must be chosen above ``dt``
-    times that noise or the fixed point cannot settle.
+    ``f = <H>`` every method but ``exact`` steps with one increment matrix
+    (:func:`_linear_flow`).  For generic observables the field carries
+    finite-difference noise of order ``1e-8``, so the midpoint
+    ``solver_tol`` must be chosen above ``dt`` times that noise or the fixed
+    point cannot settle.
 
     The energies ``f(xi(t_k))`` are computed here, once, and stored in
     :attr:`Trajectory.energies`; for ``f = <A>`` they come from one
@@ -226,19 +302,12 @@ def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig) -> Trajectory:
     if cfg.method == "exact":
         states = spectral_decompose(f.operator).propagate(psi, times, f.space.hbar)
         states[0] = psi
-    elif cfg.method == "cayley":
-        k_mat = _linear_generator(f)
-        eye = np.eye(psi.shape[0], dtype=complex)
-        forward = eye + (cfg.dt / 2.0) * k_mat
-        backward = scipy.linalg.lu_factor(eye - (cfg.dt / 2.0) * k_mat)
-        idx = 0
-        for step in range(1, cfg.steps + 1):
-            psi = scipy.linalg.lu_solve(backward, forward @ psi)
-            if step % cfg.stride == 0:
-                idx += 1
-                states[idx] = psi
+    elif f.operator is not None:
+        _linear_flow(f, psi, cfg, states, iterations)
     else:
-        field = _field_evaluator(f)
+        def field(v):
+            return hamiltonian_vector_field(f, v)
+
         idx = 0
         for step in range(1, cfg.steps + 1):
             if cfg.method == "midpoint":
@@ -333,7 +402,7 @@ def trajectory_diagnostics(traj: Trajectory) -> TrajectoryDiagnostics:
     The energy drift reads :attr:`Trajectory.energies`, which
     :func:`integrate` computed once; ``f`` is not evaluated again.
     """
-    iters = traj.solver_iterations
+    iters = traj.solver_iterations[1:]  # row 0 is t_0, not a step
     return TrajectoryDiagnostics(
         max_norm_drift=float(np.max(np.abs(traj.norms - 1.0))),
         max_energy_drift=float(np.max(np.abs(traj.energies - traj.energies[0]))),

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import Trajectory
+from .operators import _row_blocks
 
 __all__ = ["canonical_json", "write_report", "write_trajectory_csv"]
 
@@ -63,7 +64,12 @@ def write_report(obj, path) -> Path:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> Path:
-    """Write a trajectory as CSV: t, Re/Im of each amplitude, norm, energy."""
+    """Write a trajectory as CSV: t, Re/Im of each amplitude, norm, energy.
+
+    Each block of rows is one ``(rows, 2n + 3)`` float array (the float view
+    of the states interleaves ``re_k, im_k``), and each row is written with
+    one ``%``-format, converted to Python floats one row at a time.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     n = traj.dim
@@ -71,13 +77,13 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
     for k in range(n):
         header += [f"re_{k}", f"im_{k}"]
     header += ["norm", "energy"]
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in range(len(traj)):
-            values = [traj.times[row]]
-            for k in range(n):
-                z = traj.states[row, k]
-                values += [z.real, z.imag]
-            values += [traj.norms[row], traj.energies[row]]
-            fh.write(",".join(_format_float(float(v)) for v in values) + "\n")
+        for rows in _row_blocks(len(traj)):
+            block = np.column_stack((traj.times[rows],
+                                     np.asarray(traj.states[rows], dtype=complex).view(float),
+                                     traj.norms[rows], traj.energies[rows]))
+            for row in block:
+                fh.write(row_format % tuple(row.tolist()))
     return path

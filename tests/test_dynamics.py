@@ -15,6 +15,7 @@ from symqm import (
     phase_evolution_residual,
     trajectory_diagnostics,
 )
+from symqm.dynamics import Trajectory
 from symqm.errors import MethodUnsupportedError, NonConvergenceError
 from symqm.sampling import random_hermitian, random_unit_state
 
@@ -219,6 +220,22 @@ def test_trajectory_diagnostics_exact_and_midpoint():
         integrate(f, UNIFORM, IntegratorConfig("rk4", 1e-2, 10_000))
     )
     assert rk4.max_norm_drift > mid.max_norm_drift
+
+
+def test_solver_iteration_stats_count_steps_only():
+    # Row 0 is the initial state, not a step; its 0 must not enter the mean.
+    f = ObservableFunction.expectation_of(Z, SPACE)
+    traj = integrate(f, UNIFORM, IntegratorConfig("midpoint", 1e-3, 100))
+    assert traj.solver_iterations[0] == 0
+    steps = traj.solver_iterations[1:]
+    assert np.all(steps == steps[0]) and steps[0] >= 1
+    diag = trajectory_diagnostics(traj)
+    assert diag.mean_solver_iterations == float(steps[0])
+    assert diag.max_solver_iterations == steps[0]
+    single = Trajectory(times=[0.0], states=[UNIFORM], norms=[1.0], energies=[0.0],
+                        solver_iterations=[0], method="midpoint")
+    assert trajectory_diagnostics(single).mean_solver_iterations == 0.0
+    assert trajectory_diagnostics(single).max_solver_iterations == 0
 
 
 @pytest.mark.parametrize("changes, field", [

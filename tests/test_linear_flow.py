@@ -1,0 +1,141 @@
+"""The increment loop of ``integrate`` for ``f = <H>`` against per-step references.
+
+Midpoint, Cayley and RK4 on an expectation observable step as
+``psi + Q psi`` with one precomputed increment matrix ``Q``.  The per-step
+loops they replace are kept here as references: the fixed-point midpoint
+iteration with its own stopping rule, Cayley by one ``lu_solve`` per step
+and classical RK4.  Hypothesis runs derandomized and without an example
+database, so every run draws the same cases.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from symqm import IntegratorConfig, ObservableFunction, SymplecticSpace, integrate, make_hermitian
+from symqm.errors import NonConvergenceError
+from symqm.sampling import random_hermitian, random_unit_state
+
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "symqm-hypothesis")
+
+SEEDED = settings(database=None, derandomize=True, max_examples=30, deadline=None)
+
+# More steps than one block of the increment loop, so the audit runs across blocks.
+STEPS = 300
+
+
+def _reference(method, h, hbar, psi, dt, steps, tol=1e-13, max_iter=50):
+    """States after every step, and the fixed-point iterations of every step."""
+    k = (-1j / hbar) * h.matrix
+    eye = np.eye(psi.shape[0], dtype=complex)
+    forward = eye + (dt / 2.0) * k
+    backward = scipy.linalg.lu_factor(eye - (dt / 2.0) * k)
+    states, counts = [psi], [0]
+    for step in range(1, steps + 1):
+        iterations = 0
+        if method == "midpoint":
+            y = psi + dt * (k @ psi)
+            for iterations in range(1, max_iter + 1):
+                y_next = psi + dt * (k @ (0.5 * (psi + y)))
+                delta = float(np.linalg.norm(y_next - y))
+                y = y_next
+                if delta <= tol:
+                    break
+            else:
+                raise NonConvergenceError(step, max_iter)
+            psi = y
+        elif method == "cayley":
+            psi = scipy.linalg.lu_solve(backward, forward @ psi)
+        else:
+            k1 = k @ psi
+            k2 = k @ (psi + 0.5 * dt * k1)
+            k3 = k @ (psi + 0.5 * dt * k2)
+            k4 = k @ (psi + dt * k3)
+            psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(psi)
+        counts.append(iterations)
+    return np.array(states), np.array(counts)
+
+
+def _flow(n, seed, hbar, norm_bound=1.0):
+    h = make_hermitian(random_hermitian(n, seed, norm_bound=norm_bound))
+    return h, ObservableFunction.expectation_of(h, SymplecticSpace(n, hbar=hbar))
+
+
+def _assert_matches_reference(traj, states, counts, stride):
+    np.testing.assert_array_equal(traj.solver_iterations, counts[::stride])
+    assert np.max(np.abs(traj.states - states[::stride])) <= 1e-12
+
+
+@SEEDED
+@given(n=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=2**16),
+       hbar=st.sampled_from([0.7, 2.0]), stride=st.sampled_from([1, 5]),
+       dt=st.floats(min_value=1e-3, max_value=0.1),
+       method=st.sampled_from(["midpoint", "cayley", "rk4"]))
+def test_increment_loop_matches_per_step_reference(n, seed, hbar, stride, dt, method):
+    h, f = _flow(n, seed, hbar)
+    psi = random_unit_state(n, seed, 1)
+    states, counts = _reference(method, h, hbar, psi, dt, STEPS)
+    traj = integrate(f, psi, IntegratorConfig(method, dt, STEPS, stride=stride))
+    _assert_matches_reference(traj, states, counts, stride)
+
+
+# A loose tolerance and a large dt*||H||: the midpoint iterate is far from
+# unitary, its norm changes, and with it the iteration count.
+LOOSE = {"dt": 0.4, "steps": 300, "solver_tol": 3e-2}
+
+
+@pytest.mark.parametrize("hbar", [0.7, 2.0])
+@pytest.mark.parametrize("stride", [1, 5])
+def test_varying_iteration_counts_match_step_by_step(hbar, stride):
+    h, f = _flow(4, 7, hbar, norm_bound=hbar)
+    psi = random_unit_state(4, 7, 1)
+    states, counts = _reference("midpoint", h, hbar, psi, LOOSE["dt"], LOOSE["steps"],
+                                tol=LOOSE["solver_tol"])
+    # The counts change inside a block, so the audit must restart it.
+    changes = np.flatnonzero(np.diff(counts[1:])) + 1
+    assert changes.size >= 2 and np.any(changes % 256 != 0)
+    traj = integrate(f, psi, IntegratorConfig("midpoint", stride=stride, **LOOSE))
+    _assert_matches_reference(traj, states, counts, stride)
+
+
+@pytest.mark.parametrize("method, options", [
+    ("midpoint", {"dt": 0.05, "steps": 600}),
+    ("midpoint", LOOSE),
+    ("cayley", {"dt": 0.05, "steps": 600}),
+    ("rk4", {"dt": 0.05, "steps": 600}),
+])
+def test_stored_states_bit_identical_across_strides(method, options):
+    _, f = _flow(5, 3, 0.7, norm_bound=0.7)
+    psi = random_unit_state(5, 3, 1)
+    full = integrate(f, psi, IntegratorConfig(method, **options))
+    for stride in (5, 10, options["steps"]):
+        thin = integrate(f, psi, IntegratorConfig(method, stride=stride, **options))
+        np.testing.assert_array_equal(thin.states, full.states[::stride])
+        np.testing.assert_array_equal(thin.solver_iterations, full.solver_iterations[::stride])
+
+
+@pytest.mark.parametrize("hbar", [0.7, 2.0])
+@pytest.mark.parametrize("options, max_iter", [
+    ({"dt": 0.4, "steps": 300, "solver_tol": 5e-2}, 1),
+    ({"dt": 0.8, "steps": 1000, "solver_tol": 1e-2}, 5),  # raises in the fourth block
+])
+def test_divergent_step_raises_at_the_reference_step(hbar, options, max_iter):
+    # The norm changes under the loose tolerance until a step needs more than
+    # solver_max_iter iterations, well into the run.
+    h, f = _flow(4, 7, hbar, norm_bound=hbar)
+    psi = random_unit_state(4, 7, 1)
+    with pytest.raises(NonConvergenceError) as ref:
+        _reference("midpoint", h, hbar, psi, options["dt"], options["steps"],
+                   tol=options["solver_tol"], max_iter=max_iter)
+    assert ref.value.step > 1
+    with pytest.raises(NonConvergenceError) as err:
+        integrate(f, psi, IntegratorConfig("midpoint", solver_max_iter=max_iter, **options))
+    assert (err.value.step, err.value.iterations) == (ref.value.step, ref.value.iterations)
+

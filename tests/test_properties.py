@@ -8,8 +8,10 @@ and ordering of ``HermitianOperator.spectral`` with a per-column reference.
 independent reference, and checked for the group law and unitarity.
 Midpoint and Cayley conserve the quadratic invariants norm and ``<H>``
 (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, 2006) up to
-the solver tolerance.  Hypothesis runs derandomized and without an example
-database, so every run draws the same cases.
+the solver tolerance.  The Poisson bracket is antisymmetric, satisfies
+Jacobi and Leibniz, and brackets every ``<A>`` with ``<I>`` to zero.
+Hypothesis runs derandomized and without an example database, so every
+run draws the same cases.
 """
 
 import tempfile
@@ -29,6 +31,7 @@ from symqm import (
     integrate,
     make_hermitian,
     parse_operator_expr,
+    poisson_bracket,
     spectral_decompose,
 )
 from symqm.pauli import PauliFactor, PauliSumExpr, PauliTerm
@@ -183,3 +186,84 @@ def test_array_gauge_fix_orders_exact_ties_as_reference(text):
     h = make_hermitian(parse_operator_expr(text).to_matrix())
     assert np.any(np.diff(spectral_decompose(h).eigenvalues) == 0.0)
     _assert_spectral_matches_per_column_reference(h)
+
+
+# Poisson-bracket identities.  For expectation observables the closed form
+# {<A>,<B>} = <-i[A,B]/hbar> turns Jacobi into an identity of expectation
+# brackets; for generic observables the central-difference (FD) backend
+# carries an error of order step^2 + eps/step, which the tolerance follows.
+
+
+def _bracket_operator(a, b, hbar):
+    """``-i[A,B]/hbar``, the operator whose expectation is ``{<A>,<B>}``."""
+    m = -1j * (a.matrix @ b.matrix - b.matrix @ a.matrix) / hbar
+    return make_hermitian((m + m.conj().T) / 2.0)
+
+
+def _expectation_case(n, seed, hbar, count):
+    space = SymplecticSpace(n, hbar=hbar)
+    ops = [make_hermitian(random_hermitian(n, seed, index=i)) for i in range(count)]
+    return space, ops, random_unit_state(n, seed, count)
+
+
+def _fd_tolerance(step, scale):
+    return 10.0 * (step**2 + np.finfo(float).eps / step) * scale
+
+
+@SEEDED
+@given(n=dims, seed=seeds, hbar=hbars)
+def test_poisson_bracket_antisymmetric_and_equal_to_commutator(n, seed, hbar):
+    space, (a, b), psi = _expectation_case(n, seed, hbar, 2)
+    f, g = (ObservableFunction.expectation_of(x, space) for x in (a, b))
+    scale = 1.0 + a.spectral_norm * b.spectral_norm / hbar
+    fg = poisson_bracket(f, g, psi)
+    assert abs(fg + poisson_bracket(g, f, psi)) <= 1e-14 * scale
+    commutator_side = ObservableFunction.expectation_of(_bracket_operator(a, b, hbar), space)
+    assert abs(fg - commutator_side(psi)) <= 1e-13 * scale
+
+
+@SEEDED
+@given(n=dims, seed=seeds, hbar=hbars)
+def test_poisson_bracket_jacobi_for_expectations(n, seed, hbar):
+    space, (a, b, c), psi = _expectation_case(n, seed, hbar, 3)
+
+    def outer(x, y, z):  # {<x>, {<y>, <z>}}
+        inner = ObservableFunction.expectation_of(_bracket_operator(y, z, hbar), space)
+        return poisson_bracket(ObservableFunction.expectation_of(x, space), inner, psi)
+
+    jacobi = outer(a, b, c) + outer(b, c, a) + outer(c, a, b)
+    scale = 1.0 + a.spectral_norm * b.spectral_norm * c.spectral_norm / hbar**2
+    assert abs(jacobi) <= 1e-13 * scale
+
+
+@SEEDED
+@given(n=dims, seed=seeds, hbar=hbars)
+def test_poisson_bracket_with_identity_vanishes(n, seed, hbar):
+    space, (a,), psi = _expectation_case(n, seed, hbar, 1)
+    f = ObservableFunction.expectation_of(a, space)
+    norm = ObservableFunction.expectation_of(make_hermitian(np.eye(n)), space)
+    scale = 1.0 + a.spectral_norm / hbar
+    assert abs(poisson_bracket(f, norm, psi)) <= 1e-14 * scale
+    step = 1e-5
+    fd = poisson_bracket(f, norm, psi, method="finite_difference", step=step)
+    assert abs(fd) <= _fd_tolerance(step, scale)
+
+
+@SEEDED
+@given(n=dims, seed=seeds, hbar=hbars, step=st.sampled_from([1e-3, 1e-4, 1e-5]))
+def test_poisson_bracket_leibniz_for_generic_observables(n, seed, hbar, step):
+    space, (a, b, c), psi = _expectation_case(n, seed, hbar, 3)
+    am, bm, cm = a.matrix, b.matrix, c.matrix
+    # Generic callables, none of them a quadratic form, so the FD backend runs.
+    f = ObservableFunction.from_callable(
+        lambda v: np.vdot(v, am @ v).real + 0.3 * np.sum(v.real**3), space)
+    g = ObservableFunction.from_callable(
+        lambda v: np.vdot(v, bm @ v).real * (1.0 + 0.2 * np.sum(v.imag)), space)
+    h = ObservableFunction.from_callable(
+        lambda v: np.sum(np.abs(v) ** 4) + np.vdot(v, cm @ v).real, space)
+    gh = ObservableFunction.from_callable(lambda v: g(v) * h(v), space)
+    lhs = poisson_bracket(f, gh, psi, step=step)
+    rhs = (poisson_bracket(f, g, psi, step=step) * h(psi)
+           + g(psi) * poisson_bracket(f, h, psi, step=step))
+    scale = (1.0 + a.spectral_norm) * (1.0 + b.spectral_norm) * (1.0 + c.spectral_norm) / hbar
+    assert abs(lhs - rhs) <= _fd_tolerance(step, scale)
