@@ -96,9 +96,8 @@ def _cmd_verify(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     qf = from_operator(scenario.operator, scenario.space)
     axioms = verify_axioms(qf, scenario.samples, scenario.seed,
                            _axiom_tolerances(scenario))
-    for name, ok in axioms.checks().items():
-        _emit(quiet, f"axiom.{name}", getattr(axioms, name),
-              getattr(axioms.tolerances, name), ok)
+    _judge(quiet, "axiom", {name: (getattr(axioms, name), tol)
+                            for name, tol in asdict(axioms.tolerances).items()})
     report = {
         "command": "verify",
         "scenario": scenario.resolved_dict(),
@@ -131,18 +130,7 @@ def _cmd_bracket(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
 def _cmd_evolve(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     spectral = spectral_decompose(scenario.operator)
     f = ObservableFunction.expectation_of(scenario.operator, scenario.space)
-    report = {"command": "evolve", "scenario": scenario.resolved_dict()}
-    report_path = out_dir / scenario.outputs.get("report", "evolve_report.json")
-    try:
-        traj = integrate(f, scenario.initial_state, scenario.integrator)
-    except NonConvergenceError as exc:
-        report["error"] = {"type": "NonConvergence", "step": exc.step,
-                           "iterations": exc.iterations}
-        report["passed"] = False
-        write_report(report, report_path)
-        if not quiet:
-            print(f"integrator failed to converge at step {exc.step}")
-        return 1
+    traj = integrate(f, scenario.initial_state, scenario.integrator)
 
     hbar = scenario.space.hbar
     deviation = spectral_deviation(traj, spectral, hbar)
@@ -159,7 +147,9 @@ def _cmd_evolve(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     csv_path = out_dir / scenario.outputs.get("trajectory", "trajectory.csv")
     write_trajectory_csv(traj, csv_path)
 
-    report.update({
+    report = {
+        "command": "evolve",
+        "scenario": scenario.resolved_dict(),
         "deviation_from_exact": deviation,
         "diagnostics": asdict(diagnostics),
         "phase_evolution": {
@@ -169,8 +159,8 @@ def _cmd_evolve(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
         "trajectory_file": csv_path.name,
         "checks": checks,
         "passed": all(checks.values()),
-    })
-    write_report(report, report_path)
+    }
+    write_report(report, out_dir / scenario.outputs.get("report", "evolve_report.json"))
     return 0 if report["passed"] else 1
 
 
@@ -228,6 +218,19 @@ _COMMANDS = {
 }
 
 
+def _run(command: str, scenario: Scenario, out_dir: Path, quiet: bool) -> int:
+    """Run one command; a flow that fails to converge fails it with an error report."""
+    try:
+        return _COMMANDS[command](scenario, out_dir, quiet)
+    except NonConvergenceError as exc:
+        report = {"command": command, "scenario": scenario.resolved_dict(), "passed": False,
+                  "error": {"type": "NonConvergence", "step": exc.step, "iterations": exc.iterations}}
+        write_report(report, out_dir / scenario.outputs.get("report", f"{command}_report.json"))
+        if not quiet:
+            print(f"integrator failed to converge at step {exc.step}")
+        return 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -247,7 +250,7 @@ def main(argv=None) -> int:
             scenario.scale_tolerances(args.tol_scale)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        code = _COMMANDS[args.command](scenario, out_dir, args.quiet)
+        code = _run(args.command, scenario, out_dir, args.quiet)
     except SymqmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

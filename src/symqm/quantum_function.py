@@ -9,11 +9,13 @@ A quantum function is a bundle ``(f, a_n, u_n, xi_n)`` satisfying
 * stationary evaluation ``u_n(xi_m) = delta_mn`` and ``f(xi_n) = a_n``
 
 Every Hermitian operator induces one through its spectral decomposition
-(:func:`from_operator`); :func:`verify_axioms` measures the residuals of
-the four properties on seeded random states.  The reconstruction map sends
-phase-space points back to a Hilbert-space picture, and the residual of
-the quantum-function equation ``i*hbar*{<Phi|A|Phi>, Phi} = A Phi`` tests
-arbitrary candidate maps ``Phi``.
+(:func:`from_operator`).  :func:`verify_axioms` and
+:func:`verify_reconstruction` measure the residuals through one core: a
+matrix of seeded unit states, drawn once, with its quantum coordinates and
+value residuals; each report reduces them its own way.  The reconstruction
+map sends phase-space points back to a Hilbert-space picture, and the
+residual of the quantum-function equation ``i*hbar*{<Phi|A|Phi>, Phi} = A Phi``
+tests arbitrary candidate maps ``Phi``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .brackets import (
     _apply_canonical_j,
     _central_differences,
     _fd_field,
-    _worst,
+    _largest,
+    _observable_values,
 )
 from .errors import DimensionMismatchError, NormalizationError, PreconditionFailedError
 from .operators import (
@@ -42,7 +45,7 @@ from .operators import (
     quadratic_form,
     spectral_decompose,
 )
-from .sampling import random_unit_state
+from .sampling import random_unit_states
 from .spaces import (
     StatePoint,
     SymplecticSpace,
@@ -233,19 +236,39 @@ def _coordinate_rows(qf: QuantumFunction, basis, states: np.ndarray) -> np.ndarr
     return np.array([qf.quantum_coordinates(psi) for psi in states], dtype=complex)
 
 
-def _analytic_brackets(qf: QuantumFunction, psi: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Every ``{f, u_n}(psi) = <phi_n, -(i/hbar) A psi>`` from one product."""
-    field = -1j / qf.space.hbar * qf.f.operator.apply(psi)
-    return (field.conj() @ basis).conj()
+def _sampled_rows(qf: QuantumFunction, basis, samples: int, seed: int):
+    """The core both verifications share: ``samples`` seeded unit states as the rows of
+    one matrix, their quantum coordinates and the value residual ``|f - sum_n a_n |u_n|^2|``."""
+    states = random_unit_states(qf.space.complex_dim, seed, samples)
+    coords = _coordinate_rows(qf, basis, states)
+    weights = np.sum(qf.eigenvalues * np.abs(coords) ** 2, axis=1)
+    return states, coords, np.abs(_observable_values(qf.f, states) - weights)
 
 
-def _fd_brackets(qf: QuantumFunction, psi: np.ndarray, basis) -> np.ndarray:
-    """Every ``{f, u_n}(psi)`` from one central-difference gradient of ``f`` and
-    one Jacobian of all the ``u_n``, step ``BRACKET_REPORT_STEP``; no closed-form field."""
-    field = _fd_field(qf.f, psi, BRACKET_REPORT_STEP)
-    jac = _central_differences(lambda s: _coordinate_rows(qf, basis, s), qf.space,
-                               to_real_coords(psi, qf.space), BRACKET_REPORT_STEP)
-    return field @ jac
+def _flow_residual(qf: QuantumFunction, basis, states, coords, analytic: bool) -> float:
+    """Max of ``|i*hbar*{f, u_n} - a_n u_n|`` over the rows of ``states`` and every ``n``.
+
+    Analytic: ``X_f = -(i/hbar) A psi`` for all rows from one product ``S A^T``, then ``U``.
+    Otherwise, from values of ``f`` alone: one central-difference gradient of
+    ``f`` and one Jacobian of the ``u_n`` per row, step ``BRACKET_REPORT_STEP``.
+    """
+    if analytic:
+        field = -1j / qf.space.hbar * (states @ qf.f.operator.matrix.T)
+        brackets = (field.conj() @ basis).conj()
+    else:
+        brackets = np.array([
+            _fd_field(qf.f, psi, BRACKET_REPORT_STEP) @ _central_differences(
+                lambda s: _coordinate_rows(qf, basis, s), qf.space,
+                to_real_coords(psi, qf.space), BRACKET_REPORT_STEP)
+            for psi in states], dtype=complex).reshape(coords.shape)
+    return _largest(np.abs(1j * qf.space.hbar * brackets - qf.eigenvalues * coords))
+
+
+def _stationary_blocks(qf: QuantumFunction, basis):
+    """``(rows, xi, u(xi) - e)`` for the stationary states ``xi_m``, ``m`` in one block of rows."""
+    for rows in _row_blocks(qf.size):
+        xi = np.array([_as_complex_vector(x) for x in qf.stationary_states[rows]])
+        yield rows, xi, _coordinate_rows(qf, basis, xi) - np.eye(len(xi), qf.size, rows.start)
 
 
 def verify_axioms(qf: QuantumFunction, samples: int, seed: int,
@@ -255,14 +278,13 @@ def verify_axioms(qf: QuantumFunction, samples: int, seed: int,
 
     ``method`` selects the bracket backend: ``"auto"`` picks the analytic
     path when the quantum function is operator-backed, else central finite
-    differences (step ``1e-5``).  Either path checks all ``n`` brackets of
-    a sample at once: with ``U`` the coordinate vectors, the analytic
-    ``i*hbar*U^H X_f(psi)`` (``X_f(psi) = -(i/hbar) A psi``) or the
-    finite-difference ``i*hbar*{f, u_n}`` against ``a * coords``, where
-    ``coords`` come from :meth:`QuantumFunction.quantum_coordinates`.  A
-    NaN residual fails.
+    differences (step ``1e-5``).  The samples, their coordinates and value
+    residuals come from the core shared with :func:`verify_reconstruction`;
+    every ``i*hbar*{f, u_n}`` is compared with ``a_n u_n``, the analytic
+    ones (``X_f(psi) = -(i/hbar) A psi``) as products over all samples.
+    This report reduces by max-abs, normalization as ``|sum_n |u_n|^2 - 1|``.
+    A NaN residual fails.
     """
-    n = qf.space.complex_dim
     basis = qf.coordinate_matrix()
     if method == "auto":
         method = "analytic" if qf.operator_backed else "finite_difference"
@@ -271,30 +293,17 @@ def verify_axioms(qf: QuantumFunction, samples: int, seed: int,
     if tol is None:
         tol = AxiomTolerances() if method == "analytic" else AxiomTolerances.finite_difference()
 
-    ih = 1j * qf.space.hbar
-
-    decomposition = bracket = normalization = 0.0
-    for i in range(int(samples)):
-        psi = random_unit_state(n, seed, i)
-        coords = qf.quantum_coordinates(psi)
-        weight = float(np.sum(qf.eigenvalues * np.abs(coords) ** 2))
-        decomposition = _worst(decomposition, abs(qf.f(psi) - weight))
-        normalization = _worst(normalization, abs(float(np.sum(np.abs(coords) ** 2)) - 1.0))
-        brackets = (_analytic_brackets if method == "analytic" else _fd_brackets)(qf, psi, basis)
-        bracket = _worst(bracket, float(np.max(np.abs(ih * brackets - qf.eigenvalues * coords))))
-
+    states, coords, value = _sampled_rows(qf, basis, samples, seed)
     stationary_delta = stationary_value = 0.0
-    for m, xi in enumerate(qf.stationary_states):
-        coords = qf.quantum_coordinates(xi)
-        target = np.zeros(qf.size)
-        target[m] = 1.0
-        stationary_delta = _worst(stationary_delta, float(np.max(np.abs(coords - target))))
-        stationary_value = _worst(stationary_value, abs(qf.f(xi) - qf.eigenvalues[m]))
+    for rows, xi, offsets in _stationary_blocks(qf, basis):
+        stationary_delta = np.maximum(stationary_delta, _largest(np.abs(offsets)))
+        stationary_value = np.maximum(stationary_value, _largest(
+            np.abs(_observable_values(qf.f, xi) - qf.eigenvalues[rows])))
 
     return AxiomReport(
-        decomposition=float(decomposition),
-        bracket=float(bracket),
-        normalization=float(normalization),
+        decomposition=_largest(value),
+        bracket=_flow_residual(qf, basis, states, coords, method == "analytic"),
+        normalization=_largest(np.abs(np.sum(np.abs(coords) ** 2, axis=1) - 1.0)),
         stationary_delta=float(stationary_delta),
         stationary_value=float(stationary_value),
         samples=int(samples),
@@ -356,50 +365,33 @@ def verify_reconstruction(qf: QuantumFunction, traj, samples: int = 100,
     The trajectory must have been generated by the flow of ``qf.f``; its
     image under the reconstruction map is compared with the exact spectral
     evolution generated by the recovered diagonal operator, one block of
-    stored steps at a time.  Pointwise identities are measured on
-    ``samples`` seeded random unit states, every eigen-index of a sample at
-    once: the finite-difference flow check takes one gradient of ``f`` and
-    one Jacobian of all the ``u_n`` per sample.
+    stored steps at a time.  The pointwise identities use the sampling core
+    shared with :func:`verify_axioms`, but reduce by row norm: the norm
+    residual is ``abs(norm(u) - 1)`` and the stationary one
+    ``norm(u(xi_m) - e_m)``, which needs no value of ``f``.
     """
-    hbar = qf.space.hbar
-    a = qf.eigenvalues
     basis = qf.coordinate_matrix()
 
     image0 = qf.quantum_coordinates(traj.states[0])
     elapsed = traj.times - traj.times[0]
     intertwining = 0.0
     for rows in _row_blocks(len(traj)):
-        evolved = _evolved_coefficients(image0, a, elapsed[rows], hbar)
+        evolved = _evolved_coefficients(image0, qf.eigenvalues, elapsed[rows], qf.space.hbar)
         drift = np.linalg.norm(_coordinate_rows(qf, basis, traj.states[rows]) - evolved, axis=1)
-        intertwining = _worst(intertwining, float(np.max(drift)))
+        intertwining = np.maximum(intertwining, _largest(drift))
 
-    ih = 1j * hbar
-    flow_analytic = 0.0 if qf.operator_backed else None
-    flow_fd = value = norm_res = 0.0
-    for i in range(int(samples)):
-        psi = random_unit_state(qf.space.complex_dim, seed, i)
-        coords = qf.quantum_coordinates(psi)
-        target = a * coords
-        if flow_analytic is not None:
-            lhs = ih * _analytic_brackets(qf, psi, basis)
-            flow_analytic = _worst(flow_analytic, float(np.max(np.abs(lhs - target))))
-        lhs = ih * _fd_brackets(qf, psi, basis)
-        flow_fd = _worst(flow_fd, float(np.max(np.abs(lhs - target))))
-        value = _worst(value, abs(qf.f(psi) - float(np.sum(a * np.abs(coords) ** 2))))
-        norm_res = _worst(norm_res, abs(float(np.linalg.norm(coords)) - 1.0))
-
+    states, coords, value = _sampled_rows(qf, basis, samples, seed)
     stationary = 0.0
-    for m, xi in enumerate(qf.stationary_states):
-        target = np.zeros(qf.size, dtype=complex)
-        target[m] = 1.0
-        stationary = _worst(stationary, float(np.linalg.norm(qf.quantum_coordinates(xi) - target)))
+    for _, _, offsets in _stationary_blocks(qf, basis):
+        stationary = np.maximum(stationary, _largest(np.linalg.norm(offsets, axis=1)))
 
     return ReconstructionReport(
         intertwining_residual=float(intertwining),
-        flow_equation_residual_analytic=None if flow_analytic is None else float(flow_analytic),
-        flow_equation_residual_fd=float(flow_fd),
-        value_residual=float(value),
-        norm_residual=float(norm_res),
+        flow_equation_residual_analytic=(
+            _flow_residual(qf, basis, states, coords, True) if qf.operator_backed else None),
+        flow_equation_residual_fd=_flow_residual(qf, basis, states, coords, False),
+        value_residual=_largest(value),
+        norm_residual=_largest(np.abs(np.linalg.norm(coords, axis=1) - 1.0)),
         stationary_residual=float(stationary),
         samples=int(samples),
         seed=int(seed),
@@ -409,6 +401,34 @@ def verify_reconstruction(qf: QuantumFunction, traj, samples: int = 100,
 
 def _map_callable(phi) -> Callable[[np.ndarray], np.ndarray]:
     return lambda v: np.asarray(phi(v), dtype=complex)
+
+
+def _image_pass(a: HermitianOperator, phi_fn, space: SymplecticSpace, samples: int, seed: int):
+    """The sample matrix, ``Phi`` at its rows, and the worst ``abs(norm(Phi) - 1)``."""
+    states = random_unit_states(space.complex_dim, seed, samples)
+    images = [phi_fn(psi) for psi in states]
+    wrong = [img.shape for img in images if img.shape != (a.dim,)]
+    if wrong:
+        raise DimensionMismatchError(f"map output has shape {wrong[0]}, "
+                                     f"operator has dimension {a.dim}")
+    images = np.array(images, dtype=complex).reshape(len(states), a.dim)
+    return states, images, _largest(np.abs(np.linalg.norm(images, axis=1) - 1.0))
+
+
+def _qfe_equation(a: HermitianOperator, phi_fn, space: SymplecticSpace, states, images) -> float:
+    """Max of ``|i*hbar*{<Phi|A|Phi>, Phi} - A Phi|`` over the rows of ``states``."""
+    def induced_and_images(rows: np.ndarray) -> np.ndarray:
+        # Column 0 holds <Phi|A|Phi>, the others Phi, per perturbed state.
+        out = np.array([phi_fn(v) for v in rows], dtype=complex)
+        return np.column_stack([expectations(a, out), out])
+
+    def bracket_row(psi: np.ndarray) -> np.ndarray:
+        jac = _central_differences(induced_and_images, space, to_real_coords(psi, space),
+                                   BRACKET_REPORT_STEP)
+        return _apply_canonical_j(space, jac[:, 0].real) @ jac[:, 1:]
+
+    brackets = np.array([bracket_row(psi) for psi in states], dtype=complex)
+    return _largest(np.abs(1j * space.hbar * brackets.reshape(images.shape) - images @ a.matrix.T))
 
 
 def qfe_residual(a: HermitianOperator, phi, space: SymplecticSpace,
@@ -425,36 +445,12 @@ def qfe_residual(a: HermitianOperator, phi, space: SymplecticSpace,
     residual is the max over components and samples.
     """
     phi_fn = _map_callable(phi)
-    states = [random_unit_state(space.complex_dim, seed, i) for i in range(int(samples))]
-
-    images = []
-    worst_norm = 0.0
-    for psi in states:
-        img = phi_fn(psi)
-        if img.ndim != 1 or img.shape[0] != a.dim:
-            raise DimensionMismatchError(
-                f"map output has shape {img.shape}, operator has dimension {a.dim}"
-            )
-        worst_norm = _worst(worst_norm, abs(float(np.linalg.norm(img)) - 1.0))
-        images.append(img)
+    states, images, worst_norm = _image_pass(a, phi_fn, space, samples, seed)
     if not worst_norm <= norm_tol:
         raise NormalizationError(
             f"map violates unit-norm output by {worst_norm:.3e} (tolerance {norm_tol:.1e})"
         )
-
-    def induced_and_images(rows: np.ndarray) -> np.ndarray:
-        # Column 0 holds <Phi|A|Phi>, the others Phi, per perturbed state.
-        out = np.array([phi_fn(v) for v in rows], dtype=complex)
-        return np.column_stack([expectations(a, out), out])
-
-    ih = 1j * space.hbar
-    residual = 0.0
-    for psi, img in zip(states, images):
-        jac = _central_differences(induced_and_images, space, to_real_coords(psi, space),
-                                   BRACKET_REPORT_STEP)
-        bracket_vec = _apply_canonical_j(space, jac[:, 0].real) @ jac[:, 1:]
-        residual = _worst(residual, float(np.max(np.abs(ih * bracket_vec - a.apply(img)))))
-    return float(residual)
+    return _qfe_equation(a, phi_fn, space, states, images)
 
 
 def quantum_function_from_qfe(a: HermitianOperator, phi, xi_n: Sequence,
@@ -464,9 +460,10 @@ def quantum_function_from_qfe(a: HermitianOperator, phi, xi_n: Sequence,
 
     Verifies in order: unit-norm outputs on sampled states, stationary
     images ``Phi(xi_n) = psi_n`` up to a per-``n`` global phase, and the
-    quantum-function equation residual, each against ``tol``.  The
-    resulting eigenfunctions are the expansion coefficients of ``Phi`` in
-    the eigenbasis of ``A``.  A NaN residual fails its check.
+    quantum-function equation residual, each against ``tol``; the norm and
+    equation checks share one pass of images, as in :func:`qfe_residual`.
+    The resulting eigenfunctions are the expansion coefficients of ``Phi``
+    in the eigenbasis of ``A``.  A NaN residual fails its check.
     """
     phi_fn = _map_callable(phi)
     spectral = spectral_decompose(a)
@@ -475,26 +472,19 @@ def quantum_function_from_qfe(a: HermitianOperator, phi, xi_n: Sequence,
             f"expected {a.dim} stationary states, got {len(xi_n)}"
         )
 
-    worst_norm = 0.0
-    for i in range(int(samples)):
-        psi = random_unit_state(space.complex_dim, seed, i)
-        worst_norm = _worst(worst_norm, abs(float(np.linalg.norm(phi_fn(psi))) - 1.0))
+    states, images, worst_norm = _image_pass(a, phi_fn, space, samples, seed)
     if not worst_norm <= tol:
         raise PreconditionFailedError("normalization", worst_norm)
 
     basis = spectral.eigenvectors
-    worst_match = 0.0
-    for k, xi in enumerate(xi_n):
-        image = phi_fn(_as_complex_vector(xi))
-        overlap = complex(np.vdot(basis[:, k], image))
-        phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-        worst_match = _worst(
-            worst_match, float(np.linalg.norm(image * np.conj(phase) - basis[:, k]))
-        )
+    # Phi(xi_k) against psi_k, each up to the global phase of <psi_k|Phi(xi_k)>.
+    matched = np.array([phi_fn(_as_complex_vector(xi)) for xi in xi_n]).T
+    phases = np.exp(1j * np.angle(np.sum(basis.conj() * matched, axis=0)))
+    worst_match = _largest(np.linalg.norm(matched * phases.conj() - basis, axis=0))
     if not worst_match <= tol:
         raise PreconditionFailedError("stationary-state match", worst_match)
 
-    equation_residual = qfe_residual(a, phi_fn, space, samples=samples, seed=seed, norm_tol=tol)
+    equation_residual = _qfe_equation(a, phi_fn, space, states, images)
     if not equation_residual <= tol:
         raise PreconditionFailedError("quantum-function equation", equation_residual)
 

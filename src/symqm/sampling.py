@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["random_unit_state", "random_hermitian"]
+__all__ = ["random_unit_state", "random_unit_states", "random_hermitian"]
 
 
 def _rng(seed, index=None):
@@ -23,6 +23,12 @@ def random_unit_state(n: int, seed, index=None) -> np.ndarray:
     rng = _rng(seed, index)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def random_unit_states(n: int, seed, count: int) -> np.ndarray:
+    """The ``(count, n)`` matrix whose row ``i`` is ``random_unit_state(n, seed, i)``."""
+    rows = [random_unit_state(n, seed, i) for i in range(int(count))]
+    return np.array(rows, dtype=complex).reshape(int(count), n)
 
 
 def random_hermitian(n: int, seed, index=None, norm_bound=None) -> np.ndarray:

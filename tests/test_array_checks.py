@@ -28,12 +28,15 @@ from symqm import (
     ObservableFunction,
     SymplecticSpace,
     Trajectory,
+    bracket_commutator_report,
     from_operator,
     from_real_coords,
     integrate,
     make_hermitian,
     phase_evolution_residual,
     phase_residuals,
+    poisson_bracket,
+    quantum_function_from_qfe,
     spectral_decompose,
     spectral_deviation,
     to_real_coords,
@@ -49,7 +52,7 @@ from symqm.brackets import (
 )
 from symqm.cli import main
 from symqm.errors import NonHermitianError
-from symqm.sampling import random_hermitian, random_unit_state
+from symqm.sampling import random_hermitian, random_unit_state, random_unit_states
 
 SIZES = (2, 5, 16)
 # More stored steps than one row block, and not a multiple of it.
@@ -392,3 +395,96 @@ def test_reconstruction_work_counts(monkeypatch, n):
     # 4n perturbed points per sample, not 4n per eigen-index, plus f at
     # the sample itself for the value residual.
     assert len(evaluated) == samples * (4 * n + 1)
+
+
+def test_state_matrix_rows_are_the_seeded_states():
+    states = random_unit_states(5, 11, 7)
+    assert states.shape == (7, 5) and states.dtype == complex
+    for i in range(7):
+        assert np.array_equal(states[i], random_unit_state(5, 11, i))
+    assert random_unit_states(5, 11, 0).shape == (0, 5)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_report_reductions_match_reference(n):
+    qf = from_operator(_operator(n, 100 + n), SymplecticSpace(n, hbar=0.7))
+    # A stretched eigenfunction and shifted eigenvalues make every residual of order one.
+    skewed = ComplexFunction.coordinate(1.5 * qf.eigenfunctions[0].vector, qf.space)
+    qf = dataclasses.replace(qf, eigenfunctions=(skewed,) + qf.eigenfunctions[1:],
+                             eigenvalues=qf.eigenvalues + np.linspace(0.5, 1.0, n),
+                             coords_fn=None)
+    a, samples, seed = qf.eigenvalues, 30, 12
+    states = [random_unit_state(n, seed, i) for i in range(samples)]
+    coords = [qf.quantum_coordinates(psi) for psi in states]
+    values = [qf.f(psi) for psi in states]
+    offsets = [qf.quantum_coordinates(xi) - np.eye(n)[m]
+               for m, xi in enumerate(qf.stationary_states)]
+    value = max(abs(f - np.sum(a * np.abs(c) ** 2)) for f, c in zip(values, coords))
+    axioms = verify_axioms(qf, samples, seed)
+    _close([axioms.decomposition, axioms.bracket, axioms.normalization,
+            axioms.stationary_delta, axioms.stationary_value],
+           [value, _reference_bracket(qf, samples, seed),
+            max(abs(np.sum(np.abs(c) ** 2) - 1.0) for c in coords),
+            max(np.max(np.abs(d)) for d in offsets),
+            max(abs(qf.f(xi) - a[m]) for m, xi in enumerate(qf.stationary_states))])
+    traj = _random_trajectory(n, 13)
+    rec = verify_reconstruction(qf, traj, samples=samples, seed=seed)
+    _close([rec.flow_equation_residual_analytic, rec.value_residual, rec.norm_residual,
+            rec.stationary_residual],
+           [axioms.bracket, value, max(abs(np.linalg.norm(c) - 1.0) for c in coords),
+            max(np.linalg.norm(d) for d in offsets)])
+    assert min(axioms.decomposition, axioms.normalization, rec.stationary_residual) > 1e-3
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_bracket_report_matches_reference(n):
+    space = SymplecticSpace(n, hbar=0.7)
+    a, b = _operator(n, 110 + n), _operator(n, 120 + n)
+    f = ObservableFunction.expectation_of(a, space)
+    g = ObservableFunction.expectation_of(b, space)
+    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
+    report = bracket_commutator_report(a, b, space, 25, seed=14)
+    analytic = fd = 0.0
+    for i in range(25):
+        psi = random_unit_state(n, 14, i)
+        target = np.vdot(psi, comm @ psi)
+        analytic = max(analytic, abs(0.7j * poisson_bracket(f, g, psi) - target))
+        fd = max(fd, abs(0.7j * poisson_bracket(f, g, psi, method="finite_difference",
+                                                 step=BRACKET_REPORT_STEP) - target))
+    # Both residuals cancel operands of size ||A|| ||B|| down to round-off
+    # or to the finite-difference error.
+    _ulps(report.analytic_max, analytic, report.scale)
+    _ulps(report.finite_difference_max, fd, report.scale)
+
+
+def test_analytic_axioms_never_call_f(monkeypatch):
+    calls = _counting(monkeypatch, [ObservableFunction], "__call__")
+    qf = from_operator(_operator(6, 4), SymplecticSpace(6))
+    # The samples and the stationary states are evaluated as matrices.
+    assert verify_axioms(qf, 9, seed=1).passed
+    assert calls == []
+
+
+def test_qfe_packaging_images_each_state_once():
+    n, samples = 3, 5
+    space = SymplecticSpace(n, hbar=0.7)
+    a = _operator(n, 5)
+    calls = []
+
+    def phi(v):
+        calls.append(1)
+        return np.asarray(v, dtype=complex)
+
+    stationary = list(from_operator(a, space).stationary_states)
+    quantum_function_from_qfe(a, phi, stationary, space, samples=samples, seed=2)
+    # The samples once (shared by the norm and equation checks), the
+    # stationary states once, and 4n perturbed points per sample.
+    assert len(calls) == samples + n + 4 * n * samples
+
+
+def test_bracket_report_one_fd_bracket_per_sample(monkeypatch):
+    calls = _counting(monkeypatch, [symqm.brackets], "poisson_bracket")
+    space = SymplecticSpace(4, hbar=0.7)
+    report = bracket_commutator_report(_operator(4, 6), _operator(4, 7), space, 7, seed=3)
+    assert report.analytic_max <= 1e-9 * report.scale
+    assert len(calls) == 7

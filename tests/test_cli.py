@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line drivers."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -96,10 +99,14 @@ def test_evolve_nonconvergence_reported(tmp_path):
         "integrator": {"method": "midpoint", "dt": 1.0, "steps": 5,
                        "solver_max_iter": 5},
     })
-    assert _run("evolve", scenario, tmp_path / "out") == 1
-    report = json.loads((tmp_path / "out" / "evolve_report.json").read_text())
-    assert report["error"]["type"] == "NonConvergence"
-    assert report["error"]["step"] == 1
+    # Both commands that integrate fail the run with a report, not a usage error.
+    for command in ("evolve", "reconstruct"):
+        assert _run(command, scenario, tmp_path / command) == 1
+        report = json.loads((tmp_path / command / f"{command}_report.json").read_text())
+        assert report["command"] == command
+        assert report["error"]["type"] == "NonConvergence"
+        assert report["error"]["step"] == 1
+        assert report["passed"] is False
 
 
 def test_reconstruct_pass(tmp_path):
@@ -126,9 +133,11 @@ def test_reconstruct_constant_phi_negative_control(tmp_path):
     assert report["checks"]["qfe"] is False
 
 
-def test_non_hermitian_operator_exit_code(tmp_path):
-    scenario = _scenario(tmp_path, {"operator": "X0*Z0"})
-    assert _run("verify", scenario, tmp_path / "out") == 2
+def test_non_hermitian_operator_exit_code(tmp_path, capsys):
+    scenario = _scenario(tmp_path, {"operator": "X0*Z0", "second_operator": "X0"})
+    for command in ("verify", "evolve", "bracket", "reconstruct"):
+        assert _run(command, scenario, tmp_path / command) == 2
+        assert "error: operator: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["operator", "second_operator"])
@@ -141,8 +150,20 @@ def test_non_finite_operator_exit_code(tmp_path, field, capsys):
         assert f"error: {field}: " in capsys.readouterr().err
 
 
-def test_missing_scenario_exit_code(tmp_path):
-    assert _run("verify", tmp_path / "nope.json", tmp_path / "out") == 2
+def test_missing_scenario_exit_code(tmp_path, capsys):
+    for command in ("verify", "evolve", "bracket", "reconstruct"):
+        assert _run(command, tmp_path / "nope.json", tmp_path / "out") == 2
+        assert "cannot read scenario file" in capsys.readouterr().err
+
+
+def test_cli_imports_no_scipy():
+    # scipy is a test dependency: the program itself must run on numpy alone.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, symqm.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_bad_usage_exit_code(capsys):
