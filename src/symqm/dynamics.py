@@ -220,8 +220,9 @@ def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iter
     ``dK + (dK)^2/2 + (dK)^3/6 + (dK)^4/24``.  A midpoint block takes its
     count ``m`` from its first start state, steps up to ``_ROW_BLOCK`` steps
     with ``Q_m``, then audits its other start states in one product chain;
-    the next block starts at the first state that needs another count and
-    is at most twice as long as the steps kept.
+    the next block starts at the first state that needs another count, with
+    the audited count if it is below ``m`` (exact there; above ``m`` it is
+    capped, so searched again), and is at most twice as long as the steps kept.
     """
     a = (0.5 * cfg.dt) * ((-1j / f.space.hbar) * f.operator.matrix)
     b = 2.0 * a  # dt K
@@ -241,9 +242,9 @@ def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iter
             return np.zeros(starts.shape[0], dtype=int)
 
     block_states = np.empty((_ROW_BLOCK + 1, psi.shape[0]), dtype=complex)
-    done = span = 0
+    done = span = known = 0
     while done < cfg.steps:
-        m = int(counts(psi[None, :], cfg.solver_max_iter)[0])
+        m = known or int(counts(psi[None, :], cfg.solver_max_iter)[0])
         if m > cfg.solver_max_iter:
             raise NonConvergenceError(done + 1, cfg.solver_max_iter)
         if m not in increments:  # Q_0 = 2A and Q_j = 2A + A Q_(j-1), as the iteration
@@ -257,10 +258,13 @@ def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iter
         for i in range(1, block + 1):
             psi = psi + q @ psi
             block_states[i] = psi
-        wrong = np.flatnonzero(counts(block_states[1:block], m) != m)
+        audit = counts(block_states[1:block], m)
+        wrong = np.flatnonzero(audit != m)
+        known = 0  # the next start state's count where the audit found it exactly, else 0
         if wrong.size:  # keep the steps up to the first start state that needs another count
             block = int(wrong[0]) + 1
             psi = block_states[block].copy()
+            known = int(audit[block - 1]) if audit[block - 1] < m else 0  # above m: capped
         step = done + np.arange(1, block + 1)
         kept = step % cfg.stride == 0
         states[step[kept] // cfg.stride] = block_states[1:block + 1][kept]

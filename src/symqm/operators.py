@@ -111,13 +111,17 @@ class HermitianOperator:
 
     @functools.cached_property
     def spectral(self) -> SpectralData:
-        """The :func:`spectral_decompose` data, computed once: the matrix is immutable."""
+        """The :func:`spectral_decompose` data, computed once: the matrix is immutable.
+
+        A matrix with no nonzero imaginary part takes the real symmetric solver.
+        """
+        m = self.matrix
         try:
-            vals, vecs = np.linalg.eigh(self.matrix)
+            vals, vecs = np.linalg.eigh(m if m.imag.any() else m.real)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
-        # Rotate each column's first largest-magnitude entry to real positive
-        # (never zero: eigh returns unit columns); order as spectral_decompose says.
+        # Rotate each column's first largest-magnitude entry to real positive (never
+        # zero: eigh returns unit columns; a sign if real); order as spectral_decompose says.
         peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vals.shape[0])]
         vecs = vecs * (peak.conj() / np.abs(peak))
         order = np.argsort(vals, kind="stable")
@@ -199,6 +203,7 @@ def spectral_decompose(a: HermitianOperator) -> SpectralData:
     Exact eigenvalue ties are ordered by lexicographic comparison of the
     phase-fixed eigenvectors' real parts, so the output is deterministic.
     Each operator is decomposed once; later calls return the same data.
+    A real matrix takes the real symmetric solver (see ``HermitianOperator.spectral``).
     """
     return a.spectral
 

@@ -372,7 +372,7 @@ def verify_reconstruction(qf: QuantumFunction, traj, samples: int = 100,
     """
     basis = qf.coordinate_matrix()
 
-    image0 = qf.quantum_coordinates(traj.states[0])
+    image0 = _coordinate_rows(qf, basis, traj.states[:1])[0]
     elapsed = traj.times - traj.times[0]
     intertwining = 0.0
     for rows in _row_blocks(len(traj)):

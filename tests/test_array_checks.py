@@ -436,6 +436,21 @@ def test_report_reductions_match_reference(n):
     assert min(axioms.decomposition, axioms.normalization, rec.stationary_residual) > 1e-3
 
 
+def test_intertwining_reads_coordinates_from_the_eigenfunctions():
+    space = SymplecticSpace(3)
+    qf = from_operator(make_hermitian(random_hermitian(3, 0)), space)
+    # Stretch u_0 but keep coords_fn, so the two coordinate sources disagree.
+    stretched = ComplexFunction.coordinate(1.5 * qf.eigenfunctions[0].vector, space)
+    qf = dataclasses.replace(qf, eigenfunctions=(stretched,) + qf.eigenfunctions[1:])
+    assert qf.coords_fn is not None
+    traj = integrate(qf.f, np.ones(3) / np.sqrt(3), IntegratorConfig("exact", 0.01, 300))
+    rec = verify_reconstruction(qf, traj)
+    # Every row, the first included, comes from the u_n vectors, so the
+    # stretch is intertwined exactly; the norm check still sees it.
+    assert rec.intertwining_residual <= 1e-14
+    assert rec.norm_residual > 0.1
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_bracket_report_matches_reference(n):
     space = SymplecticSpace(n, hbar=0.7)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import symqm.dynamics
 from symqm import IntegratorConfig, ObservableFunction, SymplecticSpace, integrate, make_hermitian
 from symqm.errors import NonConvergenceError
 from symqm.sampling import random_hermitian, random_unit_state
@@ -103,6 +104,28 @@ def test_varying_iteration_counts_match_step_by_step(hbar, stride):
     assert changes.size >= 2 and np.any(changes % 256 != 0)
     traj = integrate(f, psi, IntegratorConfig("midpoint", stride=stride, **LOOSE))
     _assert_matches_reference(traj, states, counts, stride)
+
+
+def test_restart_reuses_the_audited_count(monkeypatch):
+    # The count changes at 2924 of 3000 steps, so almost every block is cut
+    # short.  A restart state whose audited count is below the block's count
+    # starts the next block without a search; 5850 calls without the reuse.
+    calls, counts = [], symqm.dynamics._midpoint_counts
+
+    def counting(*args):
+        calls.append(args)
+        return counts(*args)
+
+    monkeypatch.setattr(symqm.dynamics, "_midpoint_counts", counting)
+    options = {"dt": 0.4, "steps": 3000, "solver_tol": 5e-2}
+    h, f = _flow(4, 7, 0.7, norm_bound=0.7)
+    psi = random_unit_state(4, 7, 1)
+    traj = integrate(f, psi, IntegratorConfig("midpoint", **options))
+    states, iterations = _reference("midpoint", h, 0.7, psi, options["dt"], options["steps"],
+                                    tol=options["solver_tol"])
+    assert np.count_nonzero(np.diff(iterations[1:])) == 2924
+    _assert_matches_reference(traj, states, iterations, 1)
+    assert len(calls) == 4438
 
 
 @pytest.mark.parametrize("method, options", [

@@ -161,12 +161,15 @@ def _fix_phase(column):
 
 
 def _assert_spectral_matches_per_column_reference(h):
-    vals, vecs = np.linalg.eigh(h.matrix)
+    # The solver rule: the real symmetric solver when no imaginary part is nonzero.
+    m = h.matrix
+    vals, vecs = np.linalg.eigh(m.real if not m.imag.any() else m)
     cols = [_fix_phase(vecs[:, k]) for k in range(vals.shape[0])]
     order = sorted(range(vals.shape[0]), key=lambda k: (vals[k], tuple(cols[k].real)))
     spectral = spectral_decompose(h)
     _assert_same_bits(spectral.eigenvalues, vals[order])
-    _assert_same_bits(spectral.eigenvectors, np.column_stack([cols[k] for k in order]))
+    _assert_same_bits(spectral.eigenvectors,
+                      np.column_stack([cols[k] for k in order]).astype(complex))
 
 
 @SEEDED
@@ -186,6 +189,81 @@ def test_array_gauge_fix_orders_exact_ties_as_reference(text):
     h = make_hermitian(parse_operator_expr(text).to_matrix())
     assert np.any(np.diff(spectral_decompose(h).eigenvalues) == 0.0)
     _assert_spectral_matches_per_column_reference(h)
+
+
+def _recorded_eigh_inputs(monkeypatch):
+    """Patch ``np.linalg.eigh`` to record each matrix it receives."""
+    seen, eigh = [], np.linalg.eigh
+
+    def record(m):
+        seen.append(m)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", record)
+    return seen
+
+
+def _real_with_negative_zero_imaginary_parts():
+    m = np.empty((3, 3), dtype=complex)
+    m.real = [[1.0, 2.0, 0.0], [2.0, -1.0, 0.5], [0.0, 0.5, 3.0]]
+    m.imag = -0.0
+    return m
+
+
+def test_real_matrices_take_the_real_symmetric_solver(monkeypatch):
+    seen = _recorded_eigh_inputs(monkeypatch)
+    chain = make_hermitian(parse_operator_expr("0.5*X0*X1 + 0.3*Z0 + 0.3*Z1").to_matrix())
+    signed = make_hermitian(_real_with_negative_zero_imaginary_parts())
+    assert np.all(np.signbit(signed.matrix.imag))
+    for h in (chain, signed):
+        spectral_decompose(h)
+        assert seen[-1].dtype == np.float64
+        _assert_same_bits(seen[-1], np.ascontiguousarray(h.matrix.real))
+    assert len(seen) == 2
+
+
+def test_complex_matrices_keep_the_complex_solver(monkeypatch):
+    seen = _recorded_eigh_inputs(monkeypatch)
+    h = make_hermitian(parse_operator_expr("X0*Y1 + Z0").to_matrix())
+    spectral_decompose(h)
+    assert len(seen) == 1 and seen[0].dtype == np.complex128
+    _assert_same_bits(seen[0], h.matrix)
+    # The complex path decomposes exactly as before: the complex solver on the
+    # matrix itself, then the per-column gauge fix and order.
+    _assert_spectral_matches_per_column_reference(h)
+
+
+@st.composite
+def real_symmetric_matrices(draw):
+    """Random real symmetric matrices, and real Pauli sums (even ``Y`` count per term)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=16))
+        rng = np.random.default_rng(draw(seeds))
+        m = rng.standard_normal((n, n))
+        return m + m.T
+    q = draw(st.integers(min_value=1, max_value=4))
+    strings = st.lists(st.sampled_from("IXYZ"), min_size=q, max_size=q).filter(
+        lambda letters: letters.count("Y") % 2 == 0)
+    terms = draw(st.lists(st.tuples(st.floats(min_value=-2.0, max_value=2.0), strings),
+                          min_size=1, max_size=6))
+    expr = PauliSumExpr(tuple(
+        PauliTerm(c, tuple(PauliFactor(letter, site) for site, letter in enumerate(letters)))
+        for c, letters in terms))
+    return expr.to_matrix(q)
+
+
+@SEEDED
+@given(m=real_symmetric_matrices())
+def test_real_symmetric_solver_meets_eigenpair_bounds(m):
+    h = make_hermitian(m)
+    assert not h.matrix.imag.any()
+    spectral = spectral_decompose(h)
+    a, v = spectral.eigenvalues, spectral.eigenvectors
+    n = a.shape[0]
+    bound = 64 * n * np.finfo(float).eps * (1.0 + np.max(np.abs(a)))
+    assert np.max(np.abs(h.matrix @ v - v * a)) <= bound
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= bound
+    assert np.max(np.abs(a - np.linalg.eigvalsh(h.matrix))) <= bound
 
 
 # Poisson-bracket identities.  For expectation observables the closed form
