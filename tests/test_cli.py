@@ -109,6 +109,38 @@ def test_evolve_nonconvergence_reported(tmp_path):
         assert report["passed"] is False
 
 
+def _unstable_rk4(tmp_path, dt, steps):
+    # RK4 is unstable at these steps on the chain: the norm grows without bound.
+    return _scenario(tmp_path, {
+        "operator": "0.5*X0*X1 + 0.3*Z0 + 0.3*Z1",
+        "integrator": {"method": "rk4", "dt": dt, "steps": steps},
+        "samples": 10,
+    })
+
+
+def test_growing_flow_fails_with_a_report(tmp_path, capsys):
+    # The imaginary round-off of <psi|H psi> grows with ||psi||^2; it used
+    # to exceed the absolute tolerance and exit 2 as a non-Hermitian operator.
+    assert _run("evolve", _unstable_rk4(tmp_path, 4.0, 30), tmp_path / "out") == 1
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "evolve_report.json").read_text())
+    assert report["passed"] is False
+    assert report["diagnostics"]["max_norm_drift"] > 1e6
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_flow_report_is_json(tmp_path):
+    assert _run("evolve", _unstable_rk4(tmp_path, 5.0, 2000), tmp_path / "out") == 1
+    text = (tmp_path / "out" / "evolve_report.json").read_text()
+    assert "NaN" in text
+    with open(tmp_path / "out" / "evolve_report.json") as fh:
+        report = json.load(fh)
+    assert report["passed"] is False
+    assert np.isnan(report["diagnostics"]["max_norm_drift"])
+    # The trajectory CSV keeps the spelling of "%.17g".
+    assert ",nan," in (tmp_path / "out" / "trajectory.csv").read_text()
+
+
 def test_reconstruct_pass(tmp_path):
     scenario = _scenario(tmp_path)
     assert _run("reconstruct", scenario, tmp_path / "out") == 0
