@@ -1,9 +1,14 @@
 """Differentials, Hamiltonian vector fields and Poisson brackets.
 
-Expectation-value functions ``<A>`` get closed-form derivatives; any other
-differentiable function falls back to central finite differences on the
-canonical real coordinates.  The two code paths cross-check each other in
-the bracket/commutator report.
+Expectation-value functions ``<A>`` and coordinate functionals ``<phi|.>``
+get closed forms; any other function falls back to central finite
+differences (FD) on the canonical real coordinates.  :func:`poisson_bracket`,
+:func:`complex_bracket` and ``verify_axioms`` take the closed form iff
+``method="auto"`` and every function has one (an ``operator``, a ``vector``,
+``operator_backed``); ``"finite_difference"`` forces FD, and any other value
+raises ``ValueError``.  Every FD bracket is the kernel
+``du_k(X_f) = (J grad f) . Jac(u_k)``, one central-difference pass over
+values, never a closed form: the paths check each other in the bracket report.
 
 Conventions (all consequences of the sign fixed in :mod:`symqm.spaces`):
 
@@ -203,9 +208,22 @@ def _apply_canonical_j(space: SymplecticSpace, x: np.ndarray) -> np.ndarray:
     return np.concatenate([x[n:], -x[:n]])
 
 
-def _fd_field(f: ObservableFunction, psi: np.ndarray, step=None) -> np.ndarray:
-    """``X_f`` at ``psi`` in canonical real coordinates, ``J grad f`` by central differences."""
-    return _apply_canonical_j(f.space, _fd_gradient(f, psi, step))
+def _fd_bracket(values, space: SymplecticSpace, psi: np.ndarray, step=None) -> np.ndarray:
+    """The FD kernel at ``psi``; ``values`` gives per state ``f`` in column 0, the ``u_k`` after."""
+    jac = _central_differences(values, space, to_real_coords(psi, space), step)
+    return _apply_canonical_j(space, jac[:, 0].real) @ jac[:, 1:]
+
+
+def _closed_form_field(f: ObservableFunction, states: np.ndarray) -> np.ndarray:
+    """``X_<A> = -(i/hbar) A psi`` at one state, or at every row of a matrix of states."""
+    return -1j / f.space.hbar * (states @ f.operator.matrix.T)
+
+
+def _use_closed_form(method: str, closed_form: bool) -> bool:
+    """The path rule of the module docstring: ``True`` for the closed form."""
+    if method not in ("auto", "finite_difference"):
+        raise ValueError(f"method must be 'auto' or 'finite_difference', not {method!r}")
+    return method == "auto" and closed_form
 
 
 def differential(f: ObservableFunction, psi, y, step=None) -> float:
@@ -230,13 +248,13 @@ def hamiltonian_vector_field(f: ObservableFunction, psi, step=None) -> np.ndarra
 
     Returned as a complex vector.  For ``f = <A>`` this is
     ``-(i/hbar) A psi`` exactly; otherwise the finite-difference gradient
-    is mapped through the canonical form.
+    is mapped through the canonical form, ``X_f = J grad f``.
     """
     v = _as_complex_vector(psi)
     f.space.check_dim(v, "state")
     if f.operator is not None:
-        return -1j / f.space.hbar * f.operator.apply(v)
-    return from_real_coords(_fd_field(f, v, step), f.space)
+        return _closed_form_field(f, v)
+    return from_real_coords(_apply_canonical_j(f.space, _fd_gradient(f, v, step)), f.space)
 
 
 def _require_same_space(f: ObservableFunction, g) -> None:
@@ -251,21 +269,19 @@ def poisson_bracket(f: ObservableFunction, g: ObservableFunction, psi,
     When both functions are expectation forms the closed expression
     ``(2/hbar) Im <A psi | B psi>`` is used, which makes
     ``i*hbar*{<A>,<B>}(psi)`` equal to ``<psi|[A,B]|psi>``.  Otherwise the
-    bracket is the pairing ``grad(f)^T J grad(g)`` of finite-difference
-    gradients in canonical real coordinates.
+    bracket is ``df(X_g)`` from the finite-difference kernel, which takes the
+    gradients of ``g`` and ``f`` in canonical real coordinates from one pass.
 
-    ``method`` may force a backend: ``"analytic"`` (expectation inputs
-    only) or ``"finite_difference"``.
+    ``method`` is ``"auto"`` or ``"finite_difference"``, which forces the
+    finite-difference backend.
     """
     _require_same_space(f, g)
     v = _as_complex_vector(psi)
     f.space.check_dim(v, "state")
-    analytic = f.operator is not None and g.operator is not None
-    if method == "analytic" and not analytic:
-        raise ValueError("analytic bracket requires two expectation observables")
-    if analytic and method != "finite_difference":
+    if _use_closed_form(method, f.operator is not None and g.operator is not None):
         return (2.0 / f.space.hbar) * hermitian_inner(f.operator.apply(v), g.operator.apply(v)).imag
-    return float(_fd_gradient(f, v, step) @ _fd_field(g, v, step))
+    return float(_fd_bracket(lambda s: np.column_stack(
+        [_observable_values(g, s), _observable_values(f, s)]), f.space, v, step)[0])
 
 
 def complex_bracket(f: ObservableFunction, u: ComplexFunction, psi,
@@ -275,26 +291,16 @@ def complex_bracket(f: ObservableFunction, u: ComplexFunction, psi,
     For a coordinate functional ``u = <phi|.>`` and ``f = <A>`` this is
     exactly ``<phi, -(i/hbar) A psi>``, so that
     ``i*hbar*complex_bracket(<A>, u_n, psi) = a_n u_n(psi)`` whenever
-    ``phi`` is an eigenvector of ``A``.  Generic inputs differentiate
-    ``u`` by central finite differences along the (analytic or numeric)
-    field ``X_f``, all ``4n`` perturbed states evaluated in one batch.
+    ``phi`` is an eigenvector of ``A``.  Any other pair, or
+    ``method="finite_difference"``, takes the FD kernel.
     """
     _require_same_space(f, u)
     v = _as_complex_vector(psi)
     f.space.check_dim(v, "state")
-    if method == "analytic" and (f.operator is None or u.vector is None):
-        raise ValueError("analytic complex bracket requires an expectation observable "
-                         "and a coordinate functional")
-    use_fd = method == "finite_difference"
-    if f.operator is not None and not use_fd:
-        field = -1j / f.space.hbar * f.operator.apply(v)
-    else:
-        field = from_real_coords(_fd_field(f, v, step), f.space)
-    if u.vector is not None and not use_fd:
-        return hermitian_inner(u.vector, field)
-    jac = _central_differences(lambda s: _complex_values(u, s), f.space,
-                               to_real_coords(v, f.space), step)
-    return complex(to_real_coords(field, f.space) @ jac)
+    if _use_closed_form(method, f.operator is not None and u.vector is not None):
+        return hermitian_inner(u.vector, _closed_form_field(f, v))
+    return complex(_fd_bracket(lambda s: np.column_stack(
+        [_observable_values(f, s), _complex_values(u, s)]), f.space, v, step)[0])
 
 
 @dataclass(frozen=True)

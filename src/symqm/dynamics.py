@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import ComplexFunction, ObservableFunction, _observable_values, hamiltonian_vector_field
+from .brackets import (ComplexFunction, ObservableFunction, _complex_values, _observable_values,
+                       hamiltonian_vector_field)
 from .errors import (
     DimensionMismatchError,
     MethodUnsupportedError,
@@ -373,15 +374,12 @@ def phase_evolution_residual(u: ComplexFunction, a: float, traj: Trajectory) -> 
     holds along the flow of ``f`` and grows to order one when ``a`` is
     wrong.  This is :func:`phase_residuals` for the one coordinate ``u``: a
     coordinate functional ``u = <phi|.>`` is evaluated on all stored steps
-    by matrix products, a generic ``u`` by one call per step.
+    by one product, a generic ``u`` by one call per step.
     """
-    hbar = u.space.hbar
-    if u.vector is not None:
-        u.space.check_dim(traj.states[0], "state")
-        return float(phase_residuals(traj.states, u.vector[:, None], [a], traj.times, hbar)[0])
-    # A generic u's values are its own coordinates in the one-vector basis (1).
-    values = np.array([[u(psi)] for psi in traj.states], dtype=complex)
-    return float(phase_residuals(values, np.ones((1, 1)), [a], traj.times, hbar)[0])
+    u.space.check_dim(traj.states[0], "state")
+    # The values of u are their own coordinates in the one-vector basis (1).
+    values = _complex_values(u, traj.states)[:, None]
+    return float(phase_residuals(values, np.ones((1, 1)), [a], traj.times, u.space.hbar)[0])
 
 
 def spectral_deviation(traj: Trajectory, spectral: SpectralData, hbar: float) -> float:

@@ -21,6 +21,7 @@ tests arbitrary candidate maps ``Phi``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,11 +30,11 @@ from .brackets import (
     BRACKET_REPORT_STEP,
     ComplexFunction,
     ObservableFunction,
-    _apply_canonical_j,
-    _central_differences,
-    _fd_field,
+    _closed_form_field,
+    _fd_bracket,
     _largest,
     _observable_values,
+    _use_closed_form,
 )
 from .errors import DimensionMismatchError, NormalizationError, PreconditionFailedError
 from .operators import (
@@ -50,7 +51,6 @@ from .spaces import (
     StatePoint,
     SymplecticSpace,
     _as_complex_vector,
-    to_real_coords,
 )
 
 __all__ = [
@@ -77,6 +77,8 @@ class QuantumFunction:
 
     ``f`` backs flows and brackets; :meth:`value` evaluates the defining
     sum ``sum_n a_n |u_n|^2`` directly from the quantum coordinates.
+    ``coords_fn``, all ``u_n`` as one call, is read only when some ``u_n``
+    is a generic function; else the ``u_n`` vectors are the one source.
     """
 
     space: SymplecticSpace
@@ -105,26 +107,25 @@ class QuantumFunction:
 
     def quantum_coordinates(self, xi) -> np.ndarray:
         """The vector ``(u_1(xi), ..., u_n(xi))``."""
-        v = _as_complex_vector(xi)
-        if self.coords_fn is not None:
-            return np.asarray(self.coords_fn(v), dtype=complex)
-        return np.array([u(v) for u in self.eigenfunctions], dtype=complex)
+        return _coordinate_rows(self, _as_complex_vector(xi))
 
-    def coordinate_matrix(self) -> np.ndarray | None:
-        """The vectors ``phi_n`` of coordinate eigenfunctions ``u_n = <phi_n|.>``.
-
-        Returned as the columns of a new ``(dim, size)`` array, so
-        ``psi.conj() @ U`` holds every ``conj(u_n(psi))``; ``None`` when
-        some ``u_n`` is a generic function.
-        """
+    @cached_property
+    def _coordinate_vectors(self) -> np.ndarray | None:
         if any(u.vector is None for u in self.eigenfunctions):
             return None
-        return np.column_stack([u.vector for u in self.eigenfunctions])
+        basis = np.column_stack([u.vector for u in self.eigenfunctions])
+        basis.setflags(write=False)
+        return basis
+
+    def coordinate_matrix(self) -> np.ndarray | None:
+        """The ``phi_n`` of ``u_n = <phi_n|.>`` as the columns ``U`` of a read-only array built
+        once: ``psi.conj() @ U`` holds each ``conj(u_n(psi))``; ``None`` if a ``u_n`` is generic."""
+        return self._coordinate_vectors
 
     @property
     def operator_backed(self) -> bool:
         """``f = <A>`` and every ``u_n`` a coordinate functional: the closed forms apply."""
-        return self.f.operator is not None and all(u.vector is not None for u in self.eigenfunctions)
+        return self.f.operator is not None and self.coordinate_matrix() is not None
 
     def value(self, xi) -> float:
         """Evaluate the defining sum ``sum_n a_n |u_n(xi)|^2``."""
@@ -158,8 +159,6 @@ def from_operator(a: HermitianOperator, space: SymplecticSpace) -> QuantumFuncti
         stationary_states=stationary,
         f=ObservableFunction.expectation_of(a, space),
         degenerate_flag=spectral.degenerate_flag,
-        # conj(v^H B) equals B^H v without conjugating all of B per call.
-        coords_fn=lambda v, b=basis: (v.conj() @ b).conj(),
     )
 
 
@@ -229,46 +228,49 @@ class AxiomReport:
         }
 
 
-def _coordinate_rows(qf: QuantumFunction, basis, states: np.ndarray) -> np.ndarray:
-    """Every ``u_n`` at every row of ``states``: one product with ``basis``, else a call per row."""
+def _coordinate_rows(qf: QuantumFunction, states: np.ndarray) -> np.ndarray:
+    """Every ``u_n`` at one state or at every row of ``states``: one product with the
+    coordinate matrix, else a call of ``coords_fn`` (or of each ``u_n``) per row."""
+    basis = qf.coordinate_matrix()
     if basis is not None:
         return (states.conj() @ basis).conj()
-    return np.array([qf.quantum_coordinates(psi) for psi in states], dtype=complex)
+    per_row = qf.coords_fn or (lambda v: [u(v) for u in qf.eigenfunctions])
+    coords = _map_rows(per_row, np.atleast_2d(states), qf.size)
+    return coords.reshape(states.shape[:-1] + (qf.size,))
 
 
-def _sampled_rows(qf: QuantumFunction, basis, samples: int, seed: int):
+def _sampled_rows(qf: QuantumFunction, samples: int, seed: int):
     """The core both verifications share: ``samples`` seeded unit states as the rows of
     one matrix, their quantum coordinates and the value residual ``|f - sum_n a_n |u_n|^2|``."""
     states = random_unit_states(qf.space.complex_dim, seed, samples)
-    coords = _coordinate_rows(qf, basis, states)
+    coords = _coordinate_rows(qf, states)
     weights = np.sum(qf.eigenvalues * np.abs(coords) ** 2, axis=1)
     return states, coords, np.abs(_observable_values(qf.f, states) - weights)
 
 
-def _flow_residual(qf: QuantumFunction, basis, states, coords, analytic: bool) -> float:
+def _flow_residual(qf: QuantumFunction, states, coords, analytic: bool) -> float:
     """Max of ``|i*hbar*{f, u_n} - a_n u_n|`` over the rows of ``states`` and every ``n``.
 
-    Analytic: ``X_f = -(i/hbar) A psi`` for all rows from one product ``S A^T``, then ``U``.
-    Otherwise, from values of ``f`` alone: one central-difference gradient of
-    ``f`` and one Jacobian of the ``u_n`` per row, step ``BRACKET_REPORT_STEP``.
+    Analytic: the linear ``u_n`` at ``X_f = -(i/hbar) A psi``, for all rows
+    from one product each.  Otherwise, from values of ``f`` and the ``u_n``
+    alone: the finite-difference kernel per row, step ``BRACKET_REPORT_STEP``.
     """
     if analytic:
-        field = -1j / qf.space.hbar * (states @ qf.f.operator.matrix.T)
-        brackets = (field.conj() @ basis).conj()
+        brackets = _coordinate_rows(qf, _closed_form_field(qf.f, states))
     else:
-        brackets = np.array([
-            _fd_field(qf.f, psi, BRACKET_REPORT_STEP) @ _central_differences(
-                lambda s: _coordinate_rows(qf, basis, s), qf.space,
-                to_real_coords(psi, qf.space), BRACKET_REPORT_STEP)
-            for psi in states], dtype=complex).reshape(coords.shape)
+        def values(s: np.ndarray) -> np.ndarray:
+            return np.column_stack([_observable_values(qf.f, s), _coordinate_rows(qf, s)])
+
+        brackets = np.array([_fd_bracket(values, qf.space, psi, BRACKET_REPORT_STEP)
+                             for psi in states], dtype=complex).reshape(coords.shape)
     return _largest(np.abs(1j * qf.space.hbar * brackets - qf.eigenvalues * coords))
 
 
-def _stationary_blocks(qf: QuantumFunction, basis):
+def _stationary_blocks(qf: QuantumFunction):
     """``(rows, xi, u(xi) - e)`` for the stationary states ``xi_m``, ``m`` in one block of rows."""
     for rows in _row_blocks(qf.size):
         xi = np.array([_as_complex_vector(x) for x in qf.stationary_states[rows]])
-        yield rows, xi, _coordinate_rows(qf, basis, xi) - np.eye(len(xi), qf.size, rows.start)
+        yield rows, xi, _coordinate_rows(qf, xi) - np.eye(len(xi), qf.size, rows.start)
 
 
 def verify_axioms(qf: QuantumFunction, samples: int, seed: int,
@@ -278,37 +280,34 @@ def verify_axioms(qf: QuantumFunction, samples: int, seed: int,
 
     ``method`` selects the bracket backend: ``"auto"`` picks the analytic
     path when the quantum function is operator-backed, else central finite
-    differences (step ``1e-5``).  The samples, their coordinates and value
+    differences (step ``1e-5``), which ``"finite_difference"`` forces; the
+    report names the path taken.  The samples, their coordinates and value
     residuals come from the core shared with :func:`verify_reconstruction`;
     every ``i*hbar*{f, u_n}`` is compared with ``a_n u_n``, the analytic
     ones (``X_f(psi) = -(i/hbar) A psi``) as products over all samples.
     This report reduces by max-abs, normalization as ``|sum_n |u_n|^2 - 1|``.
     A NaN residual fails.
     """
-    basis = qf.coordinate_matrix()
-    if method == "auto":
-        method = "analytic" if qf.operator_backed else "finite_difference"
-    if method == "analytic" and not qf.operator_backed:
-        raise ValueError("analytic axiom verification requires an operator-backed quantum function")
+    analytic = _use_closed_form(method, qf.operator_backed)
     if tol is None:
-        tol = AxiomTolerances() if method == "analytic" else AxiomTolerances.finite_difference()
+        tol = AxiomTolerances() if analytic else AxiomTolerances.finite_difference()
 
-    states, coords, value = _sampled_rows(qf, basis, samples, seed)
+    states, coords, value = _sampled_rows(qf, samples, seed)
     stationary_delta = stationary_value = 0.0
-    for rows, xi, offsets in _stationary_blocks(qf, basis):
+    for rows, xi, offsets in _stationary_blocks(qf):
         stationary_delta = np.maximum(stationary_delta, _largest(np.abs(offsets)))
         stationary_value = np.maximum(stationary_value, _largest(
             np.abs(_observable_values(qf.f, xi) - qf.eigenvalues[rows])))
 
     return AxiomReport(
         decomposition=_largest(value),
-        bracket=_flow_residual(qf, basis, states, coords, method == "analytic"),
+        bracket=_flow_residual(qf, states, coords, analytic),
         normalization=_largest(np.abs(np.sum(np.abs(coords) ** 2, axis=1) - 1.0)),
         stationary_delta=float(stationary_delta),
         stationary_value=float(stationary_value),
         samples=int(samples),
         seed=int(seed),
-        method=method,
+        method="analytic" if analytic else "finite_difference",
         degenerate_flag=qf.degenerate_flag,
         tolerances=tol,
     )
@@ -370,26 +369,24 @@ def verify_reconstruction(qf: QuantumFunction, traj, samples: int = 100,
     residual is ``abs(norm(u) - 1)`` and the stationary one
     ``norm(u(xi_m) - e_m)``, which needs no value of ``f``.
     """
-    basis = qf.coordinate_matrix()
-
-    image0 = _coordinate_rows(qf, basis, traj.states[:1])[0]
+    image0 = _coordinate_rows(qf, traj.states[:1])[0]
     elapsed = traj.times - traj.times[0]
     intertwining = 0.0
     for rows in _row_blocks(len(traj)):
         evolved = _evolved_coefficients(image0, qf.eigenvalues, elapsed[rows], qf.space.hbar)
-        drift = np.linalg.norm(_coordinate_rows(qf, basis, traj.states[rows]) - evolved, axis=1)
+        drift = np.linalg.norm(_coordinate_rows(qf, traj.states[rows]) - evolved, axis=1)
         intertwining = np.maximum(intertwining, _largest(drift))
 
-    states, coords, value = _sampled_rows(qf, basis, samples, seed)
+    states, coords, value = _sampled_rows(qf, samples, seed)
     stationary = 0.0
-    for _, _, offsets in _stationary_blocks(qf, basis):
+    for _, _, offsets in _stationary_blocks(qf):
         stationary = np.maximum(stationary, _largest(np.linalg.norm(offsets, axis=1)))
 
     return ReconstructionReport(
         intertwining_residual=float(intertwining),
         flow_equation_residual_analytic=(
-            _flow_residual(qf, basis, states, coords, True) if qf.operator_backed else None),
-        flow_equation_residual_fd=_flow_residual(qf, basis, states, coords, False),
+            _flow_residual(qf, states, coords, True) if qf.operator_backed else None),
+        flow_equation_residual_fd=_flow_residual(qf, states, coords, False),
         value_residual=_largest(value),
         norm_residual=_largest(np.abs(np.linalg.norm(coords, axis=1) - 1.0)),
         stationary_residual=float(stationary),
@@ -399,35 +396,31 @@ def verify_reconstruction(qf: QuantumFunction, traj, samples: int = 100,
     )
 
 
-def _map_callable(phi) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda v: np.asarray(phi(v), dtype=complex)
+def _map_rows(phi, states, dim: int) -> np.ndarray:
+    """``phi`` at every row of ``states``, as the rows of one array; a wrong shape raises."""
+    images = [np.asarray(phi(psi), dtype=complex) for psi in states]
+    wrong = [img.shape for img in images if img.shape != (dim,)]
+    if wrong:
+        raise DimensionMismatchError(f"map output has shape {wrong[0]}, expected ({dim},)")
+    return np.array(images).reshape(len(images), dim)
 
 
-def _image_pass(a: HermitianOperator, phi_fn, space: SymplecticSpace, samples: int, seed: int):
+def _image_pass(a: HermitianOperator, phi, space: SymplecticSpace, samples: int, seed: int):
     """The sample matrix, ``Phi`` at its rows, and the worst ``abs(norm(Phi) - 1)``."""
     states = random_unit_states(space.complex_dim, seed, samples)
-    images = [phi_fn(psi) for psi in states]
-    wrong = [img.shape for img in images if img.shape != (a.dim,)]
-    if wrong:
-        raise DimensionMismatchError(f"map output has shape {wrong[0]}, "
-                                     f"operator has dimension {a.dim}")
-    images = np.array(images, dtype=complex).reshape(len(states), a.dim)
+    images = _map_rows(phi, states, a.dim)
     return states, images, _largest(np.abs(np.linalg.norm(images, axis=1) - 1.0))
 
 
-def _qfe_equation(a: HermitianOperator, phi_fn, space: SymplecticSpace, states, images) -> float:
+def _qfe_equation(a: HermitianOperator, phi, space: SymplecticSpace, states, images) -> float:
     """Max of ``|i*hbar*{<Phi|A|Phi>, Phi} - A Phi|`` over the rows of ``states``."""
     def induced_and_images(rows: np.ndarray) -> np.ndarray:
         # Column 0 holds <Phi|A|Phi>, the others Phi, per perturbed state.
-        out = np.array([phi_fn(v) for v in rows], dtype=complex)
+        out = _map_rows(phi, rows, a.dim)
         return np.column_stack([expectations(a, out), out])
 
-    def bracket_row(psi: np.ndarray) -> np.ndarray:
-        jac = _central_differences(induced_and_images, space, to_real_coords(psi, space),
-                                   BRACKET_REPORT_STEP)
-        return _apply_canonical_j(space, jac[:, 0].real) @ jac[:, 1:]
-
-    brackets = np.array([bracket_row(psi) for psi in states], dtype=complex)
+    brackets = np.array([_fd_bracket(induced_and_images, space, psi, BRACKET_REPORT_STEP)
+                         for psi in states], dtype=complex)
     return _largest(np.abs(1j * space.hbar * brackets.reshape(images.shape) - images @ a.matrix.T))
 
 
@@ -438,19 +431,16 @@ def qfe_residual(a: HermitianOperator, phi, space: SymplecticSpace,
 
     ``phi`` maps unit states of ``space`` to unit vectors of the operator's
     Hilbert space (checked on the samples to ``norm_tol``).  The bracket of
-    the induced observable with each component of ``phi`` is computed by
-    central differences: ``phi`` is evaluated once at each of the ``4n``
-    perturbed states of a sample, and both the gradient of the induced
-    observable and the Jacobian of ``phi`` come from those images.  The
-    residual is the max over components and samples.
+    the induced observable with each component of ``phi`` is the FD kernel
+    of :mod:`symqm.brackets`, with ``phi`` evaluated once per perturbed
+    state.  The residual is the max over components and samples.
     """
-    phi_fn = _map_callable(phi)
-    states, images, worst_norm = _image_pass(a, phi_fn, space, samples, seed)
+    states, images, worst_norm = _image_pass(a, phi, space, samples, seed)
     if not worst_norm <= norm_tol:
         raise NormalizationError(
             f"map violates unit-norm output by {worst_norm:.3e} (tolerance {norm_tol:.1e})"
         )
-    return _qfe_equation(a, phi_fn, space, states, images)
+    return _qfe_equation(a, phi, space, states, images)
 
 
 def quantum_function_from_qfe(a: HermitianOperator, phi, xi_n: Sequence,
@@ -465,31 +455,30 @@ def quantum_function_from_qfe(a: HermitianOperator, phi, xi_n: Sequence,
     The resulting eigenfunctions are the expansion coefficients of ``Phi``
     in the eigenbasis of ``A``.  A NaN residual fails its check.
     """
-    phi_fn = _map_callable(phi)
     spectral = spectral_decompose(a)
     if len(xi_n) != a.dim:
         raise DimensionMismatchError(
             f"expected {a.dim} stationary states, got {len(xi_n)}"
         )
 
-    states, images, worst_norm = _image_pass(a, phi_fn, space, samples, seed)
+    states, images, worst_norm = _image_pass(a, phi, space, samples, seed)
     if not worst_norm <= tol:
         raise PreconditionFailedError("normalization", worst_norm)
 
     basis = spectral.eigenvectors
     # Phi(xi_k) against psi_k, each up to the global phase of <psi_k|Phi(xi_k)>.
-    matched = np.array([phi_fn(_as_complex_vector(xi)) for xi in xi_n]).T
+    matched = _map_rows(phi, [_as_complex_vector(xi) for xi in xi_n], a.dim).T
     phases = np.exp(1j * np.angle(np.sum(basis.conj() * matched, axis=0)))
     worst_match = _largest(np.linalg.norm(matched * phases.conj() - basis, axis=0))
     if not worst_match <= tol:
         raise PreconditionFailedError("stationary-state match", worst_match)
 
-    equation_residual = _qfe_equation(a, phi_fn, space, states, images)
+    equation_residual = _qfe_equation(a, phi, space, states, images)
     if not equation_residual <= tol:
         raise PreconditionFailedError("quantum-function equation", equation_residual)
 
     def coords_fn(v: np.ndarray, b=basis) -> np.ndarray:
-        return b.conj().T @ phi_fn(v)
+        return b.conj().T @ phi(v)
 
     eigenfunctions = tuple(
         ComplexFunction.from_callable(
@@ -498,7 +487,7 @@ def quantum_function_from_qfe(a: HermitianOperator, phi, xi_n: Sequence,
         for k in range(a.dim)
     )
     induced = ObservableFunction.from_callable(
-        lambda v: quadratic_form(a, phi_fn(v)).real, space, label="induced"
+        lambda v: quadratic_form(a, phi(v)).real, space, label="induced"
     )
     return QuantumFunction(
         space=space,

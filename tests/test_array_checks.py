@@ -24,6 +24,7 @@ import symqm.operators
 import symqm.quantum_function
 from symqm import (
     ComplexFunction,
+    complex_bracket,
     IntegratorConfig,
     ObservableFunction,
     SymplecticSpace,
@@ -37,6 +38,7 @@ from symqm import (
     phase_residuals,
     poisson_bracket,
     quantum_function_from_qfe,
+    reconstruction_map,
     spectral_decompose,
     spectral_deviation,
     to_real_coords,
@@ -439,16 +441,48 @@ def test_report_reductions_match_reference(n):
 def test_intertwining_reads_coordinates_from_the_eigenfunctions():
     space = SymplecticSpace(3)
     qf = from_operator(make_hermitian(random_hermitian(3, 0)), space)
-    # Stretch u_0 but keep coords_fn, so the two coordinate sources disagree.
+    # Stretch u_0; with no coords_fn the u_n vectors are the one coordinate source.
     stretched = ComplexFunction.coordinate(1.5 * qf.eigenfunctions[0].vector, space)
     qf = dataclasses.replace(qf, eigenfunctions=(stretched,) + qf.eigenfunctions[1:])
-    assert qf.coords_fn is not None
+    assert qf.coords_fn is None
     traj = integrate(qf.f, np.ones(3) / np.sqrt(3), IntegratorConfig("exact", 0.01, 300))
     rec = verify_reconstruction(qf, traj)
     # Every row, the first included, comes from the u_n vectors, so the
     # stretch is intertwined exactly; the norm check still sees it.
     assert rec.intertwining_residual <= 1e-14
     assert rec.norm_residual > 0.1
+
+
+def test_coordinates_have_one_source():
+    space = SymplecticSpace(3)
+    qf = from_operator(make_hermitian(random_hermitian(3, 0)), space)
+    stretched = ComplexFunction.coordinate(1.5 * qf.eigenfunctions[0].vector, space)
+    skewed = dataclasses.replace(qf, eigenfunctions=(stretched,) + qf.eigenfunctions[1:])
+    psi = random_unit_state(3, 1, 0)
+    for read in (lambda q: q.quantum_coordinates(psi), lambda q: reconstruction_map(q)(psi)):
+        assert abs(read(skewed)[0]) / abs(read(qf)[0]) == pytest.approx(1.5, rel=1e-12)
+    c0 = qf.quantum_coordinates(psi)[0]
+    assert skewed.value(psi) == pytest.approx(
+        qf.value(psi) + 1.25 * qf.eigenvalues[0] * abs(c0) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", (2, 5))
+def test_fd_brackets_take_one_difference_pass(monkeypatch, n):
+    calls = _counting(monkeypatch, [symqm.brackets], "_central_differences")
+    space = SymplecticSpace(n, hbar=0.7)
+    qf = from_operator(_operator(n, 130 + n), space)
+    g = ObservableFunction.expectation_of(_operator(n, 131 + n), space)
+    psi = random_unit_state(n, 132, 0)
+    poisson_bracket(qf.f, g, psi, method="finite_difference")
+    assert len(calls) == 1
+    complex_bracket(qf.f, qf.eigenfunctions[0], psi, method="finite_difference")
+    assert len(calls) == 2
+    # One pass per sample of the flow residual gives grad f and every Jac(u_n).
+    traj = integrate(qf.f, psi, IntegratorConfig("cayley", 1e-2, 5))
+    verify_reconstruction(qf, traj, samples=6, seed=1)
+    assert len(calls) == 8
+    verify_axioms(qf, 4, seed=1, method="finite_difference")
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("n", SIZES)

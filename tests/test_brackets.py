@@ -11,10 +11,12 @@ from symqm import (
     commutator,
     complex_bracket,
     differential,
+    from_operator,
     hamiltonian_vector_field,
     make_hermitian,
     poisson_bracket,
     quadratic_form,
+    verify_axioms,
 )
 from symqm.errors import DimensionMismatchError
 from symqm.sampling import random_hermitian, random_unit_state
@@ -191,6 +193,35 @@ def test_complex_bracket_backends_agree():
         analytic = complex_bracket(f, u, psi)
         numeric = complex_bracket(f, u, psi, method="finite_difference", step=1e-5)
         assert abs(analytic - numeric) <= 1e-6 * (1 + np.linalg.norm(a.matrix, 2))
+
+
+@pytest.mark.parametrize("method", ["fd", "finite-difference", "analytic"])
+def test_bracket_method_accepts_only_auto_and_finite_difference(method):
+    f = ObservableFunction.expectation_of(X, SPACE)
+    g = ObservableFunction.expectation_of(Y, SPACE)
+    u = ComplexFunction.coordinate([1, 0], SPACE)
+    psi = random_unit_state(2, 3)
+    with pytest.raises(ValueError, match="method"):
+        poisson_bracket(f, g, psi, method=method)
+    with pytest.raises(ValueError, match="method"):
+        complex_bracket(f, u, psi, method=method)
+    with pytest.raises(ValueError, match="method"):
+        verify_axioms(from_operator(Z, SPACE), 5, 0, method=method)
+
+
+@pytest.mark.parametrize("n", (2, 5))
+def test_complex_bracket_of_a_generic_function_matches_the_closed_form(n):
+    # <A> has a closed form and u does not, so "auto" takes the FD kernel.
+    space = SymplecticSpace(n, hbar=0.7)
+    a = make_hermitian(random_hermitian(n, 510 + n))
+    f = ObservableFunction.expectation_of(a, space)
+    phi = random_unit_state(n, 511, n)
+    coordinate = ComplexFunction.coordinate(phi, space)
+    generic = ComplexFunction.from_callable(lambda v: np.vdot(phi, v), space)
+    for i in range(5):
+        psi = random_unit_state(n, 512, i)
+        closed = complex_bracket(f, coordinate, psi)
+        assert abs(complex_bracket(f, generic, psi) - closed) <= 1e-6 * (1 + np.linalg.norm(a.matrix, 2))
 
 
 def test_bracket_commutator_report_same_operator():
