@@ -1,14 +1,16 @@
 """Differentials, Hamiltonian vector fields and Poisson brackets.
 
 Expectation-value functions ``<A>`` and coordinate functionals ``<phi|.>``
-get closed forms; any other function falls back to central finite
-differences (FD) on the canonical real coordinates.  :func:`poisson_bracket`,
-:func:`complex_bracket` and ``verify_axioms`` take the closed form iff
-``method="auto"`` and every function has one (an ``operator``, a ``vector``,
-``operator_backed``); ``"finite_difference"`` forces FD, and any other value
-raises ``ValueError``.  Every FD bracket is the kernel
-``du_k(X_f) = (J grad f) . Jac(u_k)``, one central-difference pass over
-values, never a closed form: the paths check each other in the bracket report.
+get closed forms, each written once over the rows of a ``(rows, n)`` matrix
+of states: the single-state functions are its one-row case.  Any other
+function falls back to central finite differences (FD) on the canonical real
+coordinates.  :func:`poisson_bracket`, :func:`complex_bracket` and
+``verify_axioms`` take the closed form iff ``method="auto"`` and every
+function has one (an ``operator``, a ``vector``, ``operator_backed``);
+``"finite_difference"`` forces FD, and any other value raises ``ValueError``.
+Every FD bracket is the kernel ``du_k(X_f) = (J grad f) . Jac(u_k)``, one
+central-difference pass over values, never a closed form: the paths check
+each other in the bracket report.
 
 Conventions (all consequences of the sign fixed in :mod:`symqm.spaces`):
 
@@ -32,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .operators import HermitianOperator, commutator, expectation, expectations
+from .operators import HermitianOperator, commutator, expectations
 from .sampling import random_unit_states
 from .spaces import (
     SymplecticSpace,
@@ -97,9 +99,7 @@ class ObservableFunction:
     def __call__(self, psi) -> float:
         v = _as_complex_vector(psi)
         self.space.check_dim(v, "state")
-        if self.operator is not None:
-            return expectation(self.operator, v)
-        return float(self.func(v))
+        return float(_observable_values(self, v[None])[0])
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,7 @@ class ComplexFunction:
     def __call__(self, psi) -> complex:
         v = _as_complex_vector(psi)
         self.space.check_dim(v, "state")
-        if self.vector is not None:
-            return hermitian_inner(self.vector, v)
-        return complex(self.func(v))
+        return complex(_complex_values(self, v[None])[0])
 
 
 def _largest(residuals) -> float:
@@ -163,7 +161,7 @@ def _central_differences(values, space: SymplecticSpace, x: np.ndarray, step=Non
     """Central differences of a function of the canonical real coordinates.
 
     The ``2m`` points ``x +- h_i e_i`` (``m = 2n``) are the rows of one
-    ``(2m, m)`` array, turned into complex states by one array operation.
+    ``(2m, m)`` array, turned into complex states by one :func:`from_real_coords`.
     ``values`` maps that ``(2m, n)`` stack to a real or complex value (or
     row of values) per state; row ``i`` of the result is
     ``(values(x + h_i e_i) - values(x - h_i e_i)) / (2 h_i)``.
@@ -174,8 +172,7 @@ def _central_differences(values, space: SymplecticSpace, x: np.ndarray, step=Non
     diag = np.arange(m)
     points[diag, diag] += h
     points[m + diag, diag] -= h
-    n, s = space.complex_dim, space.coord_scale
-    rows = values(points[:, :n] / s + 1j * (points[:, n:] / s))
+    rows = values(from_real_coords(points, space))
     diff = rows[:m] - rows[m:]
     width = (2.0 * h).reshape((m,) + (1,) * (diff.ndim - 1))
     if np.iscomplexobj(diff):  # Re and Im each divided as a real function's
@@ -184,22 +181,22 @@ def _central_differences(values, space: SymplecticSpace, x: np.ndarray, step=Non
 
 
 def _observable_values(f: ObservableFunction, states: np.ndarray) -> np.ndarray:
-    """``f`` at every row of ``states``: one guarded product for ``<A>``, else a call per row."""
+    """``f`` at every row of ``states``: one guarded product for ``<A>``, else ``f.func`` per row."""
     if f.operator is not None:
         return expectations(f.operator, states)
-    return np.array([f(psi) for psi in states], dtype=float)
+    return np.array([float(f.func(psi)) for psi in states], dtype=float)
 
 
 def _complex_values(u: ComplexFunction, states: np.ndarray) -> np.ndarray:
-    """``u`` at every row of ``states``: one product for ``<phi|.>``, else a call per row."""
+    """``u`` at every row of ``states``: one product for ``<phi|.>``, else ``u.func`` per row."""
     if u.vector is not None:
         return (states.conj() @ u.vector).conj()
-    return np.array([u(psi) for psi in states], dtype=complex)
+    return np.array([complex(u.func(psi)) for psi in states], dtype=complex)
 
 
-def _fd_gradient(f: ObservableFunction, psi: np.ndarray, step=None) -> np.ndarray:
+def _fd_gradient(f: ObservableFunction, psi: np.ndarray) -> np.ndarray:
     return _central_differences(lambda s: _observable_values(f, s), f.space,
-                                to_real_coords(psi, f.space), step)
+                                to_real_coords(psi, f.space))
 
 
 def _apply_canonical_j(space: SymplecticSpace, x: np.ndarray) -> np.ndarray:
@@ -219,6 +216,12 @@ def _closed_form_field(f: ObservableFunction, states: np.ndarray) -> np.ndarray:
     return -1j / f.space.hbar * (states @ f.operator.matrix.T)
 
 
+def _closed_form_brackets(f: ObservableFunction, g: ObservableFunction, states: np.ndarray) -> np.ndarray:
+    """``{<A>, <B>} = (2/hbar) Im <A psi | B psi>`` per row; ``A psi`` is a row of ``states @ A^T``."""
+    return (2.0 / f.space.hbar) * np.einsum(
+        "ki,ki->k", (states @ f.operator.matrix.T).conj(), states @ g.operator.matrix.T).imag
+
+
 def _use_closed_form(method: str, closed_form: bool) -> bool:
     """The path rule of the module docstring: ``True`` for the closed form."""
     if method not in ("auto", "finite_difference"):
@@ -226,7 +229,7 @@ def _use_closed_form(method: str, closed_form: bool) -> bool:
     return method == "auto" and closed_form
 
 
-def differential(f: ObservableFunction, psi, y, step=None) -> float:
+def differential(f: ObservableFunction, psi, y) -> float:
     """The differential ``df`` at ``psi`` applied to the direction ``y``.
 
     Expectation functions use the exact formula ``2 Re <A psi | y>``;
@@ -239,11 +242,11 @@ def differential(f: ObservableFunction, psi, y, step=None) -> float:
         raise DimensionMismatchError(f"direction length {w.shape[0]} != state length {v.shape[0]}")
     if f.operator is not None:
         return 2.0 * hermitian_inner(f.operator.apply(v), w).real
-    grad = _fd_gradient(f, v, step)
+    grad = _fd_gradient(f, v)
     return float(grad @ to_real_coords(w, f.space))
 
 
-def hamiltonian_vector_field(f: ObservableFunction, psi, step=None) -> np.ndarray:
+def hamiltonian_vector_field(f: ObservableFunction, psi) -> np.ndarray:
     """The vector field ``X_f`` with ``Omega(X_f, Y) = df(Y)`` for all ``Y``.
 
     Returned as a complex vector.  For ``f = <A>`` this is
@@ -254,7 +257,7 @@ def hamiltonian_vector_field(f: ObservableFunction, psi, step=None) -> np.ndarra
     f.space.check_dim(v, "state")
     if f.operator is not None:
         return _closed_form_field(f, v)
-    return from_real_coords(_apply_canonical_j(f.space, _fd_gradient(f, v, step)), f.space)
+    return from_real_coords(_apply_canonical_j(f.space, _fd_gradient(f, v)), f.space)
 
 
 def _require_same_space(f: ObservableFunction, g) -> None:
@@ -279,7 +282,7 @@ def poisson_bracket(f: ObservableFunction, g: ObservableFunction, psi,
     v = _as_complex_vector(psi)
     f.space.check_dim(v, "state")
     if _use_closed_form(method, f.operator is not None and g.operator is not None):
-        return (2.0 / f.space.hbar) * hermitian_inner(f.operator.apply(v), g.operator.apply(v)).imag
+        return float(_closed_form_brackets(f, g, v[None])[0])
     return float(_fd_bracket(lambda s: np.column_stack(
         [_observable_values(g, s), _observable_values(f, s)]), f.space, v, step)[0])
 
@@ -298,7 +301,7 @@ def complex_bracket(f: ObservableFunction, u: ComplexFunction, psi,
     v = _as_complex_vector(psi)
     f.space.check_dim(v, "state")
     if _use_closed_form(method, f.operator is not None and u.vector is not None):
-        return hermitian_inner(u.vector, _closed_form_field(f, v))
+        return complex(_complex_values(u, _closed_form_field(f, v)[None])[0])
     return complex(_fd_bracket(lambda s: np.column_stack(
         [_observable_values(f, s), _complex_values(u, s)]), f.space, v, step)[0])
 
@@ -339,9 +342,7 @@ def bracket_commutator_report(a: HermitianOperator, b: HermitianOperator,
     g = ObservableFunction.expectation_of(b, space)
     states = random_unit_states(space.complex_dim, seed, samples)
     target = np.einsum("ki,ki->k", states.conj(), states @ commutator(a, b).T)
-    # Row k of states @ A^T is A psi_k: {<A>,<B>} = (2/hbar) Im <A psi | B psi>.
-    analytic = (2.0 / space.hbar) * np.einsum(
-        "ki,ki->k", (states @ a.matrix.T).conj(), states @ b.matrix.T).imag
+    analytic = _closed_form_brackets(f, g, states)
     fd = np.array([poisson_bracket(f, g, psi, method="finite_difference", step=BRACKET_REPORT_STEP)
                    for psi in states])
     ih = 1j * space.hbar

@@ -1,9 +1,9 @@
 """Command-line drivers: verify | evolve | bracket | reconstruct.
 
-Each command loads a scenario file, runs its checks, writes a
-deterministic JSON report (and CSV trajectory where applicable) into the
-output directory, and exits 0 when every residual is within tolerance,
-1 on failed checks, 2 on usage or configuration errors.
+Each command loads a scenario file, runs its checks (writing a CSV
+trajectory where applicable) and returns its report; ``_run`` writes every
+deterministic JSON report into the output directory and exits 0 when every
+residual is within tolerance, 1 on failed checks, 2 on usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .quantum_function import (
     verify_reconstruction,
 )
 from .reports import write_report, write_trajectory_csv
+from .sampling import random_unit_states
 from .scenario import Scenario, load_scenario
 
 __all__ = ["main"]
@@ -92,42 +93,39 @@ def _bracket_section(scenario: Scenario, quiet: bool) -> dict:
             "checks": checks, "passed": all(checks.values())}
 
 
-def _cmd_verify(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
+def _nonfinite_state(traj, quiet: bool) -> dict:
+    """The first stored row whose state is not finite, and its time, printed; ``{}`` if none."""
+    rows = np.flatnonzero(~np.isfinite(traj.norms))  # the norm is not finite where the state is not
+    rows = rows[~np.isfinite(traj.states[rows]).all(axis=1)]
+    if not rows.size:
+        return {}
+    row, t = int(rows[0]), float(traj.times[rows[0]])
+    if not quiet:
+        print(f"state not finite from stored row {row} (t={t:.6g})")
+    return {"first_nonfinite_state": {"row": row, "t": t}}
+
+
+def _cmd_verify(scenario: Scenario, out_dir: Path, quiet: bool) -> dict:
     qf = from_operator(scenario.operator, scenario.space)
     axioms = verify_axioms(qf, scenario.samples, scenario.seed,
                            _axiom_tolerances(scenario))
     _judge(quiet, "axiom", {name: (getattr(axioms, name), tol)
                             for name, tol in asdict(axioms.tolerances).items()})
-    report = {
-        "command": "verify",
-        "scenario": scenario.resolved_dict(),
-        "axioms": axioms.as_dict(),
-    }
-    passed = axioms.passed
+    report = {"axioms": axioms.as_dict(), "passed": axioms.passed}
     if scenario.second_operator is not None:
-        section = _bracket_section(scenario, quiet)
-        report["bracket_commutator"] = section
-        passed = passed and section["passed"]
-    report["passed"] = passed
-    write_report(report, out_dir / scenario.outputs.get("report", "verify_report.json"))
-    return 0 if passed else 1
+        report["bracket_commutator"] = _bracket_section(scenario, quiet)
+        report["passed"] = axioms.passed and report["bracket_commutator"]["passed"]
+    return report
 
 
-def _cmd_bracket(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
+def _cmd_bracket(scenario: Scenario, out_dir: Path, quiet: bool) -> dict:
     if scenario.second_operator is None:
         raise ScenarioError("the bracket command requires this field", "second_operator")
     section = _bracket_section(scenario, quiet)
-    report = {
-        "command": "bracket",
-        "scenario": scenario.resolved_dict(),
-        "bracket_commutator": section,
-        "passed": section["passed"],
-    }
-    write_report(report, out_dir / scenario.outputs.get("report", "bracket_report.json"))
-    return 0 if section["passed"] else 1
+    return {"bracket_commutator": section, "passed": section["passed"]}
 
 
-def _cmd_evolve(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
+def _cmd_evolve(scenario: Scenario, out_dir: Path, quiet: bool) -> dict:
     spectral = spectral_decompose(scenario.operator)
     f = ObservableFunction.expectation_of(scenario.operator, scenario.space)
     traj = integrate(f, scenario.initial_state, scenario.integrator)
@@ -147,9 +145,7 @@ def _cmd_evolve(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     csv_path = out_dir / scenario.outputs.get("trajectory", "trajectory.csv")
     write_trajectory_csv(traj, csv_path)
 
-    report = {
-        "command": "evolve",
-        "scenario": scenario.resolved_dict(),
+    return {
         "deviation_from_exact": deviation,
         "diagnostics": asdict(diagnostics),
         "phase_evolution": {
@@ -157,11 +153,10 @@ def _cmd_evolve(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
             "residuals": [float(r) for r in residuals],
         },
         "trajectory_file": csv_path.name,
+        **_nonfinite_state(traj, quiet),
         "checks": checks,
         "passed": all(checks.values()),
     }
-    write_report(report, out_dir / scenario.outputs.get("report", "evolve_report.json"))
-    return 0 if report["passed"] else 1
 
 
 def _phi_candidate(scenario: Scenario, qf):
@@ -174,7 +169,7 @@ def _phi_candidate(scenario: Scenario, qf):
     return lambda v: constant
 
 
-def _cmd_reconstruct(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
+def _cmd_reconstruct(scenario: Scenario, out_dir: Path, quiet: bool) -> dict:
     qf = from_operator(scenario.operator, scenario.space)
     traj = integrate(qf.f, scenario.initial_state, scenario.integrator)
     rec = verify_reconstruction(qf, traj, samples=scenario.samples, seed=scenario.seed)
@@ -197,17 +192,14 @@ def _cmd_reconstruct(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     checks["qfe"] = qfe <= scenario.tolerance("qfe")
     _emit(quiet, f"qfe[{scenario.phi_map}]", qfe, scenario.tolerance("qfe"), checks["qfe"])
 
-    report = {
-        "command": "reconstruct",
-        "scenario": scenario.resolved_dict(),
+    return {
         "reconstruction": asdict(rec),
         "qfe": {"phi_map": scenario.phi_map, "residual": qfe},
         "degenerate_flag": qf.degenerate_flag,
+        **_nonfinite_state(traj, quiet),
         "checks": checks,
         "passed": all(checks.values()),
     }
-    write_report(report, out_dir / scenario.outputs.get("report", "reconstruct_report.json"))
-    return 0 if report["passed"] else 1
 
 
 _COMMANDS = {
@@ -219,16 +211,21 @@ _COMMANDS = {
 
 
 def _run(command: str, scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    """Run one command; a flow that fails to converge fails it with an error report."""
+    """Run one command and write its report, 0 iff it passed; a flow that fails to converge
+    writes an error report.  Overflow shows as non-finite residuals, not numpy warnings."""
     try:
-        return _COMMANDS[command](scenario, out_dir, quiet)
+        with np.errstate(over="ignore", invalid="ignore"):
+            body = _COMMANDS[command](scenario, out_dir, quiet)
     except NonConvergenceError as exc:
-        report = {"command": command, "scenario": scenario.resolved_dict(), "passed": False,
-                  "error": {"type": "NonConvergence", "step": exc.step, "iterations": exc.iterations}}
-        write_report(report, out_dir / scenario.outputs.get("report", f"{command}_report.json"))
         if not quiet:
             print(f"integrator failed to converge at step {exc.step}")
-        return 1
+        body = {"passed": False,
+                "error": {"type": "NonConvergence", "step": exc.step, "iterations": exc.iterations}}
+    finally:
+        random_unit_states.cache_clear()
+    report = {"command": command, "scenario": scenario.resolved_dict(), **body}
+    write_report(report, out_dir / scenario.outputs.get("report", f"{command}_report.json"))
+    return 0 if report["passed"] else 1
 
 
 def main(argv=None) -> int:

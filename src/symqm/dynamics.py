@@ -37,8 +37,8 @@ from .errors import (
 from .operators import (
     _ROW_BLOCK,
     SpectralData,
-    _evolved_coefficients,
     _row_blocks,
+    _spectral_drift,
     spectral_decompose,
 )
 from .spaces import StatePoint, _as_complex_vector
@@ -346,23 +346,15 @@ def phase_residuals(states, basis, eigenvalues, times, hbar: float) -> np.ndarra
     The coordinates are ``C = states @ basis.conj()``, so ``C[k, n]`` is
     ``u_n(xi(t_k)) = <phi_n|xi(t_k)>`` for the columns ``phi_n`` of
     ``basis``.  Returns, for every ``n``,
-    ``max_k |u_n(xi(t_k)) - exp(-i a_n (t_k - t_0) / hbar) u_n(xi(t_0))|``.
-    ``C`` and the phases are formed per block of stored steps, one product
-    per block; a NaN coordinate makes its residual NaN.
+    ``max_k |u_n(xi(t_k)) - exp(-i a_n (t_k - t_0) / hbar) u_n(xi(t_0))|``,
+    the column maxima of the drift of ``operators._spectral_drift``; a NaN
+    coordinate makes its residual NaN.
     """
-    s = np.asarray(states, dtype=complex)
     v = np.asarray(basis, dtype=complex)
-    a = np.asarray(eigenvalues, dtype=float)
-    elapsed = np.asarray(times, dtype=float)
-    elapsed = elapsed - elapsed[0]
-    residuals = np.zeros(a.shape[0])
-    c0 = None
-    for rows in _row_blocks(s.shape[0]):
-        coords = (s[rows].conj() @ v).conj()
-        if c0 is None:  # from the same product, so the t_0 row cancels exactly
-            c0 = coords[0].copy()
-        evolved = _evolved_coefficients(c0, a, elapsed[rows], hbar)
-        residuals = np.maximum(residuals, np.max(np.abs(coords - evolved), axis=0))
+    residuals = np.zeros(v.shape[1])
+    for drift in _spectral_drift(lambda block: (block.conj() @ v).conj(),
+                                 np.asarray(states, dtype=complex), eigenvalues, times, hbar):
+        residuals = np.maximum(residuals, np.max(np.abs(drift), axis=0))
     return residuals
 
 

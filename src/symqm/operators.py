@@ -57,6 +57,19 @@ def _evolved_coefficients(coeffs, eigenvalues, elapsed, hbar: float) -> np.ndarr
     return coeffs * np.exp(-1j * a * (np.asarray(elapsed, dtype=float)[:, None] / float(hbar)))
 
 
+def _spectral_drift(coordinates, states: np.ndarray, eigenvalues, times, hbar: float):
+    """Yield ``C - exp(-i a (t - t_0) / hbar) C_0`` per block of ``_ROW_BLOCK`` rows of ``states``,
+    ``C = coordinates(block)`` their eigen-coordinates; ``C_0``, row 0 of the first
+    block's product, cancels the ``t_0`` row exactly, and a NaN coordinate stays NaN."""
+    elapsed = np.asarray(times, dtype=float) - float(times[0])
+    c0 = None
+    for rows in _row_blocks(states.shape[0]):
+        coords = coordinates(states[rows])
+        if c0 is None:
+            c0 = coords[0].copy()
+        yield coords - _evolved_coefficients(c0, eigenvalues, elapsed[rows], hbar)
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """A validated ``n x n`` complex Hermitian matrix.
@@ -219,31 +232,25 @@ def quadratic_form(mx, psi) -> complex:
     return complex(np.vdot(v, m @ v))
 
 
-def _imaginary_tolerance(a) -> float:
+def _imaginary_tolerance(a: HermitianOperator) -> float:
     """``1e-12 * (1 + max|A|)``, the largest imaginary part an expectation of a unit state may carry."""
-    max_norm = a.max_norm if isinstance(a, HermitianOperator) else float(np.max(np.abs(_as_matrix(a))))
-    return 1e-12 * (1.0 + max_norm)
+    return 1e-12 * (1.0 + a.max_norm)
 
 
 def expectation(a: HermitianOperator, psi) -> float:
-    """The real expectation value ``<psi | A psi>``.
-
-    The imaginary part must vanish to ``1e-12 * (1 + max|A|) * max(1, ||psi||^2)``
-    (its round-off grows with ``||psi||^2``, so a growing flow passes); a larger
-    residue indicates a corrupted operator and raises.
-    """
-    value = quadratic_form(a, psi)
-    if abs(value.imag) > _imaginary_tolerance(a) * max(1.0, np.linalg.norm(_as_complex_vector(psi)) ** 2):
-        raise NonHermitianError(abs(value.imag), "expectation value has a nonzero imaginary part")
-    return value.real
+    """The real expectation value ``<psi | A psi>``: :func:`expectations` at one row."""
+    return float(expectations(a, _as_complex_vector(psi)[None])[0])
 
 
 def expectations(a: HermitianOperator, states: np.ndarray) -> np.ndarray:
-    """:func:`expectation` at every row of ``states``, from one product ``states A^T``.
+    """The real ``<psi | A psi>`` of every row of ``states``, from one product ``states A^T``.
 
-    The first row whose imaginary part exceeds the tolerance raises; the norms
-    are computed only if a row exceeds the tolerance of a unit state.
+    An imaginary part above ``1e-12 * (1 + max|A|) * max(1, ||psi||^2)`` (round-off grows
+    with ``||psi||^2``, so a growing flow passes) means a corrupted operator: the first such
+    row raises.  The norms are computed only if a row exceeds the tolerance of a unit state.
     """
+    if states.shape[-1] != a.dim:
+        raise DimensionMismatchError(f"states have length {states.shape[-1]}, operator has dimension {a.dim}")
     values = np.einsum("ki,ki->k", states.conj(), states @ a.matrix.T)
     residue = np.abs(values.imag)
     bad = residue > _imaginary_tolerance(a)

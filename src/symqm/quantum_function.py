@@ -39,8 +39,8 @@ from .brackets import (
 from .errors import DimensionMismatchError, NormalizationError, PreconditionFailedError
 from .operators import (
     HermitianOperator,
-    _evolved_coefficients,
     _row_blocks,
+    _spectral_drift,
     expectations,
     make_hermitian,
     quadratic_form,
@@ -369,13 +369,10 @@ def verify_reconstruction(qf: QuantumFunction, traj, samples: int = 100,
     residual is ``abs(norm(u) - 1)`` and the stationary one
     ``norm(u(xi_m) - e_m)``, which needs no value of ``f``.
     """
-    image0 = _coordinate_rows(qf, traj.states[:1])[0]
-    elapsed = traj.times - traj.times[0]
     intertwining = 0.0
-    for rows in _row_blocks(len(traj)):
-        evolved = _evolved_coefficients(image0, qf.eigenvalues, elapsed[rows], qf.space.hbar)
-        drift = np.linalg.norm(_coordinate_rows(qf, traj.states[rows]) - evolved, axis=1)
-        intertwining = np.maximum(intertwining, _largest(drift))
+    for drift in _spectral_drift(lambda block: _coordinate_rows(qf, block), traj.states,
+                                 qf.eigenvalues, traj.times, qf.space.hbar):
+        intertwining = np.maximum(intertwining, _largest(np.linalg.norm(drift, axis=1)))
 
     states, coords, value = _sampled_rows(qf, samples, seed)
     stationary = 0.0
@@ -425,20 +422,19 @@ def _qfe_equation(a: HermitianOperator, phi, space: SymplecticSpace, states, ima
 
 
 def qfe_residual(a: HermitianOperator, phi, space: SymplecticSpace,
-                 samples: int = 100, seed: int = 0,
-                 norm_tol: float = UNIT_STATE_TOL) -> float:
+                 samples: int = 100, seed: int = 0) -> float:
     """Max residual of ``i*hbar*{<Phi|A|Phi>, Phi} = A Phi`` on sampled states.
 
     ``phi`` maps unit states of ``space`` to unit vectors of the operator's
-    Hilbert space (checked on the samples to ``norm_tol``).  The bracket of
+    Hilbert space (checked on the samples to ``UNIT_STATE_TOL``).  The bracket of
     the induced observable with each component of ``phi`` is the FD kernel
     of :mod:`symqm.brackets`, with ``phi`` evaluated once per perturbed
     state.  The residual is the max over components and samples.
     """
     states, images, worst_norm = _image_pass(a, phi, space, samples, seed)
-    if not worst_norm <= norm_tol:
+    if not worst_norm <= UNIT_STATE_TOL:
         raise NormalizationError(
-            f"map violates unit-norm output by {worst_norm:.3e} (tolerance {norm_tol:.1e})"
+            f"map violates unit-norm output by {worst_norm:.3e} (tolerance {UNIT_STATE_TOL:.1e})"
         )
     return _qfe_equation(a, phi, space, states, images)
 

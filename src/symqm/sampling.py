@@ -7,6 +7,8 @@ the serial output exactly.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["random_unit_state", "random_unit_states", "random_hermitian"]
@@ -25,10 +27,14 @@ def random_unit_state(n: int, seed, index=None) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+# Pure in its arguments, so the checks of one command share a draw; ``cli._run`` clears the cache.
+@functools.lru_cache(maxsize=8)
 def random_unit_states(n: int, seed, count: int) -> np.ndarray:
-    """The ``(count, n)`` matrix whose row ``i`` is ``random_unit_state(n, seed, i)``."""
+    """The read-only ``(count, n)`` matrix whose row ``i`` is ``random_unit_state(n, seed, i)``."""
     rows = [random_unit_state(n, seed, i) for i in range(int(count))]
-    return np.array(rows, dtype=complex).reshape(int(count), n)
+    states = np.array(rows, dtype=complex).reshape(int(count), n)
+    states.setflags(write=False)
+    return states
 
 
 def random_hermitian(n: int, seed, index=None, norm_bound=None) -> np.ndarray:

@@ -150,7 +150,7 @@ def to_real_coords(psi, space: SymplecticSpace) -> np.ndarray:
 
 
 def from_real_coords(x, space: SymplecticSpace) -> np.ndarray:
-    """Inverse of :func:`to_real_coords`.
+    """Inverse of :func:`to_real_coords`, for one vector or a ``(k, 2n)`` stack of rows.
 
     The round trip is exact whenever ``sqrt(2*hbar)`` is a power of two
     (e.g. ``hbar`` = 0.5 or 2); for other values of ``hbar`` each component
@@ -158,13 +158,13 @@ def from_real_coords(x, space: SymplecticSpace) -> np.ndarray:
     value-faithful scaling can do.
     """
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != space.real_dim:
+    if arr.ndim not in (1, 2) or arr.shape[-1] != space.real_dim:
         raise DimensionMismatchError(
-            f"expected a real vector of length {space.real_dim}, got shape {arr.shape}"
+            f"expected real vectors of length {space.real_dim}, got shape {arr.shape}"
         )
     n = space.complex_dim
     s = space.coord_scale
-    return arr[:n] / s + 1j * (arr[n:] / s)
+    return arr[..., :n] / s + 1j * (arr[..., n:] / s)
 
 
 def hermitian_inner(v, w) -> complex:

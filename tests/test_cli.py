@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import symqm.sampling
 from symqm.cli import main
+from symqm.sampling import random_unit_states
 
 
 def _scenario(tmp_path, extra=None, name="scenario.json"):
@@ -128,7 +130,6 @@ def test_growing_flow_fails_with_a_report(tmp_path, capsys):
     assert report["diagnostics"]["max_norm_drift"] > 1e6
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_flow_report_is_json(tmp_path):
     assert _run("evolve", _unstable_rk4(tmp_path, 5.0, 2000), tmp_path / "out") == 1
     text = (tmp_path / "out" / "evolve_report.json").read_text()
@@ -139,6 +140,51 @@ def test_overflowing_flow_report_is_json(tmp_path):
     assert np.isnan(report["diagnostics"]["max_norm_drift"])
     # The trajectory CSV keeps the spelling of "%.17g".
     assert ",nan," in (tmp_path / "out" / "trajectory.csv").read_text()
+
+
+@pytest.mark.parametrize("command", ["evolve", "reconstruct"])
+def test_overflowing_flow_warns_nothing_and_names_the_row(tmp_path, command):
+    # A separate process, so that any numpy warning would reach its stderr.
+    scenario = _unstable_rk4(tmp_path, 5.0, 2000)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-m", "symqm.cli", command, "--scenario", str(scenario),
+                          "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    assert out.returncode == 1
+    assert out.stderr == ""
+    assert "state not finite from stored row 372 (t=1860)" in out.stdout
+    report = json.loads((tmp_path / "out" / f"{command}_report.json").read_text())
+    # The norm column overflows to inf first (row 186); the state itself at row 372.
+    assert report["first_nonfinite_state"] == {"row": 372, "t": 1860}
+
+
+def test_finite_flow_report_has_no_nonfinite_row(tmp_path):
+    scenario = _scenario(tmp_path)
+    for command in ("evolve", "reconstruct"):
+        assert _run(command, scenario, tmp_path / command) == 0
+        report = json.loads((tmp_path / command / f"{command}_report.json").read_text())
+        assert "first_nonfinite_state" not in report
+
+
+def test_each_command_draws_its_samples_once(tmp_path, monkeypatch):
+    # verify (axioms and bracket report) and reconstruct (reconstruction and
+    # QFE residual) sample the same states; one command draws them once.
+    calls = []
+    draw = symqm.sampling.random_unit_state
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(symqm.sampling, "random_unit_state", counted)
+    random_unit_states.cache_clear()
+    scenario = _scenario(tmp_path, {"second_operator": "X0"})
+    for command in ("verify", "reconstruct"):
+        calls.clear()
+        assert _run(command, scenario, tmp_path / command) == 0
+        assert len(calls) == 30  # the scenario's samples
+        # The draw does not outlive its command.
+        assert random_unit_states.cache_info().currsize == 0
 
 
 def test_reconstruct_pass(tmp_path):

@@ -9,7 +9,9 @@ independent reference, and checked for the group law and unitarity.
 Midpoint and Cayley conserve the quadratic invariants norm and ``<H>``
 (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, 2006) up to
 the solver tolerance.  The Poisson bracket is antisymmetric, satisfies
-Jacobi and Leibniz, and brackets every ``<A>`` with ``<I>`` to zero.
+Jacobi and Leibniz, and brackets every ``<A>`` with ``<I>`` to zero.  The
+U(1) reduction: ``<I>`` also brackets every ``|u_n|^2`` to zero, and
+``i*hbar*{<I>, u_n} = u_n``.
 Hypothesis runs derandomized and without an example database, so every
 run draws the same cases.
 """
@@ -25,9 +27,11 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from symqm import (
+    ComplexFunction,
     IntegratorConfig,
     ObservableFunction,
     SymplecticSpace,
+    complex_bracket,
     integrate,
     make_hermitian,
     parse_operator_expr,
@@ -345,3 +349,39 @@ def test_poisson_bracket_leibniz_for_generic_observables(n, seed, hbar, step):
            + g(psi) * poisson_bracket(f, h, psi, step=step))
     scale = (1.0 + a.spectral_norm) * (1.0 + b.spectral_norm) * (1.0 + c.spectral_norm) / hbar
     assert abs(lhs - rhs) <= _fd_tolerance(step, scale)
+
+
+# The U(1) reduction.  <I> generates the global phase psi -> exp(-i t/hbar) psi:
+# it commutes with every |u_n|^2 and turns each coordinate u_n = <phi_n|.> at
+# unit rate.  The default FD step is about sqrt(eps) per coordinate.
+DEFAULT_STEP = float(np.sqrt(np.finfo(float).eps))
+
+
+def _u1_case(n, seed, hbar):
+    space = SymplecticSpace(n, hbar=hbar)
+    norm = ObservableFunction.expectation_of(make_hermitian(np.eye(n)), space)
+    phi = spectral_decompose(make_hermitian(random_hermitian(n, seed))).eigenvectors[:, seed % n]
+    return space, norm, phi, random_unit_state(n, seed, 1)
+
+
+@SEEDED
+@given(n=dims, seed=seeds, hbar=hbars)
+def test_squared_coordinates_commute_with_the_norm(n, seed, hbar):
+    space, norm, phi, psi = _u1_case(n, seed, hbar)
+    # A generic callable, so the bracket takes the FD path.
+    weight = ObservableFunction.from_callable(lambda v: abs(np.vdot(phi, v)) ** 2, space)
+    scale = 1.0 + 1.0 / hbar
+    for step in (None, 1e-5):
+        bracket = poisson_bracket(weight, norm, psi, step=step)
+        assert abs(bracket) <= _fd_tolerance(step or DEFAULT_STEP, scale)
+
+
+@SEEDED
+@given(n=dims, seed=seeds, hbar=hbars)
+def test_norm_turns_every_coordinate_at_unit_rate(n, seed, hbar):
+    space, norm, phi, psi = _u1_case(n, seed, hbar)
+    u = ComplexFunction.coordinate(phi, space)
+    assert abs(1j * hbar * complex_bracket(norm, u, psi) - u(psi)) <= 1e-14
+    for step in (None, 1e-5):
+        fd = complex_bracket(norm, u, psi, method="finite_difference", step=step)
+        assert abs(1j * hbar * fd - u(psi)) <= _fd_tolerance(step or DEFAULT_STEP, 1.0)

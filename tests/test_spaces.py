@@ -51,6 +51,19 @@ def test_from_real_coords_examples():
     np.testing.assert_array_equal(from_real_coords(np.zeros(4), sp), [0, 0])
 
 
+def test_from_real_coords_maps_each_row_of_a_stack():
+    sp = SymplecticSpace(3, hbar=0.7)
+    rows = np.random.default_rng(44).standard_normal((5, 6))
+    stacked = from_real_coords(rows, sp)
+    assert stacked.shape == (5, 3)
+    for x, psi in zip(rows, stacked):
+        np.testing.assert_array_equal(psi, from_real_coords(x, sp))
+    with pytest.raises(DimensionMismatchError):
+        from_real_coords(rows[:, :5], sp)
+    with pytest.raises(DimensionMismatchError):
+        from_real_coords(rows[None], sp)
+
+
 @pytest.mark.parametrize("hbar", [0.5, 2.0])
 def test_round_trip_bit_exact_power_of_two_scale(hbar):
     # sqrt(2*hbar) is a power of two here, so both scalings are exact.
