@@ -50,6 +50,7 @@ from .dynamics import (
 from .quantum_function import (
     QuantumFunction,
     ReconstructionMap,
+    RowwiseMap,
     AxiomTolerances,
     AxiomReport,
     ReconstructionReport,

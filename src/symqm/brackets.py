@@ -8,9 +8,13 @@ coordinates.  :func:`poisson_bracket`, :func:`complex_bracket` and
 ``verify_axioms`` take the closed form iff ``method="auto"`` and every
 function has one (an ``operator``, a ``vector``, ``operator_backed``);
 ``"finite_difference"`` forces FD, and any other value raises ``ValueError``.
-Every FD bracket is the kernel ``du_k(X_f) = (J grad f) . Jac(u_k)``, one
-central-difference pass over values, never a closed form: the paths check
-each other in the bracket report.
+Every FD bracket is the kernel ``_fd_bracket``: ``du(X)`` as one central
+difference along the field ``X`` at every row of a matrix of states.  FD
+paths (``"finite_difference"``, generic ``f``, the QFE) take ``X_f = J grad f``
+from one central-difference pass over ``f`` per state.  The reports that
+cross-check closed forms (the bracket report; ``verify_reconstruction`` for
+``f = <A>``) take the closed-form field and check it by FD on seeded ``r``,
+``dg(r) = Omega(X_g, r)``: Freivalds' check (IFIP Congress 1977).
 
 Conventions (all consequences of the sign fixed in :mod:`symqm.spaces`):
 
@@ -34,11 +38,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .operators import HermitianOperator, commutator, expectations
-from .sampling import random_unit_states
+from .operators import HermitianOperator, _coordinates, commutator, expectations
+from .sampling import random_unit_directions, random_unit_states
 from .spaces import (
     SymplecticSpace,
-    _as_complex_vector,
     from_real_coords,
     hermitian_inner,
     to_real_coords,
@@ -97,8 +100,7 @@ class ObservableFunction:
         return "expectation" if self.operator is not None else "generic"
 
     def __call__(self, psi) -> float:
-        v = _as_complex_vector(psi)
-        self.space.check_dim(v, "state")
+        v = self.space.check_dim(psi, "state")
         return float(_observable_values(self, v[None])[0])
 
 
@@ -119,8 +121,7 @@ class ComplexFunction:
         if (self.vector is None) == (self.func is None):
             raise ValueError("exactly one of vector= or func= must be given")
         if self.vector is not None:
-            v = _as_complex_vector(self.vector).copy()
-            self.space.check_dim(v, "coordinate vector")
+            v = self.space.check_dim(self.vector, "coordinate vector").copy()
             v.setflags(write=False)
             object.__setattr__(self, "vector", v)
 
@@ -137,8 +138,7 @@ class ComplexFunction:
         return "coordinate" if self.vector is not None else "generic"
 
     def __call__(self, psi) -> complex:
-        v = _as_complex_vector(psi)
-        self.space.check_dim(v, "state")
+        v = self.space.check_dim(psi, "state")
         return complex(_complex_values(self, v[None])[0])
 
 
@@ -152,32 +152,32 @@ def _largest(residuals) -> float:
 
 
 def _coordinate_steps(x: np.ndarray, step) -> np.ndarray:
-    if step is not None:
-        return np.full(x.shape, float(step))
-    return _SQRT_EPS * (1.0 + np.abs(x))
+    if step is None:
+        return _SQRT_EPS * (1.0 + np.abs(x))
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, not {step!r}")
+    return np.full(x.shape, float(step))
+
+
+def _difference_quotients(rows: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """``(rows[i] - rows[k + i]) / width[i]``: the values at ``k`` points ``+`` over those at ``-``."""
+    diff = rows[:len(width)] - rows[len(width):]
+    width = width.reshape(width.shape + (1,) * (diff.ndim - 1))
+    if np.iscomplexobj(diff):  # Re and Im each divided as a real function's
+        return diff.real / width + 1j * (diff.imag / width)
+    return diff / width
 
 
 def _central_differences(values, space: SymplecticSpace, x: np.ndarray, step=None) -> np.ndarray:
-    """Central differences of a function of the canonical real coordinates.
-
-    The ``2m`` points ``x +- h_i e_i`` (``m = 2n``) are the rows of one
-    ``(2m, m)`` array, turned into complex states by one :func:`from_real_coords`.
-    ``values`` maps that ``(2m, n)`` stack to a real or complex value (or
-    row of values) per state; row ``i`` of the result is
-    ``(values(x + h_i e_i) - values(x - h_i e_i)) / (2 h_i)``.
-    """
+    """Row ``i``: ``(values(x + h_i e_i) - values(x - h_i e_i)) / (2 h_i)`` at the real coordinates
+    ``x``, ``values`` giving a value (or row of values) per state of the one ``(4n, n)`` stack."""
     m = x.shape[0]
     h = _coordinate_steps(x, step)
     points = np.tile(x, (2 * m, 1))
     diag = np.arange(m)
     points[diag, diag] += h
     points[m + diag, diag] -= h
-    rows = values(from_real_coords(points, space))
-    diff = rows[:m] - rows[m:]
-    width = (2.0 * h).reshape((m,) + (1,) * (diff.ndim - 1))
-    if np.iscomplexobj(diff):  # Re and Im each divided as a real function's
-        return diff.real / width + 1j * (diff.imag / width)
-    return diff / width
+    return _difference_quotients(values(from_real_coords(points, space)), 2.0 * h)
 
 
 def _observable_values(f: ObservableFunction, states: np.ndarray) -> np.ndarray:
@@ -190,30 +190,40 @@ def _observable_values(f: ObservableFunction, states: np.ndarray) -> np.ndarray:
 def _complex_values(u: ComplexFunction, states: np.ndarray) -> np.ndarray:
     """``u`` at every row of ``states``: one product for ``<phi|.>``, else ``u.func`` per row."""
     if u.vector is not None:
-        return (states.conj() @ u.vector).conj()
+        return _coordinates(states, u.vector)
     return np.array([complex(u.func(psi)) for psi in states], dtype=complex)
 
 
-def _fd_gradient(f: ObservableFunction, psi: np.ndarray) -> np.ndarray:
-    return _central_differences(lambda s: _observable_values(f, s), f.space,
-                                to_real_coords(psi, f.space))
+def _fd_fields(values, space: SymplecticSpace, states: np.ndarray, step=None) -> np.ndarray:
+    """``X_f = J grad f``, ``J = [[0, I], [-I, 0]]``, at every row, by one FD pass of ``f`` each."""
+    grads = np.array([_central_differences(values, space, to_real_coords(psi, space), step)
+                      for psi in states]).reshape(len(states), 2, space.complex_dim)  # (q, p)
+    return from_real_coords(np.concatenate([grads[:, 1], -grads[:, 0]], axis=1), space)
 
 
-def _apply_canonical_j(space: SymplecticSpace, x: np.ndarray) -> np.ndarray:
-    """Multiply by ``J = [[0, I], [-I, 0]]`` without forming the matrix."""
-    n = space.complex_dim
-    return np.concatenate([x[n:], -x[:n]])
-
-
-def _fd_bracket(values, space: SymplecticSpace, psi: np.ndarray, step=None) -> np.ndarray:
-    """The FD kernel at ``psi``; ``values`` gives per state ``f`` in column 0, the ``u_k`` after."""
-    jac = _central_differences(values, space, to_real_coords(psi, space), step)
-    return _apply_canonical_j(space, jac[:, 0].real) @ jac[:, 1:]
+def _fd_bracket(values, space: SymplecticSpace, states, fields, step=None) -> np.ndarray:
+    """``du(X)`` at every row of ``states``, ``X`` that row of ``fields``, from one call of ``values``
+    (``u`` per state) over the stack; ``h X`` moves no coordinate by more than its step."""
+    size = np.maximum(space.coord_scale * np.abs(fields), np.finfo(float).tiny)
+    h = np.min(_coordinate_steps(space.coord_scale * np.abs(states), step) / size, axis=1)
+    shifts = h[:, None] * fields
+    return _difference_quotients(values(np.concatenate([states + shifts, states - shifts])), 2.0 * h)
 
 
 def _closed_form_field(f: ObservableFunction, states: np.ndarray) -> np.ndarray:
     """``X_<A> = -(i/hbar) A psi`` at one state, or at every row of a matrix of states."""
     return -1j / f.space.hbar * (states @ f.operator.matrix.T)
+
+
+def _checked_field(g: ObservableFunction, states: np.ndarray, seed: int):
+    """The closed-form ``X_g`` at every row, and the worst ``|dg(r) - 2 hbar Im <X_g|r>|`` over four
+    unit directions ``r`` per row drawn from ``seed``, ``dg(r)`` by FD at ``BRACKET_REPORT_STEP``."""
+    k, field = 4, _closed_form_field(g, states)
+    r = random_unit_directions(g.space.complex_dim, seed, k * len(states))
+    dg = _fd_bracket(lambda s: _observable_values(g, s), g.space, np.repeat(states, k, axis=0), r,
+                     BRACKET_REPORT_STEP)
+    omega = 2.0 * g.space.hbar * np.einsum("ki,ki->k", np.repeat(field, k, axis=0).conj(), r).imag
+    return field, _largest(np.abs(dg - omega))
 
 
 def _closed_form_brackets(f: ObservableFunction, g: ObservableFunction, states: np.ndarray) -> np.ndarray:
@@ -233,17 +243,12 @@ def differential(f: ObservableFunction, psi, y) -> float:
     """The differential ``df`` at ``psi`` applied to the direction ``y``.
 
     Expectation functions use the exact formula ``2 Re <A psi | y>``;
-    generic functions use central finite differences.
+    generic functions a central difference along ``y``.
     """
-    v = _as_complex_vector(psi)
-    w = _as_complex_vector(y)
-    f.space.check_dim(v, "state")
-    if v.shape != w.shape:
-        raise DimensionMismatchError(f"direction length {w.shape[0]} != state length {v.shape[0]}")
+    v, w = f.space.check_dim(psi, "state"), f.space.check_dim(y, "direction")
     if f.operator is not None:
         return 2.0 * hermitian_inner(f.operator.apply(v), w).real
-    grad = _fd_gradient(f, v)
-    return float(grad @ to_real_coords(w, f.space))
+    return float(_fd_bracket(lambda s: _observable_values(f, s), f.space, v[None], w[None])[0])
 
 
 def hamiltonian_vector_field(f: ObservableFunction, psi) -> np.ndarray:
@@ -253,16 +258,17 @@ def hamiltonian_vector_field(f: ObservableFunction, psi) -> np.ndarray:
     ``-(i/hbar) A psi`` exactly; otherwise the finite-difference gradient
     is mapped through the canonical form, ``X_f = J grad f``.
     """
-    v = _as_complex_vector(psi)
-    f.space.check_dim(v, "state")
+    v = f.space.check_dim(psi, "state")
     if f.operator is not None:
         return _closed_form_field(f, v)
-    return from_real_coords(_apply_canonical_j(f.space, _fd_gradient(f, v)), f.space)
+    return _fd_fields(lambda s: _observable_values(f, s), f.space, v[None])[0]
 
 
-def _require_same_space(f: ObservableFunction, g) -> None:
+def _shared_state(f: ObservableFunction, g, psi) -> np.ndarray:
+    """``psi`` as a state of the one space of ``f`` and ``g``."""
     if f.space.complex_dim != g.space.complex_dim or f.space.hbar != g.space.hbar:
         raise DimensionMismatchError("functions live on different spaces")
+    return f.space.check_dim(psi, "state")
 
 
 def poisson_bracket(f: ObservableFunction, g: ObservableFunction, psi,
@@ -272,19 +278,17 @@ def poisson_bracket(f: ObservableFunction, g: ObservableFunction, psi,
     When both functions are expectation forms the closed expression
     ``(2/hbar) Im <A psi | B psi>`` is used, which makes
     ``i*hbar*{<A>,<B>}(psi)`` equal to ``<psi|[A,B]|psi>``.  Otherwise the
-    bracket is ``df(X_g)`` from the finite-difference kernel, which takes the
-    gradients of ``g`` and ``f`` in canonical real coordinates from one pass.
+    bracket is ``df(X_g)``: one central difference of ``f`` along
+    ``X_g = J grad g``, whose gradient is one central-difference pass over ``g``.
 
     ``method`` is ``"auto"`` or ``"finite_difference"``, which forces the
     finite-difference backend.
     """
-    _require_same_space(f, g)
-    v = _as_complex_vector(psi)
-    f.space.check_dim(v, "state")
+    v = _shared_state(f, g, psi)
     if _use_closed_form(method, f.operator is not None and g.operator is not None):
         return float(_closed_form_brackets(f, g, v[None])[0])
-    return float(_fd_bracket(lambda s: np.column_stack(
-        [_observable_values(g, s), _observable_values(f, s)]), f.space, v, step)[0])
+    field = _fd_fields(lambda s: _observable_values(g, s), f.space, v[None], step)
+    return float(_fd_bracket(lambda s: _observable_values(f, s), f.space, v[None], field, step)[0])
 
 
 def complex_bracket(f: ObservableFunction, u: ComplexFunction, psi,
@@ -295,15 +299,13 @@ def complex_bracket(f: ObservableFunction, u: ComplexFunction, psi,
     exactly ``<phi, -(i/hbar) A psi>``, so that
     ``i*hbar*complex_bracket(<A>, u_n, psi) = a_n u_n(psi)`` whenever
     ``phi`` is an eigenvector of ``A``.  Any other pair, or
-    ``method="finite_difference"``, takes the FD kernel.
+    ``method="finite_difference"``, differences ``u`` along ``X_f = J grad f``.
     """
-    _require_same_space(f, u)
-    v = _as_complex_vector(psi)
-    f.space.check_dim(v, "state")
+    v = _shared_state(f, u, psi)
     if _use_closed_form(method, f.operator is not None and u.vector is not None):
         return complex(_complex_values(u, _closed_form_field(f, v)[None])[0])
-    return complex(_fd_bracket(lambda s: np.column_stack(
-        [_observable_values(f, s), _complex_values(u, s)]), f.space, v, step)[0])
+    field = _fd_fields(lambda s: _observable_values(f, s), f.space, v[None], step)
+    return complex(_fd_bracket(lambda s: _complex_values(u, s), f.space, v[None], field, step)[0])
 
 
 @dataclass(frozen=True)
@@ -311,7 +313,8 @@ class BracketCommutatorReport:
     """Max residual of ``i*hbar*{<A>,<B>} - <[A,B]>`` over sampled states.
 
     ``analytic_max`` uses the closed-form bracket, ``finite_difference_max``
-    the numeric backend with step :data:`BRACKET_REPORT_STEP`.  ``scale``
+    the FD kernel along ``X_<B>``, ``field_check_max`` that field's FD check,
+    both with step :data:`BRACKET_REPORT_STEP`.  ``scale``
     is ``1 + ||A||_2 ||B||_2``, the factor tolerances multiply.
     """
 
@@ -321,6 +324,7 @@ class BracketCommutatorReport:
     hbar: float
     analytic_max: float
     finite_difference_max: float
+    field_check_max: float
     scale: float
 
 
@@ -332,7 +336,8 @@ def bracket_commutator_report(a: HermitianOperator, b: HermitianOperator,
     Both the analytic and the finite-difference bracket backends are
     exercised; the report records the max residual of each.  Over the
     matrix of states, the analytic side and ``<psi|[A,B]|psi>`` are one
-    product each; :func:`poisson_bracket` runs once per sample.
+    product each; so is the FD side, ``d<A>(X_<B>)`` along the checked
+    closed-form ``X_<B>``.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"operator dimensions differ: {a.dim} vs {b.dim}")
@@ -343,10 +348,9 @@ def bracket_commutator_report(a: HermitianOperator, b: HermitianOperator,
     states = random_unit_states(space.complex_dim, seed, samples)
     target = np.einsum("ki,ki->k", states.conj(), states @ commutator(a, b).T)
     analytic = _closed_form_brackets(f, g, states)
-    fd = np.array([poisson_bracket(f, g, psi, method="finite_difference", step=BRACKET_REPORT_STEP)
-                   for psi in states])
+    field, field_check = _checked_field(g, states, seed)
+    fd = _fd_bracket(lambda s: _observable_values(f, s), space, states, field, BRACKET_REPORT_STEP)
     ih = 1j * space.hbar
-    scale = 1.0 + a.spectral_norm * b.spectral_norm
     return BracketCommutatorReport(
         dimension=a.dim,
         samples=int(samples),
@@ -354,5 +358,6 @@ def bracket_commutator_report(a: HermitianOperator, b: HermitianOperator,
         hbar=space.hbar,
         analytic_max=_largest(np.abs(ih * analytic - target)),
         finite_difference_max=_largest(np.abs(ih * fd - target)),
-        scale=float(scale),
+        field_check_max=field_check,
+        scale=float(1.0 + a.spectral_norm * b.spectral_norm),
     )

@@ -21,6 +21,7 @@ from .errors import NonConvergenceError, SymqmError, ScenarioError
 from .operators import spectral_decompose
 from .quantum_function import (
     AxiomTolerances,
+    RowwiseMap,
     from_operator,
     qfe_residual,
     reconstruction_map,
@@ -79,15 +80,13 @@ def _axiom_tolerances(scenario: Scenario) -> AxiomTolerances:
 
 
 def _bracket_section(scenario: Scenario, quiet: bool) -> dict:
-    report = bracket_commutator_report(
-        scenario.operator, scenario.second_operator, scenario.space,
-        scenario.samples, scenario.seed,
-    )
+    report = bracket_commutator_report(scenario.operator, scenario.second_operator, scenario.space,
+                                       scenario.samples, scenario.seed)
+    fd_tol = scenario.tolerance("bracket_finite_difference") * report.scale
     checks = _judge(quiet, "bracket_commutator", {
-        "analytic": (report.analytic_max,
-                     scenario.tolerance("bracket_analytic") * report.scale),
-        "finite_difference": (report.finite_difference_max,
-                              scenario.tolerance("bracket_finite_difference") * report.scale),
+        "analytic": (report.analytic_max, scenario.tolerance("bracket_analytic") * report.scale),
+        "finite_difference": (report.finite_difference_max, fd_tol),
+        "field_check": (report.field_check_max, fd_tol),
     })
     return {**asdict(report), "identity": "i*hbar*{<A>,<B>} = <[A,B]>",
             "checks": checks, "passed": all(checks.values())}
@@ -163,10 +162,10 @@ def _phi_candidate(scenario: Scenario, qf):
     if scenario.phi_map == "reconstruction":
         return reconstruction_map(qf)
     if scenario.phi_map == "identity":
-        return lambda v: np.asarray(v, dtype=complex)
+        return RowwiseMap(lambda rows: rows)
     constant = np.zeros(scenario.dimension, dtype=complex)
     constant[0] = 1.0
-    return lambda v: constant
+    return RowwiseMap(lambda rows: np.broadcast_to(constant, rows.shape))
 
 
 def _cmd_reconstruct(scenario: Scenario, out_dir: Path, quiet: bool) -> dict:
@@ -179,10 +178,11 @@ def _cmd_reconstruct(scenario: Scenario, out_dir: Path, quiet: bool) -> dict:
 
     # qf comes from an operator, so the analytic flow residual is never None.
     tol_an = scenario.tolerance("reconstruction_analytic")
+    tol_fd = scenario.tolerance("reconstruction_finite_difference")
     checks = _judge(quiet, "reconstruction", {
         "flow_equation_analytic": (rec.flow_equation_residual_analytic, tol_an),
-        "flow_equation_finite_difference": (
-            rec.flow_equation_residual_fd, scenario.tolerance("reconstruction_finite_difference")),
+        "flow_equation_finite_difference": (rec.flow_equation_residual_fd, tol_fd),
+        "field_check": (rec.field_check_residual, tol_fd),
         "value": (rec.value_residual, tol_an),
         "norm": (rec.norm_residual, tol_an),
         "stationary": (rec.stationary_residual, tol_an),

@@ -37,11 +37,12 @@ from .errors import (
 from .operators import (
     _ROW_BLOCK,
     SpectralData,
+    _coordinates,
     _row_blocks,
     _spectral_drift,
     spectral_decompose,
 )
-from .spaces import StatePoint, _as_complex_vector
+from .spaces import StatePoint
 
 __all__ = [
     "IntegratorConfig",
@@ -172,8 +173,7 @@ def exact_propagate(f: ObservableFunction, psi0, t: float) -> StatePoint:
     """
     if f.operator is None:
         raise MethodUnsupportedError("the spectral solution requires an expectation observable")
-    v = _as_complex_vector(psi0)
-    f.space.check_dim(v, "state")
+    v = f.space.check_dim(psi0, "state")
     return StatePoint(spectral_decompose(f.operator).propagate(v, [t], f.space.hbar)[0])
 
 
@@ -289,8 +289,7 @@ def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig) -> Trajectory:
     :attr:`Trajectory.energies`; for ``f = <A>`` they come from one
     matrix product per block of stored steps instead of a call per step.
     """
-    psi = _as_complex_vector(xi0).copy()
-    f.space.check_dim(psi, "initial state")
+    psi = f.space.check_dim(xi0, "initial state").copy()
 
     stored = cfg.steps // cfg.stride
     dt_store = cfg.dt * cfg.stride
@@ -352,7 +351,7 @@ def phase_residuals(states, basis, eigenvalues, times, hbar: float) -> np.ndarra
     """
     v = np.asarray(basis, dtype=complex)
     residuals = np.zeros(v.shape[1])
-    for drift in _spectral_drift(lambda block: (block.conj() @ v).conj(),
+    for drift in _spectral_drift(lambda block: _coordinates(block, v),
                                  np.asarray(states, dtype=complex), eigenvalues, times, hbar):
         residuals = np.maximum(residuals, np.max(np.abs(drift), axis=0))
     return residuals

@@ -46,6 +46,11 @@ def _row_blocks(count: int):
         yield slice(start, min(start + _ROW_BLOCK, count))
 
 
+def _coordinates(states: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``<phi_n|psi>`` for every row ``psi`` of ``states`` (or one state) and column ``phi_n`` of ``basis``."""
+    return (states.conj() @ basis).conj()
+
+
 def _evolved_coefficients(coeffs, eigenvalues, elapsed, hbar: float) -> np.ndarray:
     """Row ``k`` holds ``exp(-i a (t_k - t_0) / hbar) c_0`` for ``elapsed[k] = t_k - t_0``.
 
@@ -183,7 +188,7 @@ class SpectralData:
         product per block of ``_ROW_BLOCK`` rows.
         """
         v = self.eigenvectors
-        coeffs = (_as_complex_vector(psi0).conj() @ v).conj()
+        coeffs = _coordinates(_as_complex_vector(psi0), v)
         times = np.asarray(times, dtype=float)
         states = np.empty((times.shape[0], v.shape[0]), dtype=complex)
         for rows in _row_blocks(times.shape[0]):

@@ -30,8 +30,10 @@ from .brackets import (
     BRACKET_REPORT_STEP,
     ComplexFunction,
     ObservableFunction,
+    _checked_field,
     _closed_form_field,
     _fd_bracket,
+    _fd_fields,
     _largest,
     _observable_values,
     _use_closed_form,
@@ -39,6 +41,7 @@ from .brackets import (
 from .errors import DimensionMismatchError, NormalizationError, PreconditionFailedError
 from .operators import (
     HermitianOperator,
+    _coordinates,
     _row_blocks,
     _spectral_drift,
     expectations,
@@ -56,6 +59,7 @@ from .spaces import (
 __all__ = [
     "QuantumFunction",
     "ReconstructionMap",
+    "RowwiseMap",
     "AxiomTolerances",
     "AxiomReport",
     "ReconstructionReport",
@@ -233,7 +237,7 @@ def _coordinate_rows(qf: QuantumFunction, states: np.ndarray) -> np.ndarray:
     coordinate matrix, else a call of ``coords_fn`` (or of each ``u_n``) per row."""
     basis = qf.coordinate_matrix()
     if basis is not None:
-        return (states.conj() @ basis).conj()
+        return _coordinates(states, basis)
     per_row = qf.coords_fn or (lambda v: [u(v) for u in qf.eigenfunctions])
     coords = _map_rows(per_row, np.atleast_2d(states), qf.size)
     return coords.reshape(states.shape[:-1] + (qf.size,))
@@ -248,21 +252,15 @@ def _sampled_rows(qf: QuantumFunction, samples: int, seed: int):
     return states, coords, np.abs(_observable_values(qf.f, states) - weights)
 
 
-def _flow_residual(qf: QuantumFunction, states, coords, analytic: bool) -> float:
-    """Max of ``|i*hbar*{f, u_n} - a_n u_n|`` over the rows of ``states`` and every ``n``.
-
-    Analytic: the linear ``u_n`` at ``X_f = -(i/hbar) A psi``, for all rows
-    from one product each.  Otherwise, from values of ``f`` and the ``u_n``
-    alone: the finite-difference kernel per row, step ``BRACKET_REPORT_STEP``.
-    """
-    if analytic:
-        brackets = _coordinate_rows(qf, _closed_form_field(qf.f, states))
-    else:
-        def values(s: np.ndarray) -> np.ndarray:
-            return np.column_stack([_observable_values(qf.f, s), _coordinate_rows(qf, s)])
-
-        brackets = np.array([_fd_bracket(values, qf.space, psi, BRACKET_REPORT_STEP)
-                             for psi in states], dtype=complex).reshape(coords.shape)
+def _flow_residual(qf: QuantumFunction, states, coords, field=None, analytic=False) -> float:
+    """Max of ``|i*hbar*{f, u_n} - a_n u_n|`` over the rows of ``states`` and every ``n``, ``field``
+    the ``X_f`` per row: the linear ``u_n`` at it (default: the closed form) if ``analytic``, else the
+    FD kernel of the ``u_n`` along it (default: ``J grad f`` from ``f``), step ``BRACKET_REPORT_STEP``."""
+    if field is None:
+        field = _closed_form_field(qf.f, states) if analytic else _fd_fields(
+            lambda s: _observable_values(qf.f, s), qf.space, states, BRACKET_REPORT_STEP)
+    brackets = _coordinate_rows(qf, field) if analytic else _fd_bracket(
+        lambda s: _coordinate_rows(qf, s), qf.space, states, field, BRACKET_REPORT_STEP)
     return _largest(np.abs(1j * qf.space.hbar * brackets - qf.eigenvalues * coords))
 
 
@@ -301,7 +299,7 @@ def verify_axioms(qf: QuantumFunction, samples: int, seed: int,
 
     return AxiomReport(
         decomposition=_largest(value),
-        bracket=_flow_residual(qf, states, coords, analytic),
+        bracket=_flow_residual(qf, states, coords, analytic=analytic),
         normalization=_largest(np.abs(np.sum(np.abs(coords) ** 2, axis=1) - 1.0)),
         stationary_delta=float(stationary_delta),
         stationary_value=float(stationary_value),
@@ -313,20 +311,29 @@ def verify_axioms(qf: QuantumFunction, samples: int, seed: int,
     )
 
 
-@dataclass(frozen=True)
-class ReconstructionMap:
-    """The map ``xi -> (u_1(xi), ..., u_n(xi))`` into the recovered basis.
+class RowwiseMap:
+    """A map ``Phi`` declared row-wise: ``rows`` maps a ``(rows, n)`` matrix of states in one call."""
 
-    ``recovered_operator`` is the diagonal operator with the quantum
-    function's eigenvalues, whose expectation in the image reproduces the
-    quantum function's values.
+    def __init__(self, rows: Callable[[np.ndarray], np.ndarray]):
+        self.rows = rows
+
+    def __call__(self, xi) -> np.ndarray:  # the one-row case
+        return self.rows(_as_complex_vector(xi)[None])[0]
+
+
+@dataclass(frozen=True)
+class ReconstructionMap(RowwiseMap):
+    """The map ``xi -> (u_1(xi), ..., u_n(xi))`` into the recovered basis, row-wise.
+
+    ``recovered_operator`` is the diagonal operator with the quantum function's
+    eigenvalues, whose expectation in the image reproduces its values.
     """
 
     qf: QuantumFunction
     recovered_operator: HermitianOperator
 
-    def __call__(self, xi) -> np.ndarray:
-        return self.qf.quantum_coordinates(xi)
+    def rows(self, states: np.ndarray) -> np.ndarray:
+        return _coordinate_rows(self.qf, states)
 
 
 def reconstruction_map(qf: QuantumFunction) -> ReconstructionMap:
@@ -349,6 +356,7 @@ class ReconstructionReport:
     intertwining_residual: float
     flow_equation_residual_analytic: float | None
     flow_equation_residual_fd: float
+    field_check_residual: float | None
     value_residual: float
     norm_residual: float
     stationary_residual: float
@@ -367,7 +375,8 @@ def verify_reconstruction(qf: QuantumFunction, traj, samples: int = 100,
     stored steps at a time.  The pointwise identities use the sampling core
     shared with :func:`verify_axioms`, but reduce by row norm: the norm
     residual is ``abs(norm(u) - 1)`` and the stationary one
-    ``norm(u(xi_m) - e_m)``, which needs no value of ``f``.
+    ``norm(u(xi_m) - e_m)``, which needs no value of ``f``.  For ``f = <A>`` the FD
+    flow residual takes the closed-form ``X_f``, checked in ``field_check_residual``.
     """
     intertwining = 0.0
     for drift in _spectral_drift(lambda block: _coordinate_rows(qf, block), traj.states,
@@ -375,6 +384,7 @@ def verify_reconstruction(qf: QuantumFunction, traj, samples: int = 100,
         intertwining = np.maximum(intertwining, _largest(np.linalg.norm(drift, axis=1)))
 
     states, coords, value = _sampled_rows(qf, samples, seed)
+    field, check = _checked_field(qf.f, states, seed) if qf.f.operator is not None else (None, None)
     stationary = 0.0
     for _, _, offsets in _stationary_blocks(qf):
         stationary = np.maximum(stationary, _largest(np.linalg.norm(offsets, axis=1)))
@@ -382,8 +392,9 @@ def verify_reconstruction(qf: QuantumFunction, traj, samples: int = 100,
     return ReconstructionReport(
         intertwining_residual=float(intertwining),
         flow_equation_residual_analytic=(
-            _flow_residual(qf, states, coords, True) if qf.operator_backed else None),
-        flow_equation_residual_fd=_flow_residual(qf, states, coords, False),
+            _flow_residual(qf, states, coords, field, True) if qf.operator_backed else None),
+        flow_equation_residual_fd=_flow_residual(qf, states, coords, field),
+        field_check_residual=check,
         value_residual=_largest(value),
         norm_residual=_largest(np.abs(np.linalg.norm(coords, axis=1) - 1.0)),
         stationary_residual=float(stationary),
@@ -394,12 +405,17 @@ def verify_reconstruction(qf: QuantumFunction, traj, samples: int = 100,
 
 
 def _map_rows(phi, states, dim: int) -> np.ndarray:
-    """``phi`` at every row of ``states``, as the rows of one array; a wrong shape raises."""
-    images = [np.asarray(phi(psi), dtype=complex) for psi in states]
-    wrong = [img.shape for img in images if img.shape != (dim,)]
+    """``phi`` at every row of ``states``, as the rows of one array: one call of ``phi.rows`` for a
+    :class:`RowwiseMap`, else one call of ``phi`` per row; a wrong shape raises."""
+    if isinstance(phi, RowwiseMap):
+        images = np.asarray(phi.rows(np.asarray(states, dtype=complex)), dtype=complex)
+        wrong = [] if images.shape == (len(states), dim) else [images.shape[1:]]
+    else:
+        images = [np.asarray(phi(psi), dtype=complex) for psi in states]
+        wrong = [img.shape for img in images if img.shape != (dim,)]
     if wrong:
         raise DimensionMismatchError(f"map output has shape {wrong[0]}, expected ({dim},)")
-    return np.array(images).reshape(len(images), dim)
+    return np.asarray(images).reshape(len(images), dim)
 
 
 def _image_pass(a: HermitianOperator, phi, space: SymplecticSpace, samples: int, seed: int):
@@ -411,14 +427,12 @@ def _image_pass(a: HermitianOperator, phi, space: SymplecticSpace, samples: int,
 
 def _qfe_equation(a: HermitianOperator, phi, space: SymplecticSpace, states, images) -> float:
     """Max of ``|i*hbar*{<Phi|A|Phi>, Phi} - A Phi|`` over the rows of ``states``."""
-    def induced_and_images(rows: np.ndarray) -> np.ndarray:
-        # Column 0 holds <Phi|A|Phi>, the others Phi, per perturbed state.
-        out = _map_rows(phi, rows, a.dim)
-        return np.column_stack([expectations(a, out), out])
+    def mapped(rows: np.ndarray) -> np.ndarray:
+        return _map_rows(phi, rows, a.dim)
 
-    brackets = np.array([_fd_bracket(induced_and_images, space, psi, BRACKET_REPORT_STEP)
-                         for psi in states], dtype=complex)
-    return _largest(np.abs(1j * space.hbar * brackets.reshape(images.shape) - images @ a.matrix.T))
+    field = _fd_fields(lambda rows: expectations(a, mapped(rows)), space, states, BRACKET_REPORT_STEP)
+    brackets = _fd_bracket(mapped, space, states, field, BRACKET_REPORT_STEP)
+    return _largest(np.abs(1j * space.hbar * brackets - images @ a.matrix.T))
 
 
 def qfe_residual(a: HermitianOperator, phi, space: SymplecticSpace,
@@ -428,8 +442,9 @@ def qfe_residual(a: HermitianOperator, phi, space: SymplecticSpace,
     ``phi`` maps unit states of ``space`` to unit vectors of the operator's
     Hilbert space (checked on the samples to ``UNIT_STATE_TOL``).  The bracket of
     the induced observable with each component of ``phi`` is the FD kernel
-    of :mod:`symqm.brackets`, with ``phi`` evaluated once per perturbed
-    state.  The residual is the max over components and samples.
+    along ``J grad <Phi|A|Phi>``: a :class:`RowwiseMap` is called once per stack
+    of perturbed states, any other ``phi`` once per state.  The residual is
+    the max over components and samples.
     """
     states, images, worst_norm = _image_pass(a, phi, space, samples, seed)
     if not worst_norm <= UNIT_STATE_TOL:

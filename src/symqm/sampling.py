@@ -2,7 +2,7 @@
 
 Every report that samples states derives one child seed per sample from
 the report seed, so a parallel evaluation of the samples would reproduce
-the serial output exactly.
+the serial output exactly; field-check directions take one more stream.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["random_unit_state", "random_unit_states", "random_hermitian"]
+__all__ = ["random_unit_state", "random_unit_states", "random_unit_directions", "random_hermitian"]
 
 
 def _rng(seed, index=None):
@@ -35,6 +35,13 @@ def random_unit_states(n: int, seed, count: int) -> np.ndarray:
     states = np.array(rows, dtype=complex).reshape(int(count), n)
     states.setflags(write=False)
     return states
+
+
+def random_unit_directions(n: int, seed, count: int) -> np.ndarray:
+    """``count`` unit rows of length ``n`` from the child of ``seed`` with spawn key ``(1,)``."""
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(1,)))
+    v = rng.standard_normal((int(count), n, 2)).view(complex)[..., 0]  # (re, im) pairs
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def random_hermitian(n: int, seed, index=None, norm_bound=None) -> np.ndarray:

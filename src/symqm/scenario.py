@@ -175,15 +175,12 @@ def _resolve_initial_state(spec, dim: int) -> np.ndarray:
     if isinstance(spec, (list, tuple)):
         entries = []
         for item in spec:
-            if isinstance(item, (int, float)) and not isinstance(item, bool):
+            try:  # a number or a string such as "a+bj"; a boolean is neither
+                if isinstance(item, bool) or not isinstance(item, (int, float, str)):
+                    raise ValueError
                 entries.append(complex(item))
-            elif isinstance(item, str):
-                try:
-                    entries.append(complex(item))
-                except ValueError as exc:
-                    raise ScenarioError(f"bad amplitude {item!r}", "initial_state") from exc
-            else:
-                raise ScenarioError(f"bad amplitude {item!r}", "initial_state")
+            except ValueError as exc:
+                raise ScenarioError(f"bad amplitude {item!r}", "initial_state") from exc
         state = np.array(entries, dtype=complex)
         if state.shape[0] != dim:
             raise ScenarioError(

@@ -91,11 +91,14 @@ class SymplecticSpace:
         j[n:, :n] = -np.eye(n)
         return j
 
-    def check_dim(self, v: np.ndarray, what: str = "vector") -> None:
+    def check_dim(self, v, what: str = "vector") -> np.ndarray:
+        """``v`` as a complex vector of this space; a matrix or a wrong length raises."""
+        v = _as_complex_vector(v)
         if v.shape[0] != self.complex_dim:
             raise DimensionMismatchError(
                 f"{what} has length {v.shape[0]}, space has complex_dim {self.complex_dim}"
             )
+        return v
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,7 @@ def to_real_coords(psi, space: SymplecticSpace) -> np.ndarray:
     Returns the length-``2n`` vector ``(q, p)`` with
     ``q_k = sqrt(2*hbar) Re(psi_k)`` and ``p_k = sqrt(2*hbar) Im(psi_k)``.
     """
-    v = _as_complex_vector(psi)
-    space.check_dim(v)
+    v = space.check_dim(psi)
     s = space.coord_scale
     return np.concatenate([s * v.real, s * v.imag])
 
@@ -182,8 +184,7 @@ def symplectic_form(v, w, space: SymplecticSpace) -> float:
     Antisymmetric and non-degenerate; equals the canonical form
     ``x^T J y`` of the real coordinates of ``v`` and ``w``.
     """
-    a = _as_complex_vector(v)
-    space.check_dim(a)
+    a = space.check_dim(v)
     return space.convention_sign * 2.0 * space.hbar * hermitian_inner(a, w).imag
 
 

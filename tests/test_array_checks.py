@@ -50,6 +50,7 @@ from symqm.brackets import (
     BRACKET_REPORT_STEP,
     _central_differences,
     _complex_values,
+    _fd_bracket,
     _observable_values,
 )
 from symqm.cli import main
@@ -477,12 +478,13 @@ def test_fd_brackets_take_one_difference_pass(monkeypatch, n):
     assert len(calls) == 1
     complex_bracket(qf.f, qf.eigenfunctions[0], psi, method="finite_difference")
     assert len(calls) == 2
-    # One pass per sample of the flow residual gives grad f and every Jac(u_n).
+    # f = <A>: the u_n are differenced along the checked closed-form X_f, with no pass.
     traj = integrate(qf.f, psi, IntegratorConfig("cayley", 1e-2, 5))
     verify_reconstruction(qf, traj, samples=6, seed=1)
-    assert len(calls) == 8
+    assert len(calls) == 2
+    # Values only: one pass per sample gives grad f, and the u_n are differenced along J grad f.
     verify_axioms(qf, 4, seed=1, method="finite_difference")
-    assert len(calls) == 12
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -498,8 +500,12 @@ def test_bracket_report_matches_reference(n):
         psi = random_unit_state(n, 14, i)
         target = np.vdot(psi, comm @ psi)
         analytic = max(analytic, abs(0.7j * poisson_bracket(f, g, psi) - target))
-        fd = max(fd, abs(0.7j * poisson_bracket(f, g, psi, method="finite_difference",
-                                                 step=BRACKET_REPORT_STEP) - target))
+        # d<A>(X_<B>): the directional difference at this one state along the
+        # closed-form field, which the FD side of the report takes for every row.
+        field = -1j / 0.7 * (psi[None] @ b.matrix.T)
+        directional = _fd_bracket(lambda s: _observable_values(f, s), space, psi[None], field,
+                                  BRACKET_REPORT_STEP)[0]
+        fd = max(fd, abs(0.7j * directional - target))
     # Both residuals cancel operands of size ||A|| ||B|| down to round-off
     # or to the finite-difference error.
     _ulps(report.analytic_max, analytic, report.scale)
@@ -527,13 +533,16 @@ def test_qfe_packaging_images_each_state_once():
     stationary = list(from_operator(a, space).stationary_states)
     quantum_function_from_qfe(a, phi, stationary, space, samples=samples, seed=2)
     # The samples once (shared by the norm and equation checks), the
-    # stationary states once, and 4n perturbed points per sample.
-    assert len(calls) == samples + n + 4 * n * samples
+    # stationary states once, 4n perturbed points per sample for the gradient
+    # of <Phi|A|Phi>, and 2 per sample along its field.
+    assert len(calls) == samples + n + (4 * n + 2) * samples
 
 
 def test_bracket_report_one_fd_bracket_per_sample(monkeypatch):
     calls = _counting(monkeypatch, [symqm.brackets], "poisson_bracket")
+    kernel = _counting(monkeypatch, [symqm.brackets], "_fd_bracket")
     space = SymplecticSpace(4, hbar=0.7)
     report = bracket_commutator_report(_operator(4, 6), _operator(4, 7), space, 7, seed=3)
     assert report.analytic_max <= 1e-9 * report.scale
-    assert len(calls) == 7
+    # One kernel call takes the bracket at all 7 samples, one more the field check.
+    assert calls == [] and len(kernel) == 2

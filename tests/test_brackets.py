@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import symqm.brackets
 from symqm import (
+    DEFAULT_TOLERANCES,
     ComplexFunction,
     ObservableFunction,
     SymplecticSpace,
@@ -13,10 +15,14 @@ from symqm import (
     differential,
     from_operator,
     hamiltonian_vector_field,
+    integrate,
+    IntegratorConfig,
     make_hermitian,
+    parse_operator_expr,
     poisson_bracket,
     quadratic_form,
     verify_axioms,
+    verify_reconstruction,
 )
 from symqm.errors import DimensionMismatchError
 from symqm.sampling import random_hermitian, random_unit_state
@@ -272,3 +278,72 @@ def test_dimension_mismatch_raises():
     g3 = ObservableFunction.expectation_of(make_hermitian(np.eye(3)), SymplecticSpace(3))
     with pytest.raises(DimensionMismatchError):
         poisson_bracket(f, g3, [1, 0])
+
+
+@pytest.mark.parametrize("step", [0, 0.0, -1e-5, np.nan, np.inf, -np.inf])
+def test_invalid_fd_step_raises(step):
+    f = ObservableFunction.expectation_of(X, SPACE)
+    g = ObservableFunction.expectation_of(Y, SPACE)
+    u = ComplexFunction.coordinate([1, 0], SPACE)
+    psi = random_unit_state(2, 5, 0)
+    with pytest.raises(ValueError, match="step"):
+        poisson_bracket(f, g, psi, method="finite_difference", step=step)
+    with pytest.raises(ValueError, match="step"):
+        complex_bracket(f, u, psi, method="finite_difference", step=step)
+
+
+# Planted defects in the closed-form field X_<B> = -(i/hbar) B psi that the FD
+# sides of the bracket and reconstruction reports difference along: a field
+# scaled by 1 + 1e-3, and, for a complex B, one built from B^T.  Each must
+# fail both the field check and the FD residual under default tolerances.
+_COMPLEX_B = make_hermitian(parse_operator_expr("Y0*I1 + 0.3*Z1").to_matrix(num_qubits=2))
+
+
+def _planted_fields():
+    closed = symqm.brackets._closed_form_field
+    return {
+        "scaled": lambda f, states: (1.0 + 1e-3) * closed(f, states),
+        "transposed": lambda f, states: -1j / f.space.hbar * (states @ f.operator.matrix),
+    }
+
+
+@pytest.mark.parametrize("defect", ["clean", "scaled", "transposed"])
+def test_bracket_report_fails_a_planted_field(monkeypatch, defect):
+    space = SymplecticSpace(4, hbar=0.7)
+    a = make_hermitian(random_hermitian(4, 610))
+    if defect != "clean":
+        monkeypatch.setattr(symqm.brackets, "_closed_form_field", _planted_fields()[defect])
+    rep = bracket_commutator_report(a, _COMPLEX_B, space, 20, seed=3)
+    tol = DEFAULT_TOLERANCES["bracket_finite_difference"] * rep.scale
+    assert rep.analytic_max <= 1e-12 * rep.scale
+    assert (rep.field_check_max > tol) is (defect != "clean"), rep.field_check_max
+    assert (rep.finite_difference_max > tol) is (defect != "clean"), rep.finite_difference_max
+
+
+@pytest.mark.parametrize("defect", ["clean", "scaled", "transposed"])
+def test_reconstruction_fails_a_planted_field(monkeypatch, defect):
+    space = SymplecticSpace(4, hbar=2.0)
+    qf = from_operator(_COMPLEX_B, space)
+    traj = integrate(qf.f, random_unit_state(4, 620, 0), IntegratorConfig("exact", 1e-2, 20))
+    if defect != "clean":
+        monkeypatch.setattr(symqm.brackets, "_closed_form_field", _planted_fields()[defect])
+    rec = verify_reconstruction(qf, traj, samples=20, seed=3)
+    tol = DEFAULT_TOLERANCES["reconstruction_finite_difference"]
+    assert (rec.field_check_residual > tol) is (defect != "clean"), rec.field_check_residual
+    assert (rec.flow_equation_residual_fd > tol) is (defect != "clean"), rec.flow_equation_residual_fd
+
+
+def test_bracket_report_evaluates_a_fixed_number_of_states_per_sample(monkeypatch):
+    rows = []
+    counted = symqm.brackets.expectations
+    monkeypatch.setattr(symqm.brackets, "expectations",
+                        lambda a, states: rows.append(len(states)) or counted(a, states))
+    per_sample = {}
+    for n in (2, 4, 8):
+        a, b = (make_hermitian(random_hermitian(n, 630 + k)) for k in range(2))
+        rows.clear()
+        bracket_commutator_report(a, b, SymplecticSpace(n), 5, seed=1)
+        per_sample[n] = sum(rows) / 5
+    # Two states along X_<B>, and two along each of the 4 directions of its
+    # check, whatever n is; a full FD gradient would take 4n.
+    assert per_sample == {2: 10, 4: 10, 8: 10}

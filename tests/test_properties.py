@@ -9,7 +9,8 @@ independent reference, and checked for the group law and unitarity.
 Midpoint and Cayley conserve the quadratic invariants norm and ``<H>``
 (Hairer, Lubich & Wanner, *Geometric Numerical Integration*, 2006) up to
 the solver tolerance.  The Poisson bracket is antisymmetric, satisfies
-Jacobi and Leibniz, and brackets every ``<A>`` with ``<I>`` to zero.  The
+Jacobi and Leibniz, and brackets every ``<A>`` with ``<I>`` to zero; its
+directional FD kernel matches the closed form to FD round-off.  The
 U(1) reduction: ``<I>`` also brackets every ``|u_n|^2`` to zero, and
 ``i*hbar*{<I>, u_n} = u_n``.
 Hypothesis runs derandomized and without an example database, so every
@@ -37,6 +38,12 @@ from symqm import (
     parse_operator_expr,
     poisson_bracket,
     spectral_decompose,
+)
+from symqm.brackets import (
+    _closed_form_brackets,
+    _closed_form_field,
+    _fd_bracket,
+    _observable_values,
 )
 from symqm.pauli import PauliFactor, PauliSumExpr, PauliTerm
 from symqm.sampling import random_hermitian, random_unit_state
@@ -385,3 +392,21 @@ def test_norm_turns_every_coordinate_at_unit_rate(n, seed, hbar):
     for step in (None, 1e-5):
         fd = complex_bracket(norm, u, psi, method="finite_difference", step=step)
         assert abs(1j * hbar * fd - u(psi)) <= _fd_tolerance(step or DEFAULT_STEP, 1.0)
+
+
+@SEEDED
+@given(n=dims, seed=seeds, hbar=hbars, step=st.sampled_from([None, 1e-5]))
+def test_directional_fd_bracket_matches_the_closed_form(n, seed, hbar, step):
+    space, (a, b), psi = _expectation_case(n, seed, hbar, 2)
+    f, g = (ObservableFunction.expectation_of(x, space) for x in (a, b))
+    states = np.stack([psi, random_unit_state(n, seed, 3)])
+    closed = _closed_form_brackets(f, g, states)
+    scale = 1.0 + a.spectral_norm * b.spectral_norm / hbar
+    tol = _fd_tolerance(step or DEFAULT_STEP, scale)
+    # d<A>(X_<B>) along the closed-form field, as the bracket report takes it,
+    # at two states at once, and along J grad <B> from values alone.
+    along_field = _fd_bracket(lambda s: _observable_values(f, s), space, states,
+                              _closed_form_field(g, states), step)
+    assert np.max(np.abs(along_field - closed)) <= tol
+    fd = poisson_bracket(f, g, psi, method="finite_difference", step=step)
+    assert abs(fd - closed[0]) <= tol
