@@ -243,9 +243,11 @@ def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iter
             return np.zeros(starts.shape[0], dtype=int)
 
     block_states = np.empty((_ROW_BLOCK + 1, psi.shape[0]), dtype=complex)
+    block_states[0] = psi
+    increment = np.empty_like(psi)
     done = span = known = 0
     while done < cfg.steps:
-        m = known or int(counts(psi[None, :], cfg.solver_max_iter)[0])
+        m = known or int(counts(block_states[:1], cfg.solver_max_iter)[0])
         if m > cfg.solver_max_iter:
             raise NonConvergenceError(done + 1, cfg.solver_max_iter)
         if m not in increments:  # Q_0 = 2A and Q_j = 2A + A Q_(j-1), as the iteration
@@ -255,16 +257,14 @@ def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iter
             increments[m] = q
         q = increments[m]
         block = min(span or _ROW_BLOCK, cfg.steps - done)
-        block_states[0] = psi
-        for i in range(1, block + 1):
-            psi = psi + q @ psi
-            block_states[i] = psi
+        for i in range(1, block + 1):  # psi + Q psi, written in place
+            np.dot(q, block_states[i - 1], out=increment)
+            np.add(block_states[i - 1], increment, out=block_states[i])
         audit = counts(block_states[1:block], m)
         wrong = np.flatnonzero(audit != m)
         known = 0  # the next start state's count where the audit found it exactly, else 0
         if wrong.size:  # keep the steps up to the first start state that needs another count
             block = int(wrong[0]) + 1
-            psi = block_states[block].copy()
             known = int(audit[block - 1]) if audit[block - 1] < m else 0  # above m: capped
         step = done + np.arange(1, block + 1)
         kept = step % cfg.stride == 0
@@ -272,6 +272,7 @@ def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iter
         iterations[step[kept] // cfg.stride] = m
         done += block
         span = min(2 * block, _ROW_BLOCK)
+        block_states[0] = block_states[block]
 
 
 def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig) -> Trajectory:

@@ -99,11 +99,11 @@ class HermitianOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
-        max_norm = float(np.max(np.abs(m))) if m.size else 0.0
+        max_norm = _max_abs_by_rows(m.shape[0], lambda rows: m[rows])
         if not np.isfinite(max_norm):
             raise NonHermitianError(max_norm, "matrix has a non-finite entry")
         scale = 1.0 + max_norm
-        deviation = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        deviation = _max_abs_by_rows(m.shape[0], lambda rows: m[rows] - m[:, rows].T.conj())
         if deviation > HERMITICITY_TOL * scale:
             raise NonHermitianError(deviation)
         m = m.copy()
@@ -132,16 +132,20 @@ class HermitianOperator:
         """The :func:`spectral_decompose` data, computed once: the matrix is immutable.
 
         A matrix with no nonzero imaginary part takes the real symmetric solver.
+        Each connected block of the nonzero pattern is decomposed apart, one
+        stacked solver call per block size (:func:`_block_eigh`); the gauge fix,
+        the order and the tie-break then act on the full columns, as for a
+        matrix that is one block.
         """
         m = self.matrix
         try:
-            vals, vecs = np.linalg.eigh(m if m.imag.any() else m.real)
+            vals, vecs = _block_eigh(m if m.imag.any() else m.real)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
         # Rotate each column's first largest-magnitude entry to real positive (never
         # zero: eigh returns unit columns; a sign if real); order as spectral_decompose says.
         peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vals.shape[0])]
-        vecs = vecs * (peak.conj() / np.abs(peak))
+        vecs *= peak.conj() / np.abs(peak)
         order = np.argsort(vals, kind="stable")
         vals = vals[order]
         _, starts, counts = np.unique(vals, return_index=True, return_counts=True)
@@ -153,6 +157,67 @@ class HermitianOperator:
         gaps = np.diff(vals)
         degenerate = bool(gaps.size and np.min(gaps) <= DEGENERACY_TOL * scale)
         return SpectralData(vals, vecs, degenerate)
+
+
+def _max_abs_by_rows(n: int, entries) -> float:
+    """``max|entries(rows)|`` over the row blocks of an ``n x n`` matrix, 0 if ``n`` is 0.
+
+    Each block's temporaries are ``_ROW_BLOCK`` rows, not the whole matrix;
+    the maximum is the one of the whole, and a NaN propagates.
+    """
+    return float(np.max([np.max(np.abs(entries(rows))) for rows in _row_blocks(n)], initial=0.0))
+
+
+def _connected_blocks(m: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the nonzero pattern of ``m``, as ascending index arrays
+    ordered by their lowest index.
+
+    A breadth-first search over the ``n x n`` boolean matrix of the pattern, made
+    symmetric one pair of ``_ROW_BLOCK``-row tiles at a time (a whole transpose
+    misses the cache at large ``n``); each level reads its frontier's rows once.
+    """
+    n = m.shape[0]
+    linked = m != 0
+    for rows in _row_blocks(n):
+        for cols in _row_blocks(n):
+            linked[rows, cols] |= linked[cols, rows].T
+    labels = np.empty(n, dtype=int)
+    unseen = np.ones(n, dtype=bool)
+    count = 0
+    for start in range(n):
+        if not unseen[start]:
+            continue
+        frontier = np.array([start])
+        while frontier.size:
+            unseen[frontier] = False
+            labels[frontier] = count
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & unseen)
+        count += 1
+    return np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+
+
+def _block_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of ``m``, one block of :func:`_connected_blocks` at a time.
+
+    The blocks of each size go to one stacked ``eigh`` call, and each block's
+    eigenvectors fill its own rows of their columns; every other entry is 0.
+    A stacked call gives each block the bits of its own call, and a matrix
+    that is one block goes to ``eigh`` unchanged, so its data is that of ``eigh(m)``.
+    """
+    n = m.shape[0]
+    blocks = _connected_blocks(m)
+    vals = np.empty(n)
+    vecs = np.zeros((n, n), dtype=m.dtype)
+    col = 0
+    for size in sorted({b.size for b in blocks}):  # np.unique would import numpy.ma
+        idx = np.stack([b for b in blocks if b.size == size])
+        stack_vals, stack_vecs = np.linalg.eigh(
+            m[None] if size == n else m[idx[:, :, None], idx[:, None, :]])
+        for rows, block_vals, block_vecs in zip(idx, stack_vals, stack_vecs):
+            vals[col:col + size] = block_vals
+            vecs[rows, col:col + size] = block_vecs
+            col += size
+    return vals, vecs
 
 
 @dataclass(frozen=True)
@@ -170,8 +235,8 @@ class SpectralData:
     degenerate_flag: bool
 
     def __post_init__(self):
-        a = np.asarray(self.eigenvalues, dtype=float).copy()
-        v = np.asarray(self.eigenvectors, dtype=complex).copy()
+        a = np.array(self.eigenvalues, dtype=float)
+        v = np.array(self.eigenvectors, dtype=complex, order="C")
         a.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "eigenvalues", a)
@@ -221,7 +286,11 @@ def spectral_decompose(a: HermitianOperator) -> SpectralData:
     Exact eigenvalue ties are ordered by lexicographic comparison of the
     phase-fixed eigenvectors' real parts, so the output is deterministic.
     Each operator is decomposed once; later calls return the same data.
-    A real matrix takes the real symmetric solver (see ``HermitianOperator.spectral``).
+    A real matrix takes the real symmetric solver, and each connected block
+    of the nonzero pattern (the two parity sectors of an Ising chain, say) is
+    decomposed apart, with one stacked solver call per block size, so each
+    eigenvector lies in one block.  A matrix that is one block decomposes bit
+    for bit as by one solver call on the whole (see ``HermitianOperator.spectral``).
     """
     return a.spectral
 

@@ -12,6 +12,7 @@ ulps of the operands instead.
 """
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -285,7 +286,18 @@ def test_cayley_evolve_decomposes_once(monkeypatch, tmp_path):
     ("evolve", "exact"), ("evolve", "cayley"), ("verify", "exact"), ("reconstruct", "exact"),
 ])
 def test_one_eigendecomposition_per_command(monkeypatch, tmp_path, command, method):
+    # The chain's two parity blocks have one size, so they take one stacked eigh call.
     calls = _counting(monkeypatch, [np.linalg], "eigh")
+    spectral = symqm.operators.HermitianOperator.spectral
+    computed = []
+
+    def counted(self):
+        computed.append(self.label)
+        return spectral.func(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(symqm.operators.HermitianOperator, "spectral")
+    monkeypatch.setattr(symqm.operators.HermitianOperator, "spectral", prop)
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({
         "operator": "0.5*X0*X1 + 0.3*Z0 + 0.3*Z1",
@@ -295,6 +307,7 @@ def test_one_eigendecomposition_per_command(monkeypatch, tmp_path, command, meth
     assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out"),
                  "--quiet"]) == 0
     assert len(calls) == 1
+    assert len(computed) == 1
 
 
 def test_operator_energies_and_diagnostics_never_call_f(monkeypatch):

@@ -1,19 +1,24 @@
 """Tests for operator validation, algebra and spectral decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from symqm import (
     StatePoint,
     commutator,
     expectation,
     make_hermitian,
+    parse_operator_expr,
     quadratic_form,
     read_matrix_file,
     reconstruct_from_spectrum,
     spectral_decompose,
 )
 from symqm.errors import DimensionMismatchError, NonHermitianError, NonSquareError
+from symqm.operators import _connected_blocks
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -108,6 +113,99 @@ def test_non_finite_entries_rejected(bad):
     m[0, 1] = m[1, 0] = bad
     with pytest.raises(NonHermitianError, match="non-finite"):
         make_hermitian(m)
+
+
+def test_row_block_validation_matches_the_whole_matrix():
+    # 600 rows span three row blocks; the planted entries sit in the last one.
+    rng = np.random.default_rng(5)
+    m = _random_hermitian(rng, 600)
+    m[550, 20] += 3e-13
+    assert make_hermitian(m).max_norm == float(np.max(np.abs(m)))
+    m[550, 20] += 1e-9
+    with pytest.raises(NonHermitianError) as err:
+        make_hermitian(m)
+    assert err.value.deviation == float(np.max(np.abs(m - m.conj().T)))
+    m[599, 599] = np.nan
+    with pytest.raises(NonHermitianError, match="non-finite"):
+        make_hermitian(m)
+
+
+def _canonical(blocks):
+    return sorted(tuple(int(i) for i in b) for b in blocks)
+
+
+def _csgraph_blocks(pattern):
+    count, labels = connected_components(pattern, directed=False)
+    return [np.flatnonzero(labels == c) for c in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_connected_blocks_match_csgraph(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 120))
+    # Sparse random patterns, some one-sided (a pattern need not be symmetric).
+    pattern = rng.random((n, n)) < rng.choice([0.0, 0.002, 0.01, 0.05])
+    if seed % 2:
+        pattern |= pattern.T
+    blocks = _connected_blocks(pattern)
+    assert [list(b) for b in blocks] == [sorted(b) for b in blocks]
+    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+    assert _canonical(blocks) == _canonical(_csgraph_blocks(pattern))
+
+
+@pytest.mark.parametrize("shape", ["diagonal", "tridiagonal"])
+def test_connected_blocks_at_the_dense_limit(shape):
+    n = 4096
+    pattern = np.eye(n, dtype=bool)
+    if shape == "tridiagonal":
+        pattern |= np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+    blocks = _connected_blocks(pattern)
+    assert _canonical(blocks) == _canonical(_csgraph_blocks(pattern))
+    assert len(blocks) == (n if shape == "diagonal" else 1)
+
+
+def _chain(q):
+    terms = [f"0.5*X{k}*X{k + 1}" for k in range(q - 1)] + [f"0.3*Z{k}" for k in range(q)]
+    return parse_operator_expr(" + ".join(terms)).to_matrix(q)
+
+
+def test_spectral_decomposes_the_parity_blocks_apart():
+    h = make_hermitian(_chain(4))
+    assert [b.size for b in _connected_blocks(h.matrix)] == [8, 8]
+    spectral = spectral_decompose(h)
+    rebuilt = reconstruct_from_spectrum(spectral)
+    assert np.max(np.abs(rebuilt - h.matrix)) <= 1e-13
+    # Each eigenvector lies in one parity sector.
+    parity = np.array([bin(i).count("1") % 2 for i in range(16)])
+    for k in range(16):
+        assert np.unique(parity[spectral.eigenvectors[:, k] != 0]).size == 1
+
+
+def test_validation_makes_no_full_size_temporaries():
+    m = _chain(10)  # n = 1024, 16 MiB
+    tracemalloc.start()
+    try:
+        make_hermitian(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The stored copy alone is 1x; full-size conj, difference and abs made 2x.
+    assert peak <= 1.25 * m.nbytes
+
+
+def test_first_decomposition_peak_memory():
+    m = _chain(10)
+    h = make_hermitian(m)
+    tracemalloc.start()
+    try:
+        h.spectral
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 1.6x the complex matrix's bytes: real eigenvectors, a copy to order
+    # them and the stored complex copy.  Full-size scaled and doubly copied
+    # eigenvectors peaked at 2.5x (40 MiB).
+    assert peak <= 2.0 * m.nbytes
 
 
 def test_quadratic_form_examples():

@@ -3,7 +3,11 @@ and the conserving integrators.
 
 The bit-form ``PauliSumExpr.to_matrix`` is compared bit for bit with a
 Kronecker-product build kept here as the reference, and the array gauge fix
-and ordering of ``HermitianOperator.spectral`` with a per-column reference.
+and ordering of ``HermitianOperator.spectral`` with a per-column reference
+that decomposes each connected block (``scipy.sparse.csgraph``) with its own
+``eigh`` call.  Real symmetric and complex Hermitian matrices, permuted
+block-diagonal ones among them, meet the eigenpair bounds, and each
+eigenvector lies on one block.
 ``SpectralData.propagate`` is compared with ``scipy.linalg.expm``, an
 independent reference, and checked for the group law and unitarity.
 Midpoint and Cayley conserve the quadratic invariants norm and ``<H>``
@@ -26,6 +30,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
+from scipy.sparse.csgraph import connected_components
 
 from symqm import (
     ComplexFunction,
@@ -171,26 +176,70 @@ def _fix_phase(column):
     return column * (column[k].conjugate() / mags[k])
 
 
+def _components(m):
+    """Index arrays of the connected components of the nonzero pattern of ``m``."""
+    count, labels = connected_components(m != 0, directed=False)
+    return [np.flatnonzero(labels == c) for c in range(count)]
+
+
+def _component_stack(m):
+    """The diagonal blocks of ``m`` on its components, all of one size, stacked."""
+    return np.stack([m[np.ix_(idx, idx)] for idx in _components(m)])
+
+
 def _assert_spectral_matches_per_column_reference(h):
-    # The solver rule: the real symmetric solver when no imaginary part is nonzero.
-    m = h.matrix
-    vals, vecs = np.linalg.eigh(m.real if not m.imag.any() else m)
-    cols = [_fix_phase(vecs[:, k]) for k in range(vals.shape[0])]
-    order = sorted(range(vals.shape[0]), key=lambda k: (vals[k], tuple(cols[k].real)))
+    # The solver rule: the real symmetric solver when no imaginary part is nonzero,
+    # and one eigh call per component, its eigenvectors embedded in full columns.
+    m = h.matrix.real if not h.matrix.imag.any() else h.matrix
+    n = m.shape[0]
+    vals, cols = [], []
+    for idx in _components(m):
+        block_vals, block_vecs = np.linalg.eigh(m[np.ix_(idx, idx)])
+        full = np.zeros((n, idx.size), dtype=block_vecs.dtype)
+        full[idx] = block_vecs
+        vals.extend(block_vals)
+        cols.extend(_fix_phase(full[:, k]) for k in range(idx.size))
+    order = sorted(range(n), key=lambda k: (vals[k], tuple(cols[k].real)))
     spectral = spectral_decompose(h)
-    _assert_same_bits(spectral.eigenvalues, vals[order])
+    _assert_same_bits(spectral.eigenvalues, np.array(vals)[order])
     _assert_same_bits(spectral.eigenvectors,
                       np.column_stack([cols[k] for k in order]).astype(complex))
 
 
+@st.composite
+def block_diagonal_matrices(draw, dtype):
+    """Block-diagonal symmetric (``float``) or Hermitian (``complex``) matrices, rows
+    and columns permuted at random.
+
+    Block sizes include 1 and repeat, and a repeated size is sometimes an exact
+    copy of the earlier block, so eigenvalues tie exactly across blocks.
+    """
+    rng = np.random.default_rng(draw(seeds))
+    blocks = []
+    for size in draw(st.lists(st.sampled_from([1, 1, 2, 3, 5]), min_size=1, max_size=6)):
+        same = [b for b in blocks if b.shape[0] == size]
+        if same and draw(st.booleans()):
+            blocks.append(same[0])
+            continue
+        b = rng.standard_normal((size, size)).astype(dtype)
+        if dtype is complex:
+            b += 1j * rng.standard_normal((size, size))
+        blocks.append(b + b.conj().T)
+    m = scipy.linalg.block_diag(*blocks)
+    p = rng.permutation(m.shape[0])
+    return m[np.ix_(p, p)]
+
+
 @SEEDED
 @given(n=dims, seed=seeds,
-       expr=pauli_sums(3, st.integers(min_value=-2, max_value=2).map(float)))
-def test_array_gauge_fix_matches_per_column_reference(n, seed, expr):
+       expr=pauli_sums(3, st.integers(min_value=-2, max_value=2).map(float)),
+       blocks=st.sampled_from([float, complex]).flatmap(block_diagonal_matrices))
+def test_array_gauge_fix_matches_per_column_reference(n, seed, expr, blocks):
     _assert_spectral_matches_per_column_reference(make_hermitian(random_hermitian(n, seed)))
     # Small integer Pauli sums have exactly repeated eigenvalues.
     m = expr.to_matrix()
     _assert_spectral_matches_per_column_reference(make_hermitian(m + m.conj().T))
+    _assert_spectral_matches_per_column_reference(make_hermitian(blocks))
 
 
 @pytest.mark.parametrize("text", ["Z0 + Z1 + Z2", "I0*I3", "X0*X1 + Y0*Y1 + Z2",
@@ -229,7 +278,8 @@ def test_real_matrices_take_the_real_symmetric_solver(monkeypatch):
     for h in (chain, signed):
         spectral_decompose(h)
         assert seen[-1].dtype == np.float64
-        _assert_same_bits(seen[-1], np.ascontiguousarray(h.matrix.real))
+        # One stacked call: the chain's two 2 x 2 parity blocks, the signed matrix whole.
+        _assert_same_bits(seen[-1], _component_stack(h.matrix.real))
     assert len(seen) == 2
 
 
@@ -238,20 +288,24 @@ def test_complex_matrices_keep_the_complex_solver(monkeypatch):
     h = make_hermitian(parse_operator_expr("X0*Y1 + Z0").to_matrix())
     spectral_decompose(h)
     assert len(seen) == 1 and seen[0].dtype == np.complex128
-    _assert_same_bits(seen[0], h.matrix)
-    # The complex path decomposes exactly as before: the complex solver on the
-    # matrix itself, then the per-column gauge fix and order.
+    _assert_same_bits(seen[0], _component_stack(h.matrix))
+    # The complex path decomposes as the real one: the complex solver on each
+    # block, then the per-column gauge fix and order.
     _assert_spectral_matches_per_column_reference(h)
 
 
 @st.composite
 def real_symmetric_matrices(draw):
-    """Random real symmetric matrices, and real Pauli sums (even ``Y`` count per term)."""
-    if draw(st.booleans()):
+    """Random real symmetric matrices, permuted block-diagonal ones, and real Pauli
+    sums (even ``Y`` count per term)."""
+    kind = draw(st.sampled_from(["dense", "blocks", "pauli"]))
+    if kind == "dense":
         n = draw(st.integers(min_value=1, max_value=16))
         rng = np.random.default_rng(draw(seeds))
         m = rng.standard_normal((n, n))
         return m + m.T
+    if kind == "blocks":
+        return draw(block_diagonal_matrices(float))
     q = draw(st.integers(min_value=1, max_value=4))
     strings = st.lists(st.sampled_from("IXYZ"), min_size=q, max_size=q).filter(
         lambda letters: letters.count("Y") % 2 == 0)
@@ -263,11 +317,16 @@ def real_symmetric_matrices(draw):
     return expr.to_matrix(q)
 
 
-@SEEDED
-@given(m=real_symmetric_matrices())
-def test_real_symmetric_solver_meets_eigenpair_bounds(m):
-    h = make_hermitian(m)
-    assert not h.matrix.imag.any()
+@st.composite
+def hermitian_matrices(draw):
+    """Random complex Hermitian matrices and permuted block-diagonal ones."""
+    if draw(st.booleans()):
+        return draw(block_diagonal_matrices(complex))
+    return random_hermitian(draw(st.integers(min_value=1, max_value=16)), draw(seeds))
+
+
+def _assert_eigenpair_bounds(h):
+    """The eigenpair bounds ``64 n u (1 + max|a|)``, and each eigenvector on one block."""
     spectral = spectral_decompose(h)
     a, v = spectral.eigenvalues, spectral.eigenvectors
     n = a.shape[0]
@@ -275,6 +334,23 @@ def test_real_symmetric_solver_meets_eigenpair_bounds(m):
     assert np.max(np.abs(h.matrix @ v - v * a)) <= bound
     assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= bound
     assert np.max(np.abs(a - np.linalg.eigvalsh(h.matrix))) <= bound
+    labels = connected_components(h.matrix != 0, directed=False)[1]
+    for k in range(n):
+        assert np.unique(labels[v[:, k] != 0]).size == 1
+
+
+@SEEDED
+@given(m=real_symmetric_matrices())
+def test_real_symmetric_solver_meets_eigenpair_bounds(m):
+    h = make_hermitian(m)
+    assert not h.matrix.imag.any()
+    _assert_eigenpair_bounds(h)
+
+
+@SEEDED
+@given(m=hermitian_matrices())
+def test_complex_hermitian_solver_meets_eigenpair_bounds(m):
+    _assert_eigenpair_bounds(make_hermitian(m))
 
 
 # Poisson-bracket identities.  For expectation observables the closed form
