@@ -235,7 +235,7 @@ def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iter
     else:
         eye = np.eye(psi.shape[0], dtype=complex)
         if cfg.method == "cayley":
-            increments = {0: np.linalg.solve(eye - a, b)}
+            increments = {0: np.linalg.solve(np.subtract(eye, a, out=eye), b)}  # I - A, in place
         else:  # rk4, in Horner form
             increments = {0: b @ (eye + (b / 2.0) @ (eye + (b / 3.0) @ (eye + b / 4.0)))}
 
@@ -244,7 +244,9 @@ def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iter
 
     block_states = np.empty((_ROW_BLOCK + 1, psi.shape[0]), dtype=complex)
     block_states[0] = psi
+    rows = list(block_states)  # one view per row, so the step loop indexes nothing
     increment = np.empty_like(psi)
+    dot, add = np.dot, np.add
     done = span = known = 0
     while done < cfg.steps:
         m = known or int(counts(block_states[:1], cfg.solver_max_iter)[0])
@@ -257,9 +259,9 @@ def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iter
             increments[m] = q
         q = increments[m]
         block = min(span or _ROW_BLOCK, cfg.steps - done)
-        for i in range(1, block + 1):  # psi + Q psi, written in place
-            np.dot(q, block_states[i - 1], out=increment)
-            np.add(block_states[i - 1], increment, out=block_states[i])
+        for previous, row in zip(rows, rows[1:block + 1]):  # psi + Q psi, written in place
+            dot(q, previous, out=increment)
+            add(previous, increment, out=row)
         audit = counts(block_states[1:block], m)
         wrong = np.flatnonzero(audit != m)
         known = 0  # the next start state's count where the audit found it exactly, else 0

@@ -38,6 +38,9 @@ MAX_DENSE_DIM = 4096
 # a trajectory.  Each block's ``(rows, n)`` temporaries stay a fraction of
 # the trajectory itself, so they add little to peak memory at large ``n``.
 _ROW_BLOCK = 256
+# Entries of an n x n matrix per validation block, so that the block's complex
+# temporaries come to 1 MiB at every n (a sixteenth of the matrix at n = 1024).
+_BLOCK_ENTRIES = 2**16
 
 
 def _row_blocks(count: int):
@@ -77,10 +80,14 @@ def _spectral_drift(coordinates, states: np.ndarray, eigenvalues, times, hbar: f
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A validated ``n x n`` complex Hermitian matrix.
+    """A validated ``n x n`` complex Hermitian matrix, ``n >= 1``.
 
-    Construction rejects matrices with a non-finite entry or with
-    ``max|M - M†| > 1e-12 * (1 + max|M|)``.
+    Construction rejects an empty matrix, and matrices with a non-finite entry
+    or with ``max|M - M†| > 1e-12 * (1 + max|M|)``.  The operator keeps a
+    read-only array it owns: it adopts a read-only array that owns its data
+    (as :meth:`PauliSumExpr.to_matrix` returns) or one made by the conversion
+    to complex, and copies any other, so it never aliases a caller's writable
+    array.
 
     Parameters
     ----------
@@ -97,8 +104,8 @@ class HermitianOperator:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+            raise NonSquareError(f"expected a non-empty square matrix, got shape {m.shape}")
         max_norm = _max_abs_by_rows(m.shape[0], lambda rows: m[rows])
         if not np.isfinite(max_norm):
             raise NonHermitianError(max_norm, "matrix has a non-finite entry")
@@ -106,7 +113,8 @@ class HermitianOperator:
         deviation = _max_abs_by_rows(m.shape[0], lambda rows: m[rows] - m[:, rows].T.conj())
         if deviation > HERMITICITY_TOL * scale:
             raise NonHermitianError(deviation)
-        m = m.copy()
+        if m.base is not None or (m is self.matrix and m.flags.writeable):
+            m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "max_norm", max_norm)
@@ -153,19 +161,21 @@ class HermitianOperator:
             run = order[start:start + count]
             order[start:start + count] = sorted(run, key=lambda k: tuple(vecs[:, k].real))
         vecs = vecs[:, order]
-        scale = 1.0 + float(np.max(np.abs(vals))) if vals.size else 1.0
+        scale = 1.0 + float(np.max(np.abs(vals)))
         gaps = np.diff(vals)
         degenerate = bool(gaps.size and np.min(gaps) <= DEGENERACY_TOL * scale)
         return SpectralData(vals, vecs, degenerate)
 
 
 def _max_abs_by_rows(n: int, entries) -> float:
-    """``max|entries(rows)|`` over the row blocks of an ``n x n`` matrix, 0 if ``n`` is 0.
+    """``max|entries(rows)|`` over the row blocks of an ``n x n`` matrix, ``n >= 1``.
 
-    Each block's temporaries are ``_ROW_BLOCK`` rows, not the whole matrix;
+    Each block holds at most ``_BLOCK_ENTRIES`` entries (whole rows, at least
+    one), so its temporaries stay a small part of the matrix at every ``n``;
     the maximum is the one of the whole, and a NaN propagates.
     """
-    return float(np.max([np.max(np.abs(entries(rows))) for rows in _row_blocks(n)], initial=0.0))
+    rows = max(1, _BLOCK_ENTRIES // n)
+    return float(np.max([np.max(np.abs(entries(slice(start, start + rows)))) for start in range(0, n, rows)]))
 
 
 def _connected_blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -263,7 +273,7 @@ class SpectralData:
 
 def make_hermitian(m, label: str | None = None) -> HermitianOperator:
     """Validate ``m`` and wrap it as a :class:`HermitianOperator`."""
-    return HermitianOperator(np.asarray(m, dtype=complex), label=label)
+    return HermitianOperator(m, label=label)
 
 
 def _as_matrix(op) -> np.ndarray:

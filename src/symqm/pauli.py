@@ -79,7 +79,11 @@ class PauliSumExpr:
         return 2 ** self.num_qubits
 
     def to_matrix(self, num_qubits: int | None = None) -> np.ndarray:
-        """Evaluate to a dense ``2^q x 2^q`` matrix, site 0 leftmost."""
+        """Evaluate to a dense ``2^q x 2^q`` matrix, site 0 leftmost.
+
+        The matrix is returned read-only, so :class:`HermitianOperator` adopts
+        it without a copy.
+        """
         nq = self.num_qubits if num_qubits is None else int(num_qubits)
         if nq < self.num_qubits:
             raise ValueError(f"expression touches site {self.num_qubits - 1}, "
@@ -93,6 +97,7 @@ class PauliSumExpr:
             # i^phase is +-1 or +-i, so each entry adds exactly +-coefficient to one part.
             part = total.imag if phase % 2 else total.real
             part[j ^ x, j] += (-term.coefficient if phase >= 2 else term.coefficient) * sign
+        total.setflags(write=False)
         return total
 
     def pretty(self) -> str:

@@ -6,6 +6,19 @@ write non-finite floats as :func:`json.dumps` does (``NaN``, ``Infinity``);
 the trajectory CSV keeps ``%``'s ``nan`` and ``inf``.  The CSV gets its bytes
 from an exact integer kernel over blocks of cells, after Adams, *Ryu
 revisited: printf floating point conversion* (OOPSLA 2019).
+
+The kernel writes each cell into a 32-byte slot of four little-endian
+``uint64`` words, then drops the slots' NUL bytes in one pass:
+
+* word 0: the sign, the ``0.000`` that leads fixed notation below 1, the
+  first digit and a dot;
+* words 1 and 2: the other 16 digits, eight ASCII digits each, made from
+  the integer by multiplies and shifts across the word's lanes;
+* word 3: the exponent ``e-dd`` and, in its last byte, the separator.
+
+Only cells with a trailing zero digit (cleared by word masks) or with a dot
+inside their digits (``|x| >= 10``: the integer digits move one byte left)
+take a second pass.
 """
 
 from __future__ import annotations
@@ -26,10 +39,35 @@ _CHUNK_CELLS = 8192
 _U = np.uint64
 _LOW32, _32, _1 = _U(0xFFFFFFFF), _U(32), _U(1)
 _POW5 = np.array([5 ** t for t in range(28)], dtype=_U)
-# Per decimal exponent k in [-11, 16]: the "0.0.." that leads fixed notation
-# below 1, and the exponent of scientific notation.
-_LEAD = np.array([("0." + "0" * (-k - 1)).encode() if -4 <= k < 0 else b"" for k in range(-11, 17)], dtype="S8")
-_EXPONENT = np.array([b"e-%02d" % -k if k < -4 else b"" for k in range(-11, 17)], dtype="S4")
+
+
+def _word(text: bytes, at: int = 0) -> int:
+    """The little-endian 64-bit word that holds ``text`` from byte ``at`` on."""
+    return int.from_bytes(bytes(at) + text, "little")
+
+
+def _word_pairs(values):
+    """128-bit ``values`` as their low and high ``uint64`` words."""
+    return (np.array([v & (2**64 - 1) for v in values], dtype=_U),
+            np.array([v >> 64 for v in values], dtype=_U))
+
+
+# Per decimal exponent k in [-11, 16]: word 0 with the "0.0.." that leads fixed
+# notation below 1 (bytes 1-5), or with the dot after the first digit (byte 7)
+# for scientific notation and k = 0; word 3 with the exponent of scientific
+# notation and a ",".
+_HEAD = np.array([_word(("0." + "0" * (-k - 1)).encode(), 1) if -4 <= k < 0 else
+                  _word(b".", 7) if k < -4 or k == 0 else 0 for k in range(-11, 17)], dtype=_U)
+_TAIL = np.array([_word(b"e-%02d" % -k if k < -4 else b"") | _word(b",", 7) for k in range(-11, 17)], dtype=_U)
+_END_OF_ROW = _U(_word(b",", 7) ^ _word(b"\n", 7))
+_ALL, _BYTE7 = _U(2**64 - 1), _U(0xFF << 56)
+_ASCII_ZEROS, _SEVENS, _HIGH_BITS = _U(0x3030303030303030), _U(0x7F7F7F7F7F7F7F7F), _U(0x8080808080808080)
+# Per count c in [0, 16] of integer digits after the first, over the 16 digits
+# of words 1-2 as one 128-bit (low, high) pair: the c integer digits, where
+# the first c - 1 of them land after a move of one byte, and the dot after them.
+_INTEGER = _word_pairs([(1 << 8 * c) - 1 for c in range(17)])
+_MOVED = _word_pairs([(1 << 8 * c - 8) - 1 if c else 0 for c in range(17)])
+_DOT = _word_pairs([ord(".") << 8 * c - 8 if c else 0 for c in range(17)])
 
 
 def _scaled(m, e, k):
@@ -77,42 +115,77 @@ def _decimal17(x):
     return q, k, exact & (q < _U(10 ** 17))
 
 
+def _eight_digits(v):
+    """The eight ASCII digits of each ``v < 10**8``, most significant in the lowest byte, in place.
+
+    ``v`` splits into 4-digit halves in 32-bit lanes, each half into 2-digit
+    pairs in 16-bit lanes, each pair into digits in bytes; ``n * 5243 >> 19``
+    is ``n // 100`` for ``n < 10**4`` and ``n * 103 >> 10`` is ``n // 10`` for
+    ``n < 100``, and no lane's product reaches the next lane.
+    """
+    high = v // _U(10_000)
+    v -= high * _U(10_000)
+    v <<= _U(32)
+    v |= high
+    for mul, shift, mask, base, width in ((5243, 19, 0x0000007F0000007F, 100, 16),
+                                          (103, 10, 0x000F000F000F000F, 10, 8)):
+        high = (v * _U(mul)) >> _U(shift)
+        high &= _U(mask)
+        v -= high * _U(base)
+        v <<= _U(width)
+        v |= high
+    v += _ASCII_ZEROS
+    return v
+
+
+def _through_last_nonzero(digits):
+    """``0xFF`` in each byte of ``digits`` (byte values 0-9) at or below its highest nonzero byte."""
+    t = (digits + _SEVENS) & _HIGH_BITS
+    for shift in (8, 16, 32):
+        t |= t >> _U(shift)
+    return (t >> _U(7)) * _U(0xFF)
+
+
 def _format_cells(block) -> bytes:
     """The bytes of ``"%.17g" % x`` for every cell of ``block``, ``,``-separated, one line per row.
 
-    Each cell gets the slots ``sign | "0.000" | 17 x (digit, dot) | e-dd | ,``;
-    unused slots hold 0 and are dropped at the end.  ``%.17g`` picks fixed
+    Each cell fills one 32-byte slot of four words (see the module docstring);
+    unused bytes hold 0 and are dropped at the end.  ``%.17g`` picks fixed
     notation for ``-4 <= k < 17`` and strips trailing zeros but integer digits.
-    Cells outside the exact range take ``%`` one at a time.
+    The first pass writes every cell as if it had neither; the cells whose last
+    digit is 0 or with ``k >= 1`` then clear their trailing zeros, keep their
+    dot only before a kept digit, and (``k >= 1``) move the ``k`` integer digits
+    after the first one byte left, to make room for the dot.  Cells outside the
+    exact range take ``%`` one at a time.
     """
     x = np.ascontiguousarray(block, dtype=float).ravel()
     n = x.size
     q, k, exact = _decimal17(x)
-    half = np.stack((q // _U(10 ** 9), q % _U(10 ** 9))).astype(np.uint32)
-    digits = np.empty((2, 9, n), dtype=np.uint8)
-    for j in range(8, -1, -1):
-        rest = half // np.uint32(10)
-        digits[:, j] = half - rest * np.uint32(10)
-        half = rest
-    digits = digits.reshape(18, n)[1:]  # the first of 18 is always 0
-    tail = digits.copy()  # row j: the largest digit at j or after it
-    for j in range(15, -1, -1):
-        np.maximum(tail[j], tail[j + 1], out=tail[j])
-    keep = np.maximum((tail != 0).sum(axis=0) - 1, k) + 1
-    out = np.zeros((n, 45), dtype=np.uint8)
-    out[:, 0] = np.signbit(x) * ord("-")
-    out[:, 1:6] = _LEAD[k + 11].view(np.uint8).reshape(n, 8)[:, :5]
-    out[:, 6:40:2] = ((digits + ord("0")) * (np.arange(17)[:, None] < keep)).T
-    dot = np.maximum(k, 0)
-    cells = np.flatnonzero((keep > dot + 1) & ((k >= 0) | (k < -4)))
-    out[cells, 7 + 2 * dot[cells]] = ord(".")
-    out[:, 40:44] = _EXPONENT[k + 11].view(np.uint8).reshape(n, 4)
-    out[:, 44] = ord(",")
-    out[block.shape[-1] - 1::block.shape[-1], 44] = ord("\n")
+    first = q // _U(10**16)
+    q -= first * _U(10**16)
+    digits = np.empty((2, n), dtype=_U)
+    np.floor_divide(q, _U(10**8), out=digits[0])
+    np.subtract(q, digits[0] * _U(10**8), out=digits[1])
+    low, high = _eight_digits(digits)
+    head = _HEAD[k + 11] | ((first + _U(ord("0"))) << _U(48)) | (x.view(_U) >> _U(63)) * _U(ord("-"))
+    cells = np.flatnonzero(((high >> _U(56)) == _U(ord("0"))) | (k >= 1))
+    if cells.size:
+        c = np.maximum(k[cells], 0)
+        lo, hi, integer_lo, integer_hi = low[cells], high[cells], _INTEGER[0][c], _INTEGER[1][c]
+        hi_digits = hi - _ASCII_ZEROS
+        hi &= _through_last_nonzero(hi_digits) | integer_hi
+        lo &= _through_last_nonzero(lo - _ASCII_ZEROS) | integer_lo | (hi_digits != 0) * _ALL
+        lo_fraction, hi_fraction = lo & ~integer_lo, hi & ~integer_hi
+        dot = (lo_fraction | hi_fraction) != 0
+        head[cells] = (head[cells] & np.where(dot, _ALL, ~_BYTE7)) | ((lo << _U(56)) & ((c > 0) * _BYTE7))
+        low[cells] = ((((lo >> _U(8)) | (hi << _U(56))) & _MOVED[0][c]) | (_DOT[0][c] * dot) | lo_fraction)
+        high[cells] = (((hi >> _U(8)) & _MOVED[1][c]) | (_DOT[1][c] * dot) | hi_fraction)
+    words = np.empty((n, 4), dtype="<u8")
+    words[:, 0], words[:, 1], words[:, 2], words[:, 3] = head, low, high, _TAIL[k + 11]
+    words[block.shape[-1] - 1::block.shape[-1], 3] ^= _END_OF_ROW
+    out = words.view(np.uint8).reshape(n, 32)
     for cell in np.flatnonzero(~exact):
-        text = ("%.17g" % x[cell]).encode()
-        out[cell, :44] = 0
-        out[cell, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        out[cell, :31] = np.frombuffer(("%.17g" % x[cell]).encode().ljust(31, b"\0"), dtype=np.uint8)
     return out.tobytes().translate(None, b"\0")
 
 

@@ -144,3 +144,41 @@ def test_integrated_cells_in_range_take_the_exact_path(method):
     _, _, exact = _decimal17(cells)
     assert np.array_equal(exact, _in_exact_range(cells))
     assert exact.sum() > 0.99 * cells.size
+
+
+def _exponent_and_digits(text):
+    """``(k, s)`` of a ``%.17g`` text: its decimal exponent and its significant digits."""
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    if exponent:
+        k = int(exponent)
+    elif whole != "0":
+        k = len(whole) - 1
+    else:
+        k = len(fraction.lstrip("0")) - len(fraction) - 1
+    return k, len((whole + fraction).strip("0"))
+
+
+@pytest.mark.parametrize("width", [1, 2, 19])
+def test_every_exponent_and_digit_count_matches_percent(width):
+    """``d * 10**(k - s + 1)`` for s-digit ``d``, every k in [-11, 16] and s in 1..17, both signs.
+
+    Their texts clear trailing zeros at every digit count and move the integer
+    digits of ``|x| >= 10`` to make room for the dot; the second pass of
+    ``_format_cells`` runs on the cells that do either.
+    """
+    rng = np.random.default_rng(15)
+    values = []
+    for k in range(-11, 17):
+        for s in range(1, 18):
+            ds = range(10 ** (s - 1), 10 ** s) if s <= 2 else rng.integers(10 ** (s - 1), 10 ** s, 40)
+            values += [float(f"{d}e{k - s + 1}") for d in ds]
+    cells = np.array(values)
+    _, _, exact = _decimal17(cells)
+    assert np.array_equal(exact, _in_exact_range(cells)) and exact.sum() > 0.99 * cells.size
+    _assert_matches(np.concatenate([cells, -cells])[: 2 * cells.size // width * width], width)
+    shapes = {_exponent_and_digits("%.17g" % x) for x in values}
+    for k in range(-11, 17):
+        assert (k, 17) in shapes and any((k, s) in shapes for s in range(1, 17))
+    for notation in (range(-11, -4), range(-4, 0), range(0, 1), range(1, 17)):
+        assert {s for k, s in shapes if k in notation} == set(range(1, 18))

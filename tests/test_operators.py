@@ -43,6 +43,18 @@ def test_make_hermitian_rejections():
     assert err.value.deviation > 0.5
     with pytest.raises(NonSquareError):
         make_hermitian(np.zeros((2, 3)))
+    with pytest.raises(NonSquareError):  # it had no spectrum to decompose
+        make_hermitian(np.zeros((0, 0)))
+
+
+def test_make_hermitian_never_aliases_a_writable_array():
+    m = Z.copy()
+    h = make_hermitian(m)
+    m[0, 0] = 5.0
+    assert h.matrix[0, 0] == 1.0 and not h.matrix.flags.writeable
+    borrowed = m.view()
+    borrowed.setflags(write=False)
+    assert not np.shares_memory(make_hermitian(borrowed).matrix, m)
 
 
 def test_commutator_examples():
@@ -116,7 +128,7 @@ def test_non_finite_entries_rejected(bad):
 
 
 def test_row_block_validation_matches_the_whole_matrix():
-    # 600 rows span three row blocks; the planted entries sit in the last one.
+    # 600 rows span six blocks of 109 rows; the planted entries sit in the last one.
     rng = np.random.default_rng(5)
     m = _random_hermitian(rng, 600)
     m[550, 20] += 3e-13
@@ -191,6 +203,18 @@ def test_validation_makes_no_full_size_temporaries():
         tracemalloc.stop()
     # The stored copy alone is 1x; full-size conj, difference and abs made 2x.
     assert peak <= 1.25 * m.nbytes
+
+
+def test_pauli_build_adopts_its_matrix():
+    tracemalloc.start()
+    try:
+        h = make_hermitian(_chain(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # to_matrix returns its array read-only and the operator keeps it; a copy
+    # of it peaked at 2x.
+    assert peak <= 1.25 * h.matrix.nbytes
 
 
 def test_first_decomposition_peak_memory():
