@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, _positive
 from .operators import HermitianOperator, _coordinates, commutator, expectations
 from .sampling import random_unit_directions, random_unit_states
 from .spaces import (
@@ -154,9 +154,7 @@ def _largest(residuals) -> float:
 def _coordinate_steps(x: np.ndarray, step) -> np.ndarray:
     if step is None:
         return _SQRT_EPS * (1.0 + np.abs(x))
-    if not 0 < step < np.inf:
-        raise ValueError(f"step must be positive and finite, not {step!r}")
-    return np.full(x.shape, float(step))
+    return np.full(x.shape, _positive(step, "step"))
 
 
 def _difference_quotients(rows: np.ndarray, width: np.ndarray) -> np.ndarray:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .brackets import ObservableFunction, bracket_commutator_report
 from .dynamics import integrate, phase_residuals, spectral_deviation, trajectory_diagnostics
-from .errors import NonConvergenceError, SymqmError, ScenarioError
+from .errors import NonConvergenceError, ScenarioError, SymqmError, _count, _positive
 from .operators import spectral_decompose
 from .quantum_function import (
     AxiomTolerances,
@@ -104,7 +104,7 @@ def _nonfinite_state(traj, quiet: bool) -> dict:
     return {"first_nonfinite_state": {"row": row, "t": t}}
 
 
-def _cmd_verify(scenario: Scenario, out_dir: Path, quiet: bool) -> dict:
+def _cmd_verify(scenario: Scenario, paths: dict, quiet: bool) -> dict:
     qf = from_operator(scenario.operator, scenario.space)
     axioms = verify_axioms(qf, scenario.samples, scenario.seed,
                            _axiom_tolerances(scenario))
@@ -117,14 +117,16 @@ def _cmd_verify(scenario: Scenario, out_dir: Path, quiet: bool) -> dict:
     return report
 
 
-def _cmd_bracket(scenario: Scenario, out_dir: Path, quiet: bool) -> dict:
+def _cmd_bracket(scenario: Scenario, paths: dict, quiet: bool) -> dict:
     if scenario.second_operator is None:
         raise ScenarioError("the bracket command requires this field", "second_operator")
     section = _bracket_section(scenario, quiet)
     return {"bracket_commutator": section, "passed": section["passed"]}
 
 
-def _cmd_evolve(scenario: Scenario, out_dir: Path, quiet: bool) -> dict:
+def _cmd_evolve(scenario: Scenario, paths: dict, quiet: bool) -> dict:
+    if paths["trajectory"].resolve() == paths["report"].resolve():
+        raise ScenarioError("the report and the trajectory are one file", "outputs")
     spectral = spectral_decompose(scenario.operator)
     f = ObservableFunction.expectation_of(scenario.operator, scenario.space)
     traj = integrate(f, scenario.initial_state, scenario.integrator)
@@ -141,8 +143,7 @@ def _cmd_evolve(scenario: Scenario, out_dir: Path, quiet: bool) -> dict:
         "phase_evolution": (worst_phase, scenario.tolerance("evolve_phase")),
     })
 
-    csv_path = out_dir / scenario.outputs.get("trajectory", "trajectory.csv")
-    write_trajectory_csv(traj, csv_path)
+    write_trajectory_csv(traj, paths["trajectory"])
 
     return {
         "deviation_from_exact": deviation,
@@ -151,7 +152,7 @@ def _cmd_evolve(scenario: Scenario, out_dir: Path, quiet: bool) -> dict:
             "eigenvalues": [float(a) for a in spectral.eigenvalues],
             "residuals": [float(r) for r in residuals],
         },
-        "trajectory_file": csv_path.name,
+        "trajectory_file": paths["trajectory"].name,
         **_nonfinite_state(traj, quiet),
         "checks": checks,
         "passed": all(checks.values()),
@@ -168,7 +169,7 @@ def _phi_candidate(scenario: Scenario, qf):
     return RowwiseMap(lambda rows: np.broadcast_to(constant, rows.shape))
 
 
-def _cmd_reconstruct(scenario: Scenario, out_dir: Path, quiet: bool) -> dict:
+def _cmd_reconstruct(scenario: Scenario, paths: dict, quiet: bool) -> dict:
     qf = from_operator(scenario.operator, scenario.space)
     traj = integrate(qf.f, scenario.initial_state, scenario.integrator)
     rec = verify_reconstruction(qf, traj, samples=scenario.samples, seed=scenario.seed)
@@ -213,9 +214,12 @@ _COMMANDS = {
 def _run(command: str, scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     """Run one command and write its report, 0 iff it passed; a flow that fails to converge
     writes an error report.  Overflow shows as non-finite residuals, not numpy warnings."""
+    names = {"report": f"{command}_report.json", "trajectory": "trajectory.csv",
+             **scenario.outputs}
+    paths = {key: out_dir / name for key, name in names.items()}
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            body = _COMMANDS[command](scenario, out_dir, quiet)
+            body = _COMMANDS[command](scenario, paths, quiet)
     except NonConvergenceError as exc:
         if not quiet:
             print(f"integrator failed to converge at step {exc.step}")
@@ -224,7 +228,7 @@ def _run(command: str, scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     finally:
         random_unit_states.cache_clear()
     report = {"command": command, "scenario": scenario.resolved_dict(), **body}
-    write_report(report, out_dir / scenario.outputs.get("report", f"{command}_report.json"))
+    write_report(report, paths["report"])
     return 0 if report["passed"] else 1
 
 
@@ -236,15 +240,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
 
     try:
-        if not 0 < args.tol_scale < np.inf:
-            raise ScenarioError("--tol-scale must be positive and finite")
+        scale = _positive(args.tol_scale, "--tol-scale")
         scenario = load_scenario(args.scenario)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ScenarioError("--seed must be nonnegative")
-            scenario.seed = args.seed
-        if args.tol_scale != 1.0:
-            scenario.scale_tolerances(args.tol_scale)
+        scenario = replace(
+            scenario, seed=scenario.seed if args.seed is None else _count(args.seed, "--seed", 0),
+            tolerances={name: _positive(tol * scale, f"tolerances.{name} times --tol-scale")
+                        for name, tol in scenario.tolerances.items()})
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         code = _run(args.command, scenario, out_dir, args.quiet)

@@ -33,6 +33,8 @@ from .errors import (
     DimensionMismatchError,
     MethodUnsupportedError,
     NonConvergenceError,
+    _count,
+    _positive,
 )
 from .operators import (
     _ROW_BLOCK,
@@ -60,17 +62,6 @@ METHODS = ("exact", "midpoint", "cayley", "rk4")
 MAX_STORED_STEPS = 10**6
 
 
-def _count(value, name: str) -> int:
-    """``value`` as a positive int; a boolean, a fraction or a non-finite value is rejected."""
-    try:
-        count = int(value)
-    except (TypeError, ValueError, OverflowError):
-        count = 0
-    if isinstance(value, bool) or count < 1 or count != value:
-        raise ValueError(f"{name} must be a positive integer")
-    return count
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Time-stepping parameters.
@@ -89,20 +80,17 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if isinstance(self.dt, bool) or not 0 < self.dt < np.inf:
-            raise ValueError("dt must be positive and finite")
-        if isinstance(self.solver_tol, bool) or not 1e-15 <= self.solver_tol < np.inf:
-            raise ValueError("solver_tol must be finite and at least 1e-15")
-        for name in ("steps", "solver_max_iter", "stride"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
+        for name, check in (("dt", _positive), ("solver_tol", _positive), ("steps", _count),
+                            ("solver_max_iter", _count), ("stride", _count)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
+        if self.solver_tol < 1e-15:
+            raise ValueError("solver_tol must be at least 1e-15")
         if self.steps % self.stride != 0:
             raise ValueError("stride must divide steps")
         if self.steps // self.stride > MAX_STORED_STEPS:
             raise ValueError(
                 f"more than {MAX_STORED_STEPS} stored steps; increase stride"
             )
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "solver_tol", float(self.solver_tol))
 
     @property
     def total_time(self) -> float:
@@ -220,10 +208,11 @@ def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iter
     Cayley's ``Q`` is ``2 (I - A)^{-1} A`` and RK4's
     ``dK + (dK)^2/2 + (dK)^3/6 + (dK)^4/24``.  A midpoint block takes its
     count ``m`` from its first start state, steps up to ``_ROW_BLOCK`` steps
-    with ``Q_m``, then audits its other start states in one product chain;
-    the next block starts at the first state that needs another count, with
-    the audited count if it is below ``m`` (exact there; above ``m`` it is
-    capped, so searched again), and is at most twice as long as the steps kept.
+    with ``Q_m``, then audits its other start states and the next block's in
+    one product chain; the next block starts at the first state that needs
+    another count, with the audited count if it is at most ``m`` (exact there;
+    above ``m`` it is capped, so searched again), and is at most twice as long
+    as the steps kept.
     """
     a = (0.5 * cfg.dt) * ((-1j / f.space.hbar) * f.operator.matrix)
     b = 2.0 * a  # dt K
@@ -262,12 +251,11 @@ def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iter
         for previous, row in zip(rows, rows[1:block + 1]):  # psi + Q psi, written in place
             dot(q, previous, out=increment)
             add(previous, increment, out=row)
-        audit = counts(block_states[1:block], m)
-        wrong = np.flatnonzero(audit != m)
-        known = 0  # the next start state's count where the audit found it exactly, else 0
+        audit = counts(block_states[1:block + 1], m)  # the last row starts the next block
+        wrong = np.flatnonzero(audit[:-1] != m)
         if wrong.size:  # keep the steps up to the first start state that needs another count
             block = int(wrong[0]) + 1
-            known = int(audit[block - 1]) if audit[block - 1] < m else 0  # above m: capped
+        known = int(audit[block - 1]) if audit[block - 1] <= m else 0  # above m: capped, search
         step = done + np.arange(1, block + 1)
         kept = step % cfg.stride == 0
         states[step[kept] // cfg.stride] = block_states[1:block + 1][kept]

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value checks that raise them."""
+
+import math
+from numbers import Real
 
 
 class SymqmError(Exception):
@@ -88,7 +91,10 @@ class OperatorSyntaxError(SymqmError, ValueError):
 
 
 class ScenarioError(SymqmError, ValueError):
-    """A scenario file is malformed or fails cross-validation.
+    """A scenario value is malformed or fails cross-validation.
+
+    Raised for a field of a scenario file, for the CLI option that
+    overrides it, and by the checks below for any argument of their kind.
 
     Attributes
     ----------
@@ -99,3 +105,32 @@ class ScenarioError(SymqmError, ValueError):
     def __init__(self, message, field=None):
         self.field = field
         super().__init__(message if field is None else f"{field}: {message}")
+
+
+def _count(value, name: str, least: int = 1) -> int:
+    """``value`` as an int of at least ``least``; a boolean, a fraction or a non-finite value
+    is rejected, an integral float such as ``100.0`` is accepted."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = least - 1
+    if isinstance(value, bool) or count < least or count != value:
+        raise ScenarioError(f"must be an integer of at least {least}", name)
+    return count
+
+
+def _positive(value, name: str) -> float:
+    """``value`` as a float, positive and finite; a boolean or a string is rejected."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+        raise ScenarioError("must be a positive finite real", name)
+    return float(value)
+
+
+def _object(value, name: str, known) -> dict:
+    """``value``, a dict whose keys are all in ``known``."""
+    if not isinstance(value, dict):
+        raise ScenarioError("must be an object", name)
+    for key in value:
+        if key not in known:
+            raise ScenarioError(f"unknown key {key!r}; known: {sorted(known)}", name)
+    return value

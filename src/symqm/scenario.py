@@ -6,23 +6,32 @@ Recognized keys::
     operator        Pauli-sum expression, or "file:PATH" for a dense matrix;
                     at most MAX_DENSE_DIM = 4096 dimensions (12 qubits)
     second_operator optional, same forms; enables bracket reports
-    initial_state   "uniform" | "basis:k" | list of entries ("a+bj" strings
-                    or plain numbers); normalized on load
+    initial_state   "uniform" | "basis:k" | list of finite entries ("a+bj"
+                    strings or plain numbers) whose squared norm is a nonzero
+                    finite float, neither overflowing nor underflowing;
+                    normalized on load
     integrator      {method, dt, steps, solver_tol, solver_max_iter, stride}
-    outputs         {report: NAME, trajectory: NAME} relative to --out
-    seed            nonnegative integer, default 0
-    samples         positive integer, default 100
+    outputs         {report: NAME, trajectory: NAME} relative to --out; for
+                    evolve the two must be different files
+    seed            whole number >= 0, default 0
+    samples         whole number >= 1, default 100
     tolerances      per-check overrides, see DEFAULT_TOLERANCES
     phi_map         "reconstruction" | "identity" | "constant" (reconstruct
                     command only; "constant" is the negative control)
 
+Each kind of value has one check in :mod:`symqm.errors`, which names the
+field: a whole number (``steps``, ``stride``, ``solver_max_iter``, ``seed``,
+``samples``) may be written ``100`` or ``100.0``, not ``100.5`` or ``true``;
+a real (``hbar``, ``dt``, ``solver_tol``, each tolerance) must be positive
+and finite; an object may hold only its known keys.  The CLI's ``--seed``
+and ``--tol-scale`` pass the same checks as the fields they replace.
 Defaults are applied on load and echoed into every report.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +42,9 @@ from .errors import (
     NonSquareError,
     OperatorSyntaxError,
     ScenarioError,
+    _count,
+    _object,
+    _positive,
 )
 from .operators import MAX_DENSE_DIM, HermitianOperator, make_hermitian, read_matrix_file
 from .pauli import parse_operator_expr
@@ -58,22 +70,19 @@ DEFAULT_TOLERANCES = {
 
 PHI_MAPS = ("reconstruction", "identity", "constant")
 
-_KNOWN_KEYS = {
+_FIELDS = (
     "hbar", "operator", "second_operator", "initial_state", "integrator",
     "outputs", "seed", "samples", "tolerances", "phi_map",
-}
-_OUTPUT_KEYS = {"report", "trajectory"}
+)
 _DEFAULT_INTEGRATOR = {"method": "midpoint", "dt": 1e-3, "steps": 1000}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """A fully resolved scenario, defaults applied."""
 
     space: SymplecticSpace
-    operator_text: str
     operator: HermitianOperator
-    second_operator_text: str | None
     second_operator: HermitianOperator | None
     initial_state: np.ndarray
     integrator: IntegratorConfig
@@ -94,19 +103,12 @@ class Scenario:
     def tolerance(self, name: str) -> float:
         return self.tolerances[name]
 
-    def scale_tolerances(self, factor: float) -> None:
-        scaled = {k: v * factor for k, v in self.tolerances.items()}
-        if not all(0 < v < np.inf for v in scaled.values()):
-            raise ScenarioError(f"scaling by {factor!r} leaves a tolerance that is not "
-                                "positive and finite", "tolerances")
-        self.tolerances = scaled
-
     def resolved_dict(self) -> dict:
         """Echo of the resolved configuration, embedded in reports."""
         return {
             "hbar": self.hbar,
-            "operator": self.operator_text,
-            "second_operator": self.second_operator_text,
+            "operator": self.operator.label,
+            "second_operator": self.second_operator.label if self.second_operator else None,
             "dimension": self.dimension,
             "initial_state": [[float(z.real), float(z.imag)] for z in self.initial_state],
             "integrator": asdict(self.integrator),
@@ -187,44 +189,13 @@ def _resolve_initial_state(spec, dim: int) -> np.ndarray:
                 f"length {state.shape[0]} does not match operator dimension {dim}",
                 "initial_state",
             )
-        nrm = float(np.linalg.norm(state))
-        if nrm == 0.0:
-            raise ScenarioError("initial state must be nonzero", "initial_state")
+        with np.errstate(over="ignore"):
+            nrm = float(np.linalg.norm(state))
+        if not np.finfo(float).tiny <= nrm * nrm < np.inf:  # also a NaN or an infinite entry
+            raise ScenarioError("amplitudes must be finite, with a nonzero squared norm that "
+                                "neither overflows nor underflows", "initial_state")
         return state / nrm
     raise ScenarioError("must be a preset string or a list of amplitudes", "initial_state")
-
-
-def _resolve_integrator(spec) -> IntegratorConfig:
-    if not isinstance(spec, dict):
-        raise ScenarioError("must be an object", "integrator")
-    merged = dict(_DEFAULT_INTEGRATOR)
-    known = {"method", "dt", "steps", "solver_tol", "solver_max_iter", "stride"}
-    for key in spec:
-        if key not in known:
-            raise ScenarioError(f"unknown key {key!r}", "integrator")
-    merged.update(spec)
-    try:
-        return IntegratorConfig(**merged)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc), "integrator") from exc
-
-
-def _resolve_tolerances(spec) -> dict:
-    merged = dict(DEFAULT_TOLERANCES)
-    if spec is None:
-        return merged
-    if not isinstance(spec, dict):
-        raise ScenarioError("must be an object mapping check names to reals", "tolerances")
-    for key, value in spec.items():
-        if key not in DEFAULT_TOLERANCES:
-            raise ScenarioError(
-                f"unknown check {key!r}; known: {sorted(DEFAULT_TOLERANCES)}", "tolerances"
-            )
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not 0 < value < np.inf):
-            raise ScenarioError(f"{key} must be a positive finite real", "tolerances")
-        merged[key] = float(value)
-    return merged
 
 
 def load_scenario(path) -> Scenario:
@@ -240,20 +211,12 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    for key in raw:
-        if key not in _KNOWN_KEYS:
-            raise ScenarioError(f"unknown field {key!r}", key)
-    if "operator" not in raw:
+    if "operator" not in _object(raw, "scenario", _FIELDS):
         raise ScenarioError("required field missing", "operator")
 
     base_dir = path.parent
     operator = _resolve_operator(raw["operator"], base_dir, "operator")
-    try:
-        space = SymplecticSpace(operator.dim, raw.get("hbar", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError("must be a positive finite real", "hbar") from exc
+    space = SymplecticSpace(operator.dim, raw.get("hbar", 1.0))
     second = None
     if raw.get("second_operator") is not None:
         # A Pauli second operator acts on the operator's qubits, so "Y0"
@@ -268,23 +231,20 @@ def load_scenario(path) -> Scenario:
             )
 
     initial_state = _resolve_initial_state(raw.get("initial_state", "uniform"), operator.dim)
-    integrator = _resolve_integrator(raw.get("integrator", {}))
+    integrator = _object(raw.get("integrator", {}), "integrator",
+                         [field.name for field in fields(IntegratorConfig)])
+    try:
+        integrator = IntegratorConfig(**{**_DEFAULT_INTEGRATOR, **integrator})
+    except ValueError as exc:
+        raise ScenarioError(str(exc), "integrator") from exc
 
-    outputs = raw.get("outputs", {})
-    if not isinstance(outputs, dict):
-        raise ScenarioError("must be an object", "outputs")
+    outputs = _object(raw.get("outputs", {}), "outputs", ("report", "trajectory"))
     for key, value in outputs.items():
-        if key not in _OUTPUT_KEYS:
-            raise ScenarioError(f"unknown output {key!r}", "outputs")
         if not isinstance(value, str) or not value:
             raise ScenarioError(f"{key} must be a non-empty file name", "outputs")
-
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ScenarioError("must be a nonnegative integer", "seed")
-    samples = raw.get("samples", 100)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise ScenarioError("must be a positive integer", "samples")
+    tolerances = raw.get("tolerances")  # null stands for the defaults
+    tolerances = _object({} if tolerances is None else tolerances, "tolerances",
+                         DEFAULT_TOLERANCES)
 
     phi_map = raw.get("phi_map", "reconstruction")
     if phi_map not in PHI_MAPS:
@@ -292,16 +252,14 @@ def load_scenario(path) -> Scenario:
 
     return Scenario(
         space=space,
-        operator_text=str(raw["operator"]).strip(),
         operator=operator,
-        second_operator_text=(str(raw["second_operator"]).strip()
-                              if second is not None else None),
         second_operator=second,
         initial_state=initial_state,
         integrator=integrator,
         outputs=dict(outputs),
-        seed=int(seed),
-        samples=int(samples),
-        tolerances=_resolve_tolerances(raw.get("tolerances")),
+        seed=_count(raw.get("seed", 0), "seed", 0),
+        samples=_count(raw.get("samples", 100), "samples"),
+        tolerances={**DEFAULT_TOLERANCES, **{name: _positive(tol, f"tolerances.{name}")
+                                             for name, tol in tolerances.items()}},
         phi_map=str(phi_map),
     )

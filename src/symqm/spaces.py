@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NormalizationError
+from .errors import DimensionMismatchError, NormalizationError, _count, _positive
 
 __all__ = [
     "SymplecticSpace",
@@ -67,12 +67,8 @@ class SymplecticSpace:
     convention_sign: int = field(default=1, init=False)
 
     def __post_init__(self):
-        if int(self.complex_dim) < 1:
-            raise ValueError("complex_dim must be a positive integer")
-        if isinstance(self.hbar, bool) or not 0 < self.hbar < np.inf:
-            raise ValueError("hbar must be positive and finite")
-        object.__setattr__(self, "complex_dim", int(self.complex_dim))
-        object.__setattr__(self, "hbar", float(self.hbar))
+        object.__setattr__(self, "complex_dim", _count(self.complex_dim, "complex_dim"))
+        object.__setattr__(self, "hbar", _positive(self.hbar, "hbar"))
 
     @property
     def real_dim(self) -> int:

@@ -142,20 +142,35 @@ def test_overflowing_flow_report_is_json(tmp_path):
     assert ",nan," in (tmp_path / "out" / "trajectory.csv").read_text()
 
 
-@pytest.mark.parametrize("command", ["evolve", "reconstruct"])
-def test_overflowing_flow_warns_nothing_and_names_the_row(tmp_path, command):
+def _run_in_subprocess(command, scenario, out):
     # A separate process, so that any numpy warning would reach its stderr.
-    scenario = _unstable_rk4(tmp_path, 5.0, 2000)
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-m", "symqm.cli", command, "--scenario", str(scenario),
-                          "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "symqm.cli", command, "--scenario", str(scenario),
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command", ["evolve", "reconstruct"])
+def test_overflowing_flow_warns_nothing_and_names_the_row(tmp_path, command):
+    out = _run_in_subprocess(command, _unstable_rk4(tmp_path, 5.0, 2000), tmp_path / "out")
     assert out.returncode == 1
     assert out.stderr == ""
     assert "state not finite from stored row 372 (t=1860)" in out.stdout
     report = json.loads((tmp_path / "out" / f"{command}_report.json").read_text())
     # The norm column overflows to inf first (row 186); the state itself at row 372.
     assert report["first_nonfinite_state"] == {"row": 372, "t": 1860}
+
+
+@pytest.mark.parametrize("command", ["evolve", "reconstruct"])
+@pytest.mark.parametrize("amplitudes", [["nan", 1], ["inf", 1], [1e308, 1e308]])
+def test_non_finite_initial_state_warns_nothing_and_exits_2(tmp_path, command, amplitudes):
+    # A NaN amplitude used to run and fail as a non-convergence, with a raw
+    # RuntimeWarning; a norm that overflows used to normalize to the zero vector.
+    scenario = _scenario(tmp_path, {"initial_state": amplitudes})
+    out = _run_in_subprocess(command, scenario, tmp_path / "out")
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: initial_state: ")
+    assert out.stderr.count("\n") == 1  # that error line and nothing else
 
 
 def test_finite_flow_report_has_no_nonfinite_row(tmp_path):
@@ -261,6 +276,18 @@ def test_seed_override_changes_report(tmp_path):
             != rep_b["bracket_commutator"]["finite_difference_max"])
 
 
+@pytest.mark.parametrize("outputs", [{"report": "a.out", "trajectory": "a.out"},
+                                     {"report": "trajectory.csv"}])
+def test_evolve_report_and_trajectory_must_differ(tmp_path, capsys, outputs):
+    scenario = _scenario(tmp_path, {"second_operator": "X0", "outputs": outputs})
+    assert _run("evolve", scenario, tmp_path / "evolve") == 2
+    assert "error: outputs: " in capsys.readouterr().err
+    assert not any((tmp_path / "evolve").iterdir())  # stopped before it integrated
+    # The other commands write no CSV, so either name is theirs alone.
+    for command in ("verify", "bracket", "reconstruct"):
+        assert _run(command, scenario, tmp_path / command) == 0
+
+
 @pytest.mark.parametrize("command", ["verify", "evolve", "bracket", "reconstruct"])
 def test_byte_identical_reruns(tmp_path, command):
     scenario = _scenario(tmp_path, {"second_operator": "X0"})
@@ -297,6 +324,9 @@ _INTEGRATOR = {"method": "midpoint", "dt": 0.01, "steps": 10}
     ({"integrator": {**_INTEGRATOR, "solver_tol": float("inf")}}, "solver_tol"),
     ({"tolerances": {"axiom_bracket": float("inf")}}, "axiom_bracket"),
     ({"tolerances": {"qfe": float("inf")}}, "qfe"),
+    ({"samples": 100.5}, "samples"),
+    ({"seed": -1.0}, "seed"),
+    ({"integrator": {**_INTEGRATOR, "dt": "0.1"}}, "dt"),
 ])
 def test_non_finite_or_fractional_value_exit_code(tmp_path, capsys, command, extra, field):
     scenario = _scenario(tmp_path, {"second_operator": "X0", **extra})
@@ -327,6 +357,12 @@ def test_tol_scale_must_be_positive_and_finite(tmp_path, capsys, scale):
     scenario = _scenario(tmp_path)
     assert _run("verify", scenario, tmp_path / "out", "--tol-scale", scale) == 2
     assert "--tol-scale" in capsys.readouterr().err
+
+
+def test_seed_override_must_be_nonnegative(tmp_path, capsys):
+    scenario = _scenario(tmp_path)
+    assert _run("verify", scenario, tmp_path / "out", "--seed", "-1") == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_tol_scale_overflowing_a_tolerance_rejected(tmp_path, capsys):

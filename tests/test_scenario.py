@@ -1,5 +1,6 @@
 """Tests for scenario file loading and validation."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -124,6 +125,8 @@ def test_tolerance_overrides(tmp_path):
 def test_unknown_field_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="frobnicate"):
         load_scenario(_write(tmp_path, {"operator": "Z0", "frobnicate": 1}))
+    with pytest.raises(ScenarioError, match="^integrator: unknown key 'dx'"):
+        load_scenario(_write(tmp_path, {"operator": "Z0", "integrator": {"dx": 0.1}}))
 
 
 def test_bad_json_reports_line(tmp_path):
@@ -140,6 +143,17 @@ def test_seed_and_samples_validation(tmp_path):
         load_scenario(_write(tmp_path, {"operator": "Z0", "samples": 0}))
     with pytest.raises(ScenarioError, match="hbar"):
         load_scenario(_write(tmp_path, {"operator": "Z0", "hbar": 0}))
+    # An integral float is a whole number, as it is for the integrator's counts.
+    whole = load_scenario(_write(tmp_path, {"operator": "Z0", "samples": 100.0, "seed": 3.0}))
+    plain = load_scenario(_write(tmp_path, {"operator": "Z0", "samples": 100, "seed": 3}))
+    assert (whole.samples, whole.seed) == (100, 3) and type(whole.samples) is type(whole.seed) is int
+    assert whole.resolved_dict() == plain.resolved_dict()
+
+
+def test_loaded_scenario_is_frozen(tmp_path):
+    sc = load_scenario(_write(tmp_path, {"operator": "Z0"}))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.seed = 1
 
 
 def test_phi_map_validation(tmp_path):
