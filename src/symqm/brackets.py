@@ -3,18 +3,19 @@
 Expectation-value functions ``<A>`` and coordinate functionals ``<phi|.>``
 get closed forms, each written once over the rows of a ``(rows, n)`` matrix
 of states: the single-state functions are its one-row case.  Any other
-function falls back to central finite differences (FD) on the canonical real
-coordinates.  :func:`poisson_bracket`, :func:`complex_bracket` and
-``verify_axioms`` take the closed form iff ``method="auto"`` and every
-function has one (an ``operator``, a ``vector``, ``operator_backed``);
-``"finite_difference"`` forces FD, and any other value raises ``ValueError``.
-Every FD bracket is the kernel ``_fd_bracket``: ``du(X)`` as one central
-difference along the field ``X`` at every row of a matrix of states.  FD
-paths (``"finite_difference"``, generic ``f``, the QFE) take ``X_f = J grad f``
-from one central-difference pass over ``f`` per state.  The reports that
-cross-check closed forms (the bracket report; ``verify_reconstruction`` for
-``f = <A>``) take the closed-form field and check it by FD on seeded ``r``,
-``dg(r) = Omega(X_g, r)``: Freivalds' check (IFIP Congress 1977).
+function falls back to central finite differences (FD).
+:func:`poisson_bracket`, :func:`complex_bracket` and ``verify_axioms`` take
+the closed form iff ``method="auto"`` and every function has one (an
+``operator``, a ``vector``, ``operator_backed``); ``"finite_difference"``
+forces FD, and any other value raises ``ValueError``.  Every central
+difference is the kernel ``_fd_bracket``: ``du(X)`` along the field ``X`` at
+every row of a matrix of states.  FD paths (``"finite_difference"``, generic
+``f``, the QFE) take ``X_f = J grad f``, the gradient as ``2n`` directional
+differences of ``f`` along the real coordinate axes, one kernel pass per
+state.  The reports that cross-check closed forms (the bracket report;
+``verify_reconstruction`` for ``f = <A>``) take the closed-form field and
+check it by FD on seeded ``r``, ``dg(r) = Omega(X_g, r)``: Freivalds' check
+(IFIP Congress 1977).
 
 Conventions (all consequences of the sign fixed in :mod:`symqm.spaces`):
 
@@ -40,12 +41,7 @@ import numpy as np
 from .errors import DimensionMismatchError, _positive
 from .operators import HermitianOperator, _coordinates, commutator, expectations
 from .sampling import random_unit_directions, random_unit_states
-from .spaces import (
-    SymplecticSpace,
-    from_real_coords,
-    hermitian_inner,
-    to_real_coords,
-)
+from .spaces import SymplecticSpace, from_real_coords, hermitian_inner
 
 __all__ = [
     "ObservableFunction",
@@ -151,33 +147,6 @@ def _largest(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def _coordinate_steps(x: np.ndarray, step) -> np.ndarray:
-    if step is None:
-        return _SQRT_EPS * (1.0 + np.abs(x))
-    return np.full(x.shape, _positive(step, "step"))
-
-
-def _difference_quotients(rows: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """``(rows[i] - rows[k + i]) / width[i]``: the values at ``k`` points ``+`` over those at ``-``."""
-    diff = rows[:len(width)] - rows[len(width):]
-    width = width.reshape(width.shape + (1,) * (diff.ndim - 1))
-    if np.iscomplexobj(diff):  # Re and Im each divided as a real function's
-        return diff.real / width + 1j * (diff.imag / width)
-    return diff / width
-
-
-def _central_differences(values, space: SymplecticSpace, x: np.ndarray, step=None) -> np.ndarray:
-    """Row ``i``: ``(values(x + h_i e_i) - values(x - h_i e_i)) / (2 h_i)`` at the real coordinates
-    ``x``, ``values`` giving a value (or row of values) per state of the one ``(4n, n)`` stack."""
-    m = x.shape[0]
-    h = _coordinate_steps(x, step)
-    points = np.tile(x, (2 * m, 1))
-    diag = np.arange(m)
-    points[diag, diag] += h
-    points[m + diag, diag] -= h
-    return _difference_quotients(values(from_real_coords(points, space)), 2.0 * h)
-
-
 def _observable_values(f: ObservableFunction, states: np.ndarray) -> np.ndarray:
     """``f`` at every row of ``states``: one guarded product for ``<A>``, else ``f.func`` per row."""
     if f.operator is not None:
@@ -193,19 +162,36 @@ def _complex_values(u: ComplexFunction, states: np.ndarray) -> np.ndarray:
 
 
 def _fd_fields(values, space: SymplecticSpace, states: np.ndarray, step=None) -> np.ndarray:
-    """``X_f = J grad f``, ``J = [[0, I], [-I, 0]]``, at every row, by one FD pass of ``f`` each."""
-    grads = np.array([_central_differences(values, space, to_real_coords(psi, space), step)
-                      for psi in states]).reshape(len(states), 2, space.complex_dim)  # (q, p)
-    return from_real_coords(np.concatenate([grads[:, 1], -grads[:, 0]], axis=1), space)
+    """``X_f = J grad f``, ``J = [[0, I], [-I, 0]]``, at every row: ``grad f`` is ``df`` along the
+    ``2n`` real coordinate axes (``e_k``, then ``i e_k``, over ``sqrt(2 hbar)``), one kernel pass each."""
+    n = space.complex_dim
+    axes = np.concatenate([np.eye(n), 1j * np.eye(n)]) / space.coord_scale
+    grads = np.array([_fd_bracket(values, space, np.broadcast_to(psi, axes.shape), axes, step)
+                      for psi in states])  # (q, p)
+    return from_real_coords(np.concatenate([grads[:, n:], -grads[:, :n]], axis=1), space)
 
 
 def _fd_bracket(values, space: SymplecticSpace, states, fields, step=None) -> np.ndarray:
-    """``du(X)`` at every row of ``states``, ``X`` that row of ``fields``, from one call of ``values``
-    (``u`` per state) over the stack; ``h X`` moves no coordinate by more than its step."""
-    size = np.maximum(space.coord_scale * np.abs(fields), np.finfo(float).tiny)
-    h = np.min(_coordinate_steps(space.coord_scale * np.abs(states), step) / size, axis=1)
-    shifts = h[:, None] * fields
-    return _difference_quotients(values(np.concatenate([states + shifts, states - shifts])), 2.0 * h)
+    """``du(X)`` at every row of ``states``, ``X`` that row of ``fields``: the central difference
+    ``(u(psi + h X) - u(psi - h X)) / 2h`` from one call of ``values`` (``u`` per state) over the
+    stack; ``h`` is the largest step with ``sqrt(2 hbar) |h X_k|`` within ``step`` (default
+    ``sqrt(eps) (1 + sqrt(2 hbar) |psi_k|)``) for every ``k``.  Re and Im of a complex ``u`` are
+    each divided as a real function's."""
+    scale = space.coord_scale
+    limit = _positive(step, "step") if step is not None else _SQRT_EPS * (1.0 + scale * np.abs(states))
+    h = np.min(limit / np.maximum(scale * np.abs(fields), np.finfo(float).tiny), axis=1)
+    del limit
+    k = len(h)  # points: the k rows psi + h X, then the k rows psi - h X
+    points = np.empty((2 * k, fields.shape[1]), dtype=complex)
+    shifts = np.multiply(h[:, None], fields, out=points[k:])  # h X, made where psi - h X goes
+    np.add(states, shifts, out=points[:k])
+    np.subtract(states, shifts, out=shifts)
+    rows = values(points)
+    diff = rows[:k] - rows[k:]
+    width = (2.0 * h).reshape((k,) + (1,) * (diff.ndim - 1))
+    if np.iscomplexobj(diff):
+        return diff.real / width + 1j * (diff.imag / width)
+    return diff / width
 
 
 def _closed_form_field(f: ObservableFunction, states: np.ndarray) -> np.ndarray:
@@ -277,7 +263,8 @@ def poisson_bracket(f: ObservableFunction, g: ObservableFunction, psi,
     ``(2/hbar) Im <A psi | B psi>`` is used, which makes
     ``i*hbar*{<A>,<B>}(psi)`` equal to ``<psi|[A,B]|psi>``.  Otherwise the
     bracket is ``df(X_g)``: one central difference of ``f`` along
-    ``X_g = J grad g``, whose gradient is one central-difference pass over ``g``.
+    ``X_g = J grad g``, whose gradient is ``2n`` directional differences of ``g``
+    through the same kernel.
 
     ``method`` is ``"auto"`` or ``"finite_difference"``, which forces the
     finite-difference backend.

@@ -354,8 +354,8 @@ def reconstruct_from_spectrum(spectral: SpectralData) -> np.ndarray:
 def read_matrix_file(path) -> np.ndarray:
     """Read a dense complex matrix from the plain-text exchange format.
 
-    The first line holds the dimension ``n``; each of the following ``n``
-    lines holds ``n`` whitespace-separated entries such as ``1.5``,
+    The first line holds the dimension ``n``; each of exactly ``n`` more
+    non-blank lines holds ``n`` whitespace-separated entries such as ``1.5``,
     ``2+3j`` or ``-1-0.5j`` (``j`` suffix mandatory for imaginary parts,
     omitted for purely real entries).
     """
@@ -371,10 +371,10 @@ def read_matrix_file(path) -> np.ndarray:
         raise ValueError(f"{path}: dimension must be positive, got {n}")
     if n > MAX_DENSE_DIM:
         raise ValueError(f"{path}: dimension {n} exceeds the dense limit {MAX_DENSE_DIM}")
-    if len(lines) - 1 < n:
+    if len(lines) - 1 != n:
         raise ValueError(f"{path}: expected {n} rows, found {len(lines) - 1}")
     rows = []
-    for i, line in enumerate(lines[1 : n + 1], start=2):
+    for i, line in enumerate(lines[1:], start=2):
         tokens = line.split()
         if len(tokens) != n:
             raise ValueError(f"{path}: line {i}: expected {n} entries, found {len(tokens)}")

@@ -48,16 +48,13 @@ from .errors import (
 )
 from .operators import MAX_DENSE_DIM, HermitianOperator, make_hermitian, read_matrix_file
 from .pauli import parse_operator_expr
+from .quantum_function import AxiomTolerances
 from .spaces import SymplecticSpace
 
 __all__ = ["Scenario", "load_scenario", "DEFAULT_TOLERANCES", "PHI_MAPS"]
 
 DEFAULT_TOLERANCES = {
-    "axiom_decomposition": 1e-10,
-    "axiom_bracket": 1e-10,
-    "axiom_normalization": 1e-10,
-    "axiom_stationary_delta": 1e-10,
-    "axiom_stationary_value": 1e-10,
+    **{f"axiom_{name}": tol for name, tol in asdict(AxiomTolerances()).items()},
     "bracket_analytic": 1e-9,
     "bracket_finite_difference": 1e-5,
     "evolve_deviation": 1e-5,

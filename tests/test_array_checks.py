@@ -49,9 +49,9 @@ from symqm import (
 )
 from symqm.brackets import (
     BRACKET_REPORT_STEP,
-    _central_differences,
     _complex_values,
     _fd_bracket,
+    _fd_fields,
     _observable_values,
 )
 from symqm.cli import main
@@ -340,6 +340,12 @@ def _reference_jacobian(func, space, psi, step):
     return np.array(re), np.array(im)
 
 
+def _gradient_field(grad, space):
+    """``X = J grad``, ``J = [[0, I], [-I, 0]]``, for the real gradient ``grad = (d/dq, d/dp)``."""
+    n = space.complex_dim
+    return from_real_coords(np.concatenate([grad[n:], -grad[:n]]), space)
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_batched_jacobian_matches_pointwise_reference(n):
     space = SymplecticSpace(n, hbar=0.7)
@@ -349,25 +355,36 @@ def test_batched_jacobian_matches_pointwise_reference(n):
     cubic = ObservableFunction.from_callable(
         lambda v: float(np.vdot(v, a.matrix @ v).real + np.sum(v.real ** 3)), space)
     twisted = ComplexFunction.from_callable(lambda v: np.vdot(phi, v) * v[0] ** 2, space)
+    coordinate = ComplexFunction.coordinate(phi, space)
+    # The real and imaginary parts of complex functions, each a real function of the state.
+    generic = ((lambda s: _observable_values(cubic, s), cubic, 0),
+               (lambda s: _complex_values(twisted, s).real, twisted, 0),
+               (lambda s: _complex_values(twisted, s).imag, twisted, 1))
+    axes = np.concatenate([np.eye(n), 1j * np.eye(n)]) / space.coord_scale
     for step in (None, BRACKET_REPORT_STEP):
-        # Generic callables see the same states and are called once per
-        # perturbed point, so their differences are bit-identical.
-        jac = _central_differences(lambda s: _observable_values(cubic, s), space,
-                                   to_real_coords(psi, space), step)
-        re, im = _reference_jacobian(cubic, space, psi, step)
-        assert jac.dtype == float and np.array_equal(jac, re) and not np.any(im)
-        jac = _central_differences(lambda s: _complex_values(twisted, s), space,
-                                   to_real_coords(psi, space), step)
-        re, im = _reference_jacobian(twisted, space, psi, step)
-        assert np.array_equal(jac.real, re) and np.array_equal(jac.imag, im)
+        for values, func, part in generic:
+            field = _fd_fields(values, space, psi[None], step)[0]
+            # Generic callables see the same states as one-row kernel calls along
+            # each real axis and are called once per point: bit-identical.
+            per_axis = np.array([_fd_bracket(values, space, psi[None], axis[None], step)[0]
+                                 for axis in axes])
+            assert np.array_equal(field, _gradient_field(per_axis, space))
+            # The reference bounds each real coordinate's move, the kernel each
+            # complex one's: at the default sqrt(eps) steps the two agree only to
+            # the round-off of such a step, about sqrt(eps) |f|; at a shared step
+            # to the 1e-9 of the products below.
+            reference = _reference_jacobian(func, space, psi, step)[part]
+            tol = 1e-7 if step is None else 1e-9
+            assert np.max(np.abs(field - _gradient_field(reference, space))) <= tol
     # Products differ from the per-point formulas in the last ulp of each
     # value; divided by the step, that stays far below the 1e-5 tolerances.
-    for func, rows in ((ObservableFunction.expectation_of(a, space), _observable_values),
-                       (ComplexFunction.coordinate(phi, space), _complex_values)):
-        jac = _central_differences(lambda s: rows(func, s), space, to_real_coords(psi, space),
-                                   BRACKET_REPORT_STEP)
-        re, im = _reference_jacobian(func, space, psi, BRACKET_REPORT_STEP)
-        assert np.max(np.abs(jac - (re + 1j * im))) <= 1e-9
+    expectation = ObservableFunction.expectation_of(a, space)
+    for values, func, part in ((lambda s: _observable_values(expectation, s), expectation, 0),
+                               (lambda s: _complex_values(coordinate, s).real, coordinate, 0),
+                               (lambda s: _complex_values(coordinate, s).imag, coordinate, 1)):
+        field = _fd_fields(values, space, psi[None], BRACKET_REPORT_STEP)[0]
+        reference = _reference_jacobian(func, space, psi, BRACKET_REPORT_STEP)[part]
+        assert np.max(np.abs(field - _gradient_field(reference, space))) <= 1e-9
 
 
 def _cubic_observable(qf, weight):
@@ -482,7 +499,15 @@ def test_coordinates_have_one_source():
 
 @pytest.mark.parametrize("n", (2, 5))
 def test_fd_brackets_take_one_difference_pass(monkeypatch, n):
-    calls = _counting(monkeypatch, [symqm.brackets], "_central_differences")
+    calls = []  # one entry per state whose gradient _fd_fields takes
+    original = symqm.brackets._fd_fields
+
+    def counted(values, space, states, step=None):
+        calls.extend(states)
+        return original(values, space, states, step)
+
+    for module in (symqm.brackets, symqm.quantum_function):
+        monkeypatch.setattr(module, "_fd_fields", counted)
     space = SymplecticSpace(n, hbar=0.7)
     qf = from_operator(_operator(n, 130 + n), space)
     g = ObservableFunction.expectation_of(_operator(n, 131 + n), space)

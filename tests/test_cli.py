@@ -243,6 +243,14 @@ def test_non_finite_operator_exit_code(tmp_path, field, capsys):
         assert f"error: {field}: " in capsys.readouterr().err
 
 
+def test_matrix_file_with_surplus_rows_exit_code(tmp_path, capsys):
+    (tmp_path / "long.mat").write_text("2\n1 0\n0 -1\n5 5\n")
+    scenario = _scenario(tmp_path, {"operator": "file:long.mat"})
+    assert _run("verify", scenario, tmp_path / "out") == 2
+    assert "error: operator: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_scenario_exit_code(tmp_path, capsys):
     for command in ("verify", "evolve", "bracket", "reconstruct"):
         assert _run(command, tmp_path / "nope.json", tmp_path / "out") == 2
