@@ -179,7 +179,8 @@ def _fd_bracket(values, space: SymplecticSpace, states, fields, step=None) -> np
     each divided as a real function's."""
     scale = space.coord_scale
     limit = _positive(step, "step") if step is not None else _SQRT_EPS * (1.0 + scale * np.abs(states))
-    h = np.min(limit / np.maximum(scale * np.abs(fields), np.finfo(float).tiny), axis=1)
+    with np.errstate(over="ignore"):  # inf where X_k is 0 or tiny; the min skips it
+        h = np.min(limit / np.maximum(scale * np.abs(fields), np.finfo(float).tiny), axis=1)
     del limit
     k = len(h)  # points: the k rows psi + h X, then the k rows psi - h X
     points = np.empty((2 * k, fields.shape[1]), dtype=complex)

@@ -42,7 +42,6 @@ from symqm import (
     reconstruction_map,
     spectral_decompose,
     spectral_deviation,
-    to_real_coords,
     trajectory_diagnostics,
     verify_axioms,
     verify_reconstruction,
@@ -321,22 +320,22 @@ def test_operator_energies_and_diagnostics_never_call_f(monkeypatch):
 
 
 def _reference_jacobian(func, space, psi, step):
-    """Central differences one perturbed point at a time, Re and Im apart."""
-    x = to_real_coords(psi, space)
-    if step is None:
-        h = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(x))
-    else:
-        h = np.full(x.shape, step)
+    """Central differences one real coordinate at a time, Re and Im apart: ``q_k`` and
+    ``p_k`` move ``Re psi_k`` and ``Im psi_k`` by ``h / sqrt(2 hbar)``, with ``h = step`` or
+    the kernel's documented default ``sqrt(eps) (1 + sqrt(2 hbar) |psi_k|)``."""
+    n, scale = space.complex_dim, space.coord_scale
     re, im = [], []
-    for i in range(x.shape[0]):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        fp = np.asarray(func(from_real_coords(xp, space)), dtype=complex)
-        fm = np.asarray(func(from_real_coords(xm, space)), dtype=complex)
-        re.append((fp.real - fm.real) / (2.0 * h[i]))
-        im.append((fp.imag - fm.imag) / (2.0 * h[i]))
+    for i in range(2 * n):
+        k, unit = i % n, (1.0 if i < n else 1j)
+        h = np.sqrt(np.finfo(float).eps) * (1.0 + scale * abs(psi[k])) if step is None else step
+        vp = psi.copy()
+        vm = psi.copy()
+        vp[k] += unit * (h / scale)
+        vm[k] -= unit * (h / scale)
+        fp = complex(func(vp))
+        fm = complex(func(vm))
+        re.append((fp.real - fm.real) / (2.0 * h))
+        im.append((fp.imag - fm.imag) / (2.0 * h))
     return np.array(re), np.array(im)
 
 
@@ -369,13 +368,9 @@ def test_batched_jacobian_matches_pointwise_reference(n):
             per_axis = np.array([_fd_bracket(values, space, psi[None], axis[None], step)[0]
                                  for axis in axes])
             assert np.array_equal(field, _gradient_field(per_axis, space))
-            # The reference bounds each real coordinate's move, the kernel each
-            # complex one's: at the default sqrt(eps) steps the two agree only to
-            # the round-off of such a step, about sqrt(eps) |f|; at a shared step
-            # to the 1e-9 of the products below.
+            # The reference takes its own steps and axis scaling, one point at a time.
             reference = _reference_jacobian(func, space, psi, step)[part]
-            tol = 1e-7 if step is None else 1e-9
-            assert np.max(np.abs(field - _gradient_field(reference, space))) <= tol
+            assert np.max(np.abs(field - _gradient_field(reference, space))) <= 1e-9
     # Products differ from the per-point formulas in the last ulp of each
     # value; divided by the step, that stays far below the 1e-5 tolerances.
     expectation = ObservableFunction.expectation_of(a, space)
