@@ -182,6 +182,7 @@ def _fd_bracket(values, space: SymplecticSpace, states, fields, step=None) -> np
     with np.errstate(over="ignore"):  # inf where X_k is 0 or tiny; the min skips it
         h = np.min(limit / np.maximum(scale * np.abs(fields), np.finfo(float).tiny), axis=1)
     del limit
+    h[np.isinf(h)] = 1.0  # X is 0 or subnormal in every entry: its difference is 0 at any step
     k = len(h)  # points: the k rows psi + h X, then the k rows psi - h X
     points = np.empty((2 * k, fields.shape[1]), dtype=complex)
     shifts = np.multiply(h[:, None], fields, out=points[k:])  # h X, made where psi - h X goes

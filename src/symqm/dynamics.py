@@ -16,9 +16,12 @@ precomputed increment matrix ``Q`` (the increment form, not
 midpoint iterate after ``m`` fixed-point iterations is
 ``Q_m = 2 (A + ... + A^(m+1))`` with ``A = (dt/2) K``, and the ``j``-th
 update has norm ``2 ||A^(j+1) psi||``; each step's count is audited
-against that stopping rule, so states, counts and ``NonConvergenceError``
-are those of the per-step iteration.  Generic observables keep the
-per-step fixed-point and RK4 loops.
+against that stopping rule, so the counts and the step that raises
+``NonConvergenceError`` are exact.  A run of steps takes its states from
+one product with a table of step powers ``(I + Q)^j - I``, so they match
+the per-step recurrence to round-off, and are bit-identical to it where
+that table holds one step (``n >= 182``, so from 8 qubits on).  Generic
+observables keep the per-step fixed-point and RK4 loops.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (
     _positive,
 )
 from .operators import (
+    _BLOCK_ENTRIES,
     _ROW_BLOCK,
     SpectralData,
     _coordinates,
@@ -202,6 +206,22 @@ def _midpoint_counts(starts: np.ndarray, a_t: np.ndarray, tol: float, upto: int)
     return counts
 
 
+def _step_powers(q: np.ndarray, reach: int) -> np.ndarray:
+    """``D_j = (I + Q)^j - I`` for ``j = 1 .. reach``, stacked as ``(reach * n, n)`` rows.
+
+    ``psi + D_j psi`` is ``j`` steps ``psi + Q psi`` from ``psi``, so the first
+    ``j * n`` rows times ``psi`` give the increments of ``j`` steps at once.
+    Built as ``D_j = (Q D_(j-1) + Q) + D_(j-1)``: ``I + Q`` is never formed.
+    """
+    table = np.empty((reach,) + q.shape, dtype=complex)
+    table[0] = q
+    for previous, power in zip(table, table[1:]):
+        np.matmul(q, previous, out=power)
+        power += q
+        power += previous
+    return table.reshape(-1, q.shape[0])
+
+
 def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iterations) -> None:
     """Midpoint, Cayley or RK4 on ``f = <H>``, each step ``psi + Q psi``.
 
@@ -212,45 +232,52 @@ def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iter
     one product chain; the next block starts at the first state that needs
     another count, with the audited count if it is at most ``m`` (exact there;
     above ``m`` it is capped, so searched again), and is at most twice as long
-    as the steps kept.
+    as the steps kept.  Inside a block, each run of ``r <= reach`` steps from
+    ``psi`` is ``psi + D_j psi`` for ``j = 1 .. r``, one product with the table
+    of :func:`_step_powers` for ``Q_m``; ``reach`` keeps that table within
+    ``_BLOCK_ENTRIES`` entries (1 MiB): 256 up to ``n = 16``, 1 from
+    ``n = 182`` on.  The counts and the non-convergence step are exact; the
+    states match the per-step recurrence to round-off, and are bit-identical
+    where ``reach`` is 1.
     """
+    n = psi.shape[0]
+    reach = max(1, min(_ROW_BLOCK, _BLOCK_ENTRIES // n**2, cfg.steps))
     a = (0.5 * cfg.dt) * ((-1j / f.space.hbar) * f.operator.matrix)
     b = 2.0 * a  # dt K
     if cfg.method == "midpoint":
-        increments = {}  # Q_m for each count m met so far
+        tables = {}  # the step powers of Q_m for each count m met so far
 
         def counts(starts, upto):
             return _midpoint_counts(starts, a.T, cfg.solver_tol, upto)
     else:
-        eye = np.eye(psi.shape[0], dtype=complex)
+        eye = np.eye(n, dtype=complex)
         if cfg.method == "cayley":
-            increments = {0: np.linalg.solve(np.subtract(eye, a, out=eye), b)}  # I - A, in place
+            q = np.linalg.solve(np.subtract(eye, a, out=eye), b)  # I - A, in place
         else:  # rk4, in Horner form
-            increments = {0: b @ (eye + (b / 2.0) @ (eye + (b / 3.0) @ (eye + b / 4.0)))}
+            q = b @ (eye + (b / 2.0) @ (eye + (b / 3.0) @ (eye + b / 4.0)))
+        tables = {0: _step_powers(q, reach)}
 
         def counts(starts, upto):
             return np.zeros(starts.shape[0], dtype=int)
 
-    block_states = np.empty((_ROW_BLOCK + 1, psi.shape[0]), dtype=complex)
+    block_states = np.empty((_ROW_BLOCK + 1, n), dtype=complex)
     block_states[0] = psi
-    rows = list(block_states)  # one view per row, so the step loop indexes nothing
-    increment = np.empty_like(psi)
-    dot, add = np.dot, np.add
     done = span = known = 0
     while done < cfg.steps:
         m = known or int(counts(block_states[:1], cfg.solver_max_iter)[0])
         if m > cfg.solver_max_iter:
             raise NonConvergenceError(done + 1, cfg.solver_max_iter)
-        if m not in increments:  # Q_0 = 2A and Q_j = 2A + A Q_(j-1), as the iteration
+        if m not in tables:  # Q_0 = 2A and Q_j = 2A + A Q_(j-1), as the iteration
             q = b
             for _ in range(m):
                 q = b + a @ q
-            increments[m] = q
-        q = increments[m]
+            tables[m] = _step_powers(q, reach)
+        table = tables[m]
         block = min(span or _ROW_BLOCK, cfg.steps - done)
-        for previous, row in zip(rows, rows[1:block + 1]):  # psi + Q psi, written in place
-            dot(q, previous, out=increment)
-            add(previous, increment, out=row)
+        for start in range(0, block, reach):  # psi + D_j psi, written in place
+            run = block_states[start + 1:min(start + reach, block) + 1]
+            np.dot(table[:run.size], block_states[start], out=run.reshape(-1))
+            run += block_states[start]
         audit = counts(block_states[1:block + 1], m)  # the last row starts the next block
         wrong = np.flatnonzero(audit[:-1] != m)
         if wrong.size:  # keep the steps up to the first start state that needs another count

@@ -39,7 +39,8 @@ MAX_DENSE_DIM = 4096
 # the trajectory itself, so they add little to peak memory at large ``n``.
 _ROW_BLOCK = 256
 # Entries of an n x n matrix per validation block, so that the block's complex
-# temporaries come to 1 MiB at every n (a sixteenth of the matrix at n = 1024).
+# temporaries come to 1 MiB at every n (a sixteenth of the matrix at n = 1024);
+# also the bound on the entries of a linear flow's table of step powers.
 _BLOCK_ENTRIES = 2**16
 
 

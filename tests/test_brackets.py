@@ -296,6 +296,18 @@ def test_invalid_fd_step_raises(step):
         complex_bracket(f, u, psi, method="finite_difference", step=step)
 
 
+@pytest.mark.parametrize("step", [5.0, 1e3])
+def test_zero_field_differences_to_zero_at_a_large_step(step):
+    # X_g of a constant g is 0 in every entry; its step bound step / tiny
+    # overflowed to inf from a step of about 4 on, and inf * 0 made the
+    # shifted points NaN.
+    f = ObservableFunction.expectation_of(X, SPACE)
+    g = ObservableFunction.from_callable(lambda v: 1.0, SPACE)
+    u = ComplexFunction.coordinate([1, 0], SPACE)
+    assert poisson_bracket(f, g, [1, 0], method="finite_difference", step=step) == 0.0
+    assert complex_bracket(g, u, [1, 0], method="finite_difference", step=step) == 0.0
+
+
 # Planted defects in the closed-form field X_<B> = -(i/hbar) B psi that the FD
 # sides of the bracket and reconstruction reports difference along: a field
 # scaled by 1 + 1e-3, and, for a complex B, one built from B^T.  Each must

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import symqm.dynamics
-from symqm import IntegratorConfig, ObservableFunction, SymplecticSpace, integrate, make_hermitian
+from symqm import (IntegratorConfig, ObservableFunction, SymplecticSpace, integrate, make_hermitian,
+                   parse_operator_expr, trajectory_diagnostics)
 from symqm.errors import NonConvergenceError
 from symqm.sampling import random_hermitian, random_unit_state
 
@@ -162,3 +163,60 @@ def test_divergent_step_raises_at_the_reference_step(hbar, options, max_iter):
         integrate(f, psi, IntegratorConfig("midpoint", solver_max_iter=max_iter, **options))
     assert (err.value.step, err.value.iterations) == (ref.value.step, ref.value.iterations)
 
+
+
+def _at_reach(monkeypatch, reach, n):
+    """Let the step-power table of an ``n``-dimensional flow hold ``reach`` steps."""
+    monkeypatch.setattr(symqm.dynamics, "_BLOCK_ENTRIES", reach * n * n)
+
+
+# 1 is the per-step recurrence; 7 divides neither 300 nor a block; 256 is a block.
+REACHES = (1, 7, 256)
+
+
+@pytest.mark.parametrize("method, options", [
+    ("midpoint", {"dt": 0.05, "steps": 300}),
+    ("midpoint", LOOSE),
+    ("cayley", {"dt": 0.05, "steps": 300}),
+    ("rk4", {"dt": 0.05, "steps": 300}),
+])
+def test_run_boundaries_move_nothing(monkeypatch, method, options):
+    _, f = _flow(4, 7, 0.7, norm_bound=0.7)
+    psi = random_unit_state(4, 7, 1)
+    runs = []
+    for reach in REACHES:
+        _at_reach(monkeypatch, reach, 4)
+        runs.append(integrate(f, psi, IntegratorConfig(method, **options)))
+    for traj in runs[1:]:
+        np.testing.assert_array_equal(traj.solver_iterations, runs[0].solver_iterations)
+        assert np.max(np.abs(traj.states - runs[0].states)) <= 1e-13
+
+
+@pytest.mark.parametrize("hbar", [0.7, 2.0])
+@pytest.mark.parametrize("options, max_iter", [
+    ({"dt": 0.4, "steps": 300, "solver_tol": 5e-2}, 1),
+    ({"dt": 0.8, "steps": 1000, "solver_tol": 1e-2}, 5),
+])
+def test_run_boundaries_keep_the_divergent_step(monkeypatch, hbar, options, max_iter):
+    _, f = _flow(4, 7, hbar, norm_bound=hbar)
+    psi = random_unit_state(4, 7, 1)
+    raised = set()
+    for reach in REACHES:
+        _at_reach(monkeypatch, reach, 4)
+        with pytest.raises(NonConvergenceError) as err:
+            integrate(f, psi, IntegratorConfig("midpoint", solver_max_iter=max_iter, **options))
+        raised.add((err.value.step, err.value.iterations))
+    assert len(raised) == 1
+
+
+def test_long_midpoint_flow_keeps_norm_and_energy():
+    # The long-flow benchmark scenario: 40,000 midpoint steps on the 3-qubit
+    # chain from the uniform state.  Each run of steps takes its states from
+    # one table of step powers, whose round-off would show here first.
+    chain = parse_operator_expr("0.5*X0*X1 + 0.5*X1*X2 + 0.3*Z0 + 0.3*Z1 + 0.3*Z2")
+    f = ObservableFunction.expectation_of(make_hermitian(chain.to_matrix(num_qubits=3)),
+                                          SymplecticSpace(8))
+    traj = integrate(f, np.ones(8) / np.sqrt(8), IntegratorConfig("midpoint", 1e-3, 40000))
+    diagnostics = trajectory_diagnostics(traj)
+    assert diagnostics.max_norm_drift <= 1e-13
+    assert diagnostics.max_energy_drift <= 1e-13
