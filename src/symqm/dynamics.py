@@ -212,7 +212,10 @@ def _step_powers(q: np.ndarray, reach: int) -> np.ndarray:
     ``psi + D_j psi`` is ``j`` steps ``psi + Q psi`` from ``psi``, so the first
     ``j * n`` rows times ``psi`` give the increments of ``j`` steps at once.
     Built as ``D_j = (Q D_(j-1) + Q) + D_(j-1)``: ``I + Q`` is never formed.
+    A table of one step is ``Q`` itself, not a copy of the flow's largest matrix.
     """
+    if reach == 1:
+        return q
     table = np.empty((reach,) + q.shape, dtype=complex)
     table[0] = q
     for previous, power in zip(table, table[1:]):
