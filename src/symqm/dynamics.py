@@ -213,16 +213,25 @@ def _step_powers(q: np.ndarray, reach: int) -> np.ndarray:
     ``j * n`` rows times ``psi`` give the increments of ``j`` steps at once.
     Built as ``D_j = (Q D_(j-1) + Q) + D_(j-1)``: ``I + Q`` is never formed.
     A table of one step is ``Q`` itself, not a copy of the flow's largest matrix.
+
+    The table ends before its first power that is not finite.  A mode the
+    state never enters may grow without bound (RK4 or midpoint on a large
+    eigenvalue), and ``0 * inf`` would then make every increment NaN though
+    the per-step recurrence keeps that mode at 0; a shorter table only makes
+    shorter runs.
     """
     if reach == 1:
         return q
     table = np.empty((reach,) + q.shape, dtype=complex)
     table[0] = q
-    for previous, power in zip(table, table[1:]):
-        np.matmul(q, previous, out=power)
-        power += q
-        power += previous
-    return table.reshape(-1, q.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for previous, power in zip(table, table[1:]):
+            np.matmul(q, previous, out=power)
+            power += q
+            power += previous
+    if not np.isfinite(table[-1]).all():  # a sum with a non-finite term stays non-finite
+        reach = int(np.argmin(np.isfinite(table).all(axis=(1, 2))))
+    return table[:reach].reshape(-1, q.shape[0])
 
 
 def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iterations) -> None:
@@ -239,7 +248,8 @@ def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iter
     ``psi`` is ``psi + D_j psi`` for ``j = 1 .. r``, one product with the table
     of :func:`_step_powers` for ``Q_m``; ``reach`` keeps that table within
     ``_BLOCK_ENTRIES`` entries (1 MiB): 256 up to ``n = 16``, 1 from
-    ``n = 182`` on.  The counts and the non-convergence step are exact; the
+    ``n = 182`` on, and a table holds fewer steps where its powers stop
+    being finite.  The counts and the non-convergence step are exact; the
     states match the per-step recurrence to round-off, and are bit-identical
     where ``reach`` is 1.
     """
@@ -276,9 +286,10 @@ def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iter
                 q = b + a @ q
             tables[m] = _step_powers(q, reach)
         table = tables[m]
+        held = table.shape[0] // n  # reach, or fewer where the powers overflow
         block = min(span or _ROW_BLOCK, cfg.steps - done)
-        for start in range(0, block, reach):  # psi + D_j psi, written in place
-            run = block_states[start + 1:min(start + reach, block) + 1]
+        for start in range(0, block, held):  # psi + D_j psi, written in place
+            run = block_states[start + 1:min(start + held, block) + 1]
             np.dot(table[:run.size], block_states[start], out=run.reshape(-1))
             run += block_states[start]
         audit = counts(block_states[1:block + 1], m)  # the last row starts the next block
