@@ -26,6 +26,7 @@ observables keep the per-step fixed-point and RK4 loops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,8 @@ class IntegratorConfig:
 
     ``stride`` thins the stored output (every ``stride``-th step is kept);
     it must divide ``steps`` and the stored count may not exceed 10^6.
+    ``dt * steps`` must be a finite float, which bounds ``dt * stride`` and
+    every stored time too.
     """
 
     method: str
@@ -95,6 +98,12 @@ class IntegratorConfig:
             raise ValueError(
                 f"more than {MAX_STORED_STEPS} stored steps; increase stride"
             )
+        try:
+            total = self.total_time
+        except OverflowError:  # steps too large for a float
+            total = math.inf
+        if not total < math.inf:
+            raise ValueError("dt * steps must be a finite float")
 
     @property
     def total_time(self) -> float:
@@ -357,7 +366,8 @@ def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig) -> Trajectory:
                 states[idx] = psi
                 iterations[idx] = iters
 
-    norms = np.linalg.norm(states, axis=1)
+    norms = np.concatenate([np.linalg.norm(states[rows], axis=1)
+                            for rows in _row_blocks(states.shape[0])])
     energies = np.concatenate([_observable_values(f, states[rows])
                                for rows in _row_blocks(states.shape[0])])
     for arr in (times, states, norms, energies, iterations):

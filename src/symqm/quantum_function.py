@@ -1,5 +1,5 @@
-"""Quantum functions: observables carrying eigenvalues, eigenfunctions and
-stationary states.
+"""Quantum functions: observables carrying eigenvalues, quantum coordinates
+and stationary states.
 
 A quantum function is a bundle ``(f, a_n, u_n, xi_n)`` satisfying
 
@@ -8,8 +8,11 @@ A quantum function is a bundle ``(f, a_n, u_n, xi_n)`` satisfying
 * normalization         ``sum_n |u_n|^2 = 1``
 * stationary evaluation ``u_n(xi_m) = delta_mn`` and ``f(xi_n) = a_n``
 
-Every Hermitian operator induces one through its spectral decomposition
-(:func:`from_operator`).  :func:`verify_axioms` and
+It holds its ``u_n`` in one coordinate source: the matrix of the
+``phi_n`` of ``u_n = <phi_n|.>``, or one row-wise map from a stack of states
+to their coordinates.  Every Hermitian operator induces one through its
+spectral decomposition (:func:`from_operator`), whose eigenvector matrix is
+its coordinates and, transposed, its stationary states.  :func:`verify_axioms` and
 :func:`verify_reconstruction` measure the residuals through one core: a
 matrix of seeded unit states, drawn once, with its quantum coordinates and
 value residuals; each report reduces them its own way.  The reconstruction
@@ -50,12 +53,7 @@ from .operators import (
     spectral_decompose,
 )
 from .sampling import random_unit_states
-from .spaces import (
-    StatePoint,
-    SymplecticSpace,
-    _as_complex_vector,
-    _frozen,
-)
+from .spaces import SymplecticSpace, _as_complex_vector, _frozen
 
 __all__ = [
     "QuantumFunction",
@@ -78,31 +76,36 @@ UNIT_STATE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class QuantumFunction:
-    """An observable with eigenvalues, eigenfunctions and stationary states.
+    """An observable with eigenvalues, quantum coordinates and stationary states.
 
-    ``f`` backs flows and brackets; :meth:`value` evaluates the defining
-    sum ``sum_n a_n |u_n|^2`` directly from the quantum coordinates.
-    ``coords_fn``, all ``u_n`` as one call, is read only when some ``u_n``
-    is a generic function; else the ``u_n`` vectors are the one source.
+    ``coordinates`` is the one source of the ``u_n``: either the read-only
+    ``(dim, n)`` matrix whose columns are the ``phi_n`` of ``u_n = <phi_n|.>``
+    (``psi.conj() @ coordinates`` holds each ``conj(u_n(psi))``, and the
+    closed forms apply), or a :class:`RowwiseMap` from a ``(rows, dim)`` stack
+    of states to its ``(rows, n)`` coordinates.  ``stationary_states`` is the
+    read-only ``(n, dim)`` array whose row ``m`` is ``xi_m``, and
+    :attr:`eigenfunctions` the ``u_n`` one by one, derived from
+    ``coordinates``.  ``f`` backs flows and brackets; :meth:`value` evaluates
+    the defining sum ``sum_n a_n |u_n|^2`` directly from the coordinates.
     """
 
     space: SymplecticSpace
     eigenvalues: np.ndarray
-    eigenfunctions: tuple
-    stationary_states: tuple
+    coordinates: np.ndarray | RowwiseMap
+    stationary_states: np.ndarray
     f: ObservableFunction
     degenerate_flag: bool
-    coords_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues, float))
-        object.__setattr__(self, "eigenfunctions", tuple(self.eigenfunctions))
-        object.__setattr__(self, "stationary_states", tuple(self.stationary_states))
-        n = self.size
-        if len(self.eigenfunctions) != n or len(self.stationary_states) != n:
-            raise DimensionMismatchError(
-                "eigenvalues, eigenfunctions and stationary states counts differ"
-            )
+        object.__setattr__(self, "stationary_states", _frozen(self.stationary_states, complex))
+        dims = (self.space.complex_dim, self.size)
+        matrix = not isinstance(self.coordinates, RowwiseMap)
+        if matrix:
+            object.__setattr__(self, "coordinates", _frozen(self.coordinates, complex))
+        if self.stationary_states.shape != dims[::-1] or matrix and self.coordinates.shape != dims:
+            raise DimensionMismatchError(f"{self.size} eigenvalues on {dims[0]} dimensions need "
+                                         f"stationary states {dims[::-1]} and coordinates {dims}")
 
     @property
     def size(self) -> int:
@@ -113,22 +116,19 @@ class QuantumFunction:
         return _coordinate_rows(self, _as_complex_vector(xi))
 
     @cached_property
-    def _coordinate_vectors(self) -> np.ndarray | None:
-        if any(u.vector is None for u in self.eigenfunctions):
-            return None
-        basis = np.column_stack([u.vector for u in self.eigenfunctions])
-        basis.setflags(write=False)
-        return basis
-
-    def coordinate_matrix(self) -> np.ndarray | None:
-        """The ``phi_n`` of ``u_n = <phi_n|.>`` as the columns ``U`` of a read-only array built
-        once: ``psi.conj() @ U`` holds each ``conj(u_n(psi))``; ``None`` if a ``u_n`` is generic."""
-        return self._coordinate_vectors
+    def eigenfunctions(self) -> tuple:
+        """The ``u_n`` one by one, for the per-function API: a column of the coordinate
+        matrix each (a view), or entry ``n`` of the coordinate map."""
+        if isinstance(self.coordinates, np.ndarray):
+            return tuple(ComplexFunction.coordinate(phi, self.space, label=f"u_{k}")
+                         for k, phi in enumerate(self.coordinates.T))
+        return tuple(ComplexFunction.from_callable(lambda v, k=k: complex(_coordinate_rows(self, v)[k]),
+                                                   self.space, label=f"u_{k}") for k in range(self.size))
 
     @property
     def operator_backed(self) -> bool:
         """``f = <A>`` and every ``u_n`` a coordinate functional: the closed forms apply."""
-        return self.f.operator is not None and self.coordinate_matrix() is not None
+        return self.f.operator is not None and isinstance(self.coordinates, np.ndarray)
 
     def value(self, xi) -> float:
         """Evaluate the defining sum ``sum_n a_n |u_n(xi)|^2``."""
@@ -139,27 +139,21 @@ class QuantumFunction:
 def from_operator(a: HermitianOperator, space: SymplecticSpace) -> QuantumFunction:
     """The quantum function induced by a Hermitian operator.
 
-    Spectrally decomposes ``A``; the eigenfunctions are the coordinate
-    functionals of the (gauge-fixed) eigenvectors, which double as the
-    stationary states, and ``f`` is the expectation-value function of
-    ``A`` itself.
+    Spectrally decomposes ``A``; the (gauge-fixed) eigenvector matrix is the
+    coordinate matrix, and its transpose the stationary states, both adopted
+    as read-only views of the one eigenbasis; ``f`` is the expectation-value
+    function of ``A`` itself.
     """
     if a.dim != space.complex_dim:
         raise DimensionMismatchError(
             f"operator dimension {a.dim} != space complex_dim {space.complex_dim}"
         )
     spectral = spectral_decompose(a)
-    basis = spectral.eigenvectors
-    eigenfunctions = tuple(
-        ComplexFunction.coordinate(basis[:, k], space, label=f"u_{k}")
-        for k in range(a.dim)
-    )
-    stationary = tuple(StatePoint(basis[:, k], normalized=True) for k in range(a.dim))
     return QuantumFunction(
         space=space,
         eigenvalues=spectral.eigenvalues,
-        eigenfunctions=eigenfunctions,
-        stationary_states=stationary,
+        coordinates=spectral.eigenvectors,
+        stationary_states=spectral.eigenvectors.T,
         f=ObservableFunction.expectation_of(a, space),
         degenerate_flag=spectral.degenerate_flag,
     )
@@ -233,12 +227,10 @@ class AxiomReport:
 
 def _coordinate_rows(qf: QuantumFunction, states: np.ndarray) -> np.ndarray:
     """Every ``u_n`` at one state or at every row of ``states``: one product with the
-    coordinate matrix, else a call of ``coords_fn`` (or of each ``u_n``) per row."""
-    basis = qf.coordinate_matrix()
-    if basis is not None:
-        return _coordinates(states, basis)
-    per_row = qf.coords_fn or (lambda v: [u(v) for u in qf.eigenfunctions])
-    coords = _map_rows(per_row, np.atleast_2d(states), qf.size)
+    coordinate matrix, or one call of the coordinate map."""
+    if isinstance(qf.coordinates, np.ndarray):
+        return _coordinates(states, qf.coordinates)
+    coords = _map_rows(qf.coordinates, np.atleast_2d(states), qf.size)
     return coords.reshape(states.shape[:-1] + (qf.size,))
 
 
@@ -264,9 +256,11 @@ def _flow_residual(qf: QuantumFunction, states, coords, field=None, analytic=Fal
 
 
 def _stationary_blocks(qf: QuantumFunction):
-    """``(rows, xi, u(xi) - e)`` for the stationary states ``xi_m``, ``m`` in one block of rows."""
+    """``(rows, xi, u(xi) - e)`` for the stationary states ``xi_m``, ``m`` in one block of rows;
+    ``xi`` is a C-contiguous copy, so the products see one layout even where the states are
+    a transposed view (:func:`from_operator`)."""
     for rows in _row_blocks(qf.size):
-        xi = np.array([_as_complex_vector(x) for x in qf.stationary_states[rows]])
+        xi = np.ascontiguousarray(qf.stationary_states[rows])
         yield rows, xi, _coordinate_rows(qf, xi) - np.eye(len(xi), qf.size, rows.start)
 
 
@@ -462,8 +456,9 @@ def quantum_function_from_qfe(a: HermitianOperator, phi, xi_n: Sequence,
     images ``Phi(xi_n) = psi_n`` up to a per-``n`` global phase, and the
     quantum-function equation residual, each against ``tol``; the norm and
     equation checks share one pass of images, as in :func:`qfe_residual`.
-    The resulting eigenfunctions are the expansion coefficients of ``Phi``
-    in the eigenbasis of ``A``.  A NaN residual fails its check.
+    The resulting coordinates are one :class:`RowwiseMap`, the expansion
+    coefficients of ``Phi`` in the eigenbasis of ``A`` at every row of a stack
+    of states.  A NaN residual fails its check.
     """
     spectral = spectral_decompose(a)
     if len(xi_n) != a.dim:
@@ -476,8 +471,9 @@ def quantum_function_from_qfe(a: HermitianOperator, phi, xi_n: Sequence,
         raise PreconditionFailedError("normalization", worst_norm)
 
     basis = spectral.eigenvectors
+    stationary = np.array([space.check_dim(xi, "stationary state") for xi in xi_n])
     # Phi(xi_k) against psi_k, each up to the global phase of <psi_k|Phi(xi_k)>.
-    matched = _map_rows(phi, [_as_complex_vector(xi) for xi in xi_n], a.dim).T
+    matched = _map_rows(phi, stationary, a.dim).T
     phases = np.exp(1j * np.angle(np.sum(basis.conj() * matched, axis=0)))
     worst_match = _largest(np.linalg.norm(matched * phases.conj() - basis, axis=0))
     if not worst_match <= tol:
@@ -487,26 +483,14 @@ def quantum_function_from_qfe(a: HermitianOperator, phi, xi_n: Sequence,
     if not equation_residual <= tol:
         raise PreconditionFailedError("quantum-function equation", equation_residual)
 
-    def coords_fn(v: np.ndarray, b=basis) -> np.ndarray:
-        return b.conj().T @ phi(v)
-
-    eigenfunctions = tuple(
-        ComplexFunction.from_callable(
-            lambda v, k=k: complex(coords_fn(v)[k]), space, label=f"u_{k}"
-        )
-        for k in range(a.dim)
-    )
     induced = ObservableFunction.from_callable(
         lambda v: quadratic_form(a, phi(v)).real, space, label="induced"
     )
     return QuantumFunction(
         space=space,
         eigenvalues=spectral.eigenvalues,
-        eigenfunctions=eigenfunctions,
-        stationary_states=tuple(
-            xi if isinstance(xi, StatePoint) else StatePoint(xi) for xi in xi_n
-        ),
+        coordinates=RowwiseMap(lambda rows: _coordinates(_map_rows(phi, rows, a.dim), basis)),
+        stationary_states=stationary,
         f=induced,
         degenerate_flag=spectral.degenerate_flag,
-        coords_fn=coords_fn,
     )

@@ -10,11 +10,13 @@ Recognized keys::
                     strings or plain numbers) whose squared norm is a nonzero
                     finite float, neither overflowing nor underflowing;
                     normalized on load
-    integrator      {method, dt, steps, solver_tol, solver_max_iter, stride}
+    integrator      {method, dt, steps, solver_tol, solver_max_iter, stride};
+                    dt * steps must be a finite float, and steps / stride at
+                    most 10**6
     outputs         {report: NAME, trajectory: NAME} relative to --out; for
                     evolve the two must be different files
     seed            whole number >= 0, default 0
-    samples         whole number >= 1, default 100
+    samples         whole number from 1 to MAX_SAMPLES = 10**6, default 100
     tolerances      per-check overrides, see DEFAULT_TOLERANCES
     phi_map         "reconstruction" | "identity" | "constant" (reconstruct
                     command only; "constant" is the negative control)
@@ -51,7 +53,9 @@ from .pauli import parse_operator_expr
 from .quantum_function import AxiomTolerances
 from .spaces import SymplecticSpace
 
-__all__ = ["Scenario", "load_scenario", "DEFAULT_TOLERANCES", "PHI_MAPS"]
+__all__ = ["Scenario", "load_scenario", "DEFAULT_TOLERANCES", "PHI_MAPS", "MAX_SAMPLES"]
+
+MAX_SAMPLES = 10**6  # the bound stored steps have, checked before any draw
 
 DEFAULT_TOLERANCES = {
     **{f"axiom_{name}": tol for name, tol in asdict(AxiomTolerances()).items()},
@@ -245,6 +249,10 @@ def load_scenario(path) -> Scenario:
     tolerances = _object({} if tolerances is None else tolerances, "tolerances",
                          DEFAULT_TOLERANCES)
 
+    samples = _count(raw.get("samples", 100), "samples")
+    if samples > MAX_SAMPLES:
+        raise ScenarioError(f"must be at most {MAX_SAMPLES}", "samples")
+
     phi_map = raw.get("phi_map", "reconstruction")
     if phi_map not in PHI_MAPS:
         raise ScenarioError(f"must be one of {PHI_MAPS}", "phi_map")
@@ -257,7 +265,7 @@ def load_scenario(path) -> Scenario:
         integrator=integrator,
         outputs=dict(outputs),
         seed=_count(raw.get("seed", 0), "seed", 0),
-        samples=_count(raw.get("samples", 100), "samples"),
+        samples=samples,
         tolerances={**DEFAULT_TOLERANCES, **{name: _positive(tol, f"tolerances.{name}")
                                              for name, tol in tolerances.items()}},
         phi_map=str(phi_map),

@@ -15,7 +15,7 @@ Hamiltonian vector field of an expectation-value function ``<A>`` is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,15 +80,14 @@ class SymplecticSpace:
 
     Notes
     -----
-    ``convention_sign`` is fixed at construction to ``+1``: with the inner
-    product conjugate-linear in the first argument this is the unique sign
+    The form is ``Omega(v, w) = +2 * hbar * Im <v|w>``: with the inner
+    product conjugate-linear in the first argument, ``+`` is the unique sign
     for which ``Omega(-(i/hbar) A psi, Y) = d<A>(Y)`` holds for every
     Hermitian ``A``.
     """
 
     complex_dim: int
     hbar: float = 1.0
-    convention_sign: int = field(default=1, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "complex_dim", _count(self.complex_dim, "complex_dim"))
@@ -204,7 +203,7 @@ def symplectic_form(v, w, space: SymplecticSpace) -> float:
     ``x^T J y`` of the real coordinates of ``v`` and ``w``.
     """
     a = space.check_dim(v)
-    return space.convention_sign * 2.0 * space.hbar * hermitian_inner(a, w).imag
+    return 2.0 * space.hbar * hermitian_inner(a, w).imag
 
 
 def norm(v) -> float:

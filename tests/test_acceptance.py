@@ -8,7 +8,6 @@ import json
 import numpy as np
 
 from symqm import (
-    ComplexFunction,
     IntegratorConfig,
     ObservableFunction,
     SymplecticSpace,
@@ -160,9 +159,8 @@ def test_criterion_5_quantum_function_axioms():
     )
     tampered_residual = verify_axioms(tampered, 100, seed=6).bracket
 
-    skewed = ComplexFunction.coordinate(np.array([0.6, 0.9]), SymplecticSpace(2))
-    broken = dataclasses.replace(qf, eigenfunctions=(qf.eigenfunctions[0], skewed),
-                                 coords_fn=None)
+    skewed = np.array([0.6, 0.9])
+    broken = dataclasses.replace(qf, coordinates=np.column_stack([qf.coordinates[:, 0], skewed]))
     broken_residual = verify_axioms(broken, 100, seed=7).normalization
 
     controls_ok = tampered_residual >= 1e-3 and broken_residual >= 1e-3

@@ -28,6 +28,7 @@ from symqm import (
     complex_bracket,
     IntegratorConfig,
     ObservableFunction,
+    RowwiseMap,
     SymplecticSpace,
     Trajectory,
     bracket_commutator_report,
@@ -98,6 +99,13 @@ def _random_trajectory(n, seed):
     )
 
 
+def _stretched_u0(qf):
+    """The coordinate matrix of ``qf`` with its column ``phi_0`` stretched by 1.5."""
+    coordinates = qf.coordinates.copy()
+    coordinates[:, 0] *= 1.5
+    return coordinates
+
+
 def _reference_bracket(qf, samples, seed):
     a = qf.f.operator.matrix
     hbar = qf.space.hbar
@@ -153,7 +161,7 @@ def test_phase_residuals_and_deviation_match_reference(n):
     traj = _random_trajectory(n, 40 + n)
     for hbar in (1.0, 0.3):
         qf = from_operator(op, SymplecticSpace(n, hbar=hbar))
-        basis = qf.coordinate_matrix()
+        basis = qf.coordinates
         ref = _reference_phase(basis, qf.eigenvalues, traj, hbar)
         assert np.min(ref) > 1e-3
         new = phase_residuals(traj.states, basis, qf.eigenvalues, traj.times, hbar)
@@ -169,7 +177,7 @@ def test_phase_residuals_and_deviation_match_reference(n):
 def test_flow_residuals_match_reference(n):
     space = SymplecticSpace(n)
     qf = from_operator(_operator(n, 20 + n), space)
-    basis = qf.coordinate_matrix()
+    basis = qf.coordinates
     psi0 = random_unit_state(n, 7, n)
     traj = integrate(qf.f, psi0, IntegratorConfig("cayley", 1e-2, STEPS))
     _ulps(phase_residuals(traj.states, basis, qf.eigenvalues, traj.times, 1.0),
@@ -218,7 +226,7 @@ def test_nan_state_propagates_to_phase_and_deviation():
     states = traj.states.copy()
     states[STEPS - 2, 1] = np.nan
     broken = dataclasses.replace(traj, states=states)
-    basis = qf.coordinate_matrix()
+    basis = qf.coordinates
     assert np.all(np.isnan(phase_residuals(broken.states, basis, qf.eigenvalues,
                                            broken.times, 1.0)))
     assert np.isnan(spectral_deviation(broken, spectral_decompose(qf.f.operator), 1.0))
@@ -230,10 +238,7 @@ def test_controls_still_fail(n):
     a = qf.eigenvalues.copy()
     a[n // 2] += 1.0
     assert not verify_axioms(dataclasses.replace(qf, eigenvalues=a), 50, seed=8).passed
-    skewed = ComplexFunction.coordinate(1.5 * qf.eigenfunctions[0].vector, qf.space)
-    broken = dataclasses.replace(
-        qf, eigenfunctions=(skewed,) + qf.eigenfunctions[1:], coords_fn=None
-    )
+    broken = dataclasses.replace(qf, coordinates=_stretched_u0(qf))
     report = verify_axioms(broken, 50, seed=8)
     assert report.method == "analytic"
     assert report.normalization > 1e-3
@@ -437,10 +442,8 @@ def test_state_matrix_rows_are_the_seeded_states():
 def test_report_reductions_match_reference(n):
     qf = from_operator(_operator(n, 100 + n), SymplecticSpace(n, hbar=0.7))
     # A stretched eigenfunction and shifted eigenvalues make every residual of order one.
-    skewed = ComplexFunction.coordinate(1.5 * qf.eigenfunctions[0].vector, qf.space)
-    qf = dataclasses.replace(qf, eigenfunctions=(skewed,) + qf.eigenfunctions[1:],
-                             eigenvalues=qf.eigenvalues + np.linspace(0.5, 1.0, n),
-                             coords_fn=None)
+    qf = dataclasses.replace(qf, coordinates=_stretched_u0(qf),
+                             eigenvalues=qf.eigenvalues + np.linspace(0.5, 1.0, n))
     a, samples, seed = qf.eigenvalues, 30, 12
     states = [random_unit_state(n, seed, i) for i in range(samples)]
     coords = [qf.quantum_coordinates(psi) for psi in states]
@@ -467,13 +470,12 @@ def test_report_reductions_match_reference(n):
 def test_intertwining_reads_coordinates_from_the_eigenfunctions():
     space = SymplecticSpace(3)
     qf = from_operator(make_hermitian(random_hermitian(3, 0)), space)
-    # Stretch u_0; with no coords_fn the u_n vectors are the one coordinate source.
-    stretched = ComplexFunction.coordinate(1.5 * qf.eigenfunctions[0].vector, space)
-    qf = dataclasses.replace(qf, eigenfunctions=(stretched,) + qf.eigenfunctions[1:])
-    assert qf.coords_fn is None
+    # Stretch u_0 in the coordinate matrix, the one coordinate source.
+    qf = dataclasses.replace(qf, coordinates=_stretched_u0(qf))
+    assert qf.operator_backed
     traj = integrate(qf.f, np.ones(3) / np.sqrt(3), IntegratorConfig("exact", 0.01, 300))
     rec = verify_reconstruction(qf, traj)
-    # Every row, the first included, comes from the u_n vectors, so the
+    # Every row, the first included, comes from the coordinate matrix, so the
     # stretch is intertwined exactly; the norm check still sees it.
     assert rec.intertwining_residual <= 1e-14
     assert rec.norm_residual > 0.1
@@ -482,14 +484,34 @@ def test_intertwining_reads_coordinates_from_the_eigenfunctions():
 def test_coordinates_have_one_source():
     space = SymplecticSpace(3)
     qf = from_operator(make_hermitian(random_hermitian(3, 0)), space)
-    stretched = ComplexFunction.coordinate(1.5 * qf.eigenfunctions[0].vector, space)
-    skewed = dataclasses.replace(qf, eigenfunctions=(stretched,) + qf.eigenfunctions[1:])
+    skewed = dataclasses.replace(qf, coordinates=_stretched_u0(qf))
     psi = random_unit_state(3, 1, 0)
-    for read in (lambda q: q.quantum_coordinates(psi), lambda q: reconstruction_map(q)(psi)):
+    for read in (lambda q: q.quantum_coordinates(psi), lambda q: reconstruction_map(q)(psi),
+                 lambda q: [q.eigenfunctions[0](psi)]):
         assert abs(read(skewed)[0]) / abs(read(qf)[0]) == pytest.approx(1.5, rel=1e-12)
     c0 = qf.quantum_coordinates(psi)[0]
     assert skewed.value(psi) == pytest.approx(
         qf.value(psi) + 1.25 * qf.eigenvalues[0] * abs(c0) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_a_coordinate_map_gives_the_matrix_residuals(n):
+    space = SymplecticSpace(n, hbar=0.7)
+    qf = from_operator(_operator(n, 140 + n), space)
+    # The same u_n as one row-wise map, which the closed forms cannot read.
+    mapped = dataclasses.replace(
+        qf, coordinates=RowwiseMap(lambda rows: (rows.conj() @ qf.coordinates).conj()))
+    assert qf.operator_backed and not mapped.operator_backed
+    psi = random_unit_state(n, 142, 0)
+    np.testing.assert_allclose([u(psi) for u in mapped.eigenfunctions],
+                               [u(psi) for u in qf.eigenfunctions],
+                               rtol=0, atol=4 * n * np.finfo(float).eps)
+    axioms = [verify_axioms(q, 20, seed=3, method="finite_difference") for q in (qf, mapped)]
+    assert axioms[0].passed and axioms[0] == axioms[1]
+    traj = integrate(qf.f, random_unit_state(n, 141, 0), IntegratorConfig("cayley", 1e-2, 50))
+    rec, rec_mapped = (verify_reconstruction(q, traj, samples=20, seed=3) for q in (qf, mapped))
+    assert rec_mapped.flow_equation_residual_analytic is None
+    assert dataclasses.replace(rec, flow_equation_residual_analytic=None) == rec_mapped
 
 
 @pytest.mark.parametrize("n", (2, 5))

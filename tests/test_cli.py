@@ -251,6 +251,13 @@ def test_matrix_file_with_surplus_rows_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_evolve_past_the_float_range_of_time_exit_code(tmp_path, capsys):
+    # dt * stride used to overflow in integrate: a traceback with exit 1.
+    scenario = _scenario(tmp_path, {"integrator": {"steps": 10**400, "stride": 10**396}})
+    assert _run("evolve", scenario, tmp_path / "out") == 2
+    assert "error: integrator: dt * steps" in capsys.readouterr().err
+
+
 def test_missing_scenario_exit_code(tmp_path, capsys):
     for command in ("verify", "evolve", "bracket", "reconstruct"):
         assert _run(command, tmp_path / "nope.json", tmp_path / "out") == 2

@@ -253,6 +253,7 @@ def test_long_flow_holds_its_states_once():
     finally:
         tracemalloc.stop()
     arrays = (traj.times, traj.states, traj.norms, traj.energies, traj.solver_iterations)
-    # integrate freezes the arrays it made and the trajectory adopts them; a copy
-    # of each peaked at 2.05x.
-    assert peak <= 1.9 * sum(arr.nbytes for arr in arrays)
+    # integrate freezes the arrays it made and the trajectory adopts them, and takes
+    # the norms a block at a time; a copy of each peaked at 2.05x, one norm over
+    # all states at 1.80x.
+    assert peak <= 1.25 * sum(arr.nbytes for arr in arrays)

@@ -275,18 +275,20 @@ def test_first_decomposition_peak_memory():
 
 
 @pytest.mark.parametrize("qubits", [9, 10])
-def test_quantum_function_holds_its_eigenbasis_twice(qubits):
+def test_quantum_function_holds_its_eigenbasis_once(qubits):
     h = make_hermitian(_chain(qubits))
     tracemalloc.start()
     try:
         qf = from_operator(h, SymplecticSpace(h.dim))
-        qf.coordinate_matrix()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # The eigenvectors and the coordinate matrix: each u_n and xi_n is a view of
-    # an eigenvector column.  A copy of the column in each held 4.03x.
-    assert held <= 2.1 * spectral_decompose(h).eigenvectors.nbytes
+    basis = spectral_decompose(h).eigenvectors
+    # The coordinates and the stationary states are the eigenvectors and their
+    # transpose.  A column-stacked coordinate matrix next to them held 2.03-2.06x.
+    assert np.shares_memory(qf.coordinates, basis)
+    assert np.shares_memory(qf.stationary_states, basis)
+    assert held <= 1.1 * basis.nbytes
 
 
 def test_quadratic_form_examples():

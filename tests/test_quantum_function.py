@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from symqm import (
-    ComplexFunction,
     IntegratorConfig,
     ObservableFunction,
     StatePoint,
@@ -36,8 +35,8 @@ def test_from_operator_pauli_z():
     qf = from_operator(Z, SPACE)
     np.testing.assert_allclose(qf.eigenvalues, [-1.0, 1.0])
     # gauge: the -1 eigenvector is e_1, the +1 eigenvector e_0
-    np.testing.assert_array_equal(qf.stationary_states[0].amplitudes, [0, 1])
-    np.testing.assert_array_equal(qf.stationary_states[1].amplitudes, [1, 0])
+    np.testing.assert_array_equal(qf.stationary_states[0], [0, 1])
+    np.testing.assert_array_equal(qf.stationary_states[1], [1, 0])
     psi = random_unit_state(2, 0)
     assert qf.eigenfunctions[0](psi) == psi[1]
     assert qf.eigenfunctions[1](psi) == psi[0]
@@ -108,12 +107,8 @@ def test_verify_axioms_tampered_eigenvalue():
 
 def test_verify_axioms_non_orthonormal_eigenfunctions():
     qf = from_operator(Z, SPACE)
-    skewed = ComplexFunction.coordinate(np.array([0.6, 0.9]), SPACE)
-    broken = dataclasses.replace(
-        qf,
-        eigenfunctions=(qf.eigenfunctions[0], skewed),
-        coords_fn=None,
-    )
+    skewed = np.array([0.6, 0.9])
+    broken = dataclasses.replace(qf, coordinates=np.column_stack([qf.coordinates[:, 0], skewed]))
     report = verify_axioms(broken, 100, seed=4)
     assert report.normalization > 1e-3
     assert not report.passed
@@ -276,7 +271,7 @@ def test_quantum_function_from_qfe_equation_failure():
     # a unitary but flow-incompatible map: conjugation is antiunitary on
     # coordinates, so the bracket side picks up the wrong sign
     qf_ref = from_operator(Z, SPACE)
-    conj_states = [StatePoint(np.conj(s.amplitudes)) for s in qf_ref.stationary_states]
+    conj_states = [StatePoint(np.conj(s)) for s in qf_ref.stationary_states]
     with pytest.raises(PreconditionFailedError) as err:
         quantum_function_from_qfe(
             Z, lambda v: np.conj(np.asarray(v, dtype=complex)), conj_states,

@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from symqm import load_scenario
+from symqm import IntegratorConfig, load_scenario
 from symqm.errors import ScenarioError
 from symqm.pauli import PauliSumExpr
-from symqm.scenario import DEFAULT_TOLERANCES
+from symqm.scenario import DEFAULT_TOLERANCES, MAX_SAMPLES
 
 
 def _write(tmp_path, obj, name="scenario.json"):
@@ -160,6 +160,25 @@ def test_seed_and_samples_validation(tmp_path):
 def test_whole_number_too_large_for_a_float_names_its_field(tmp_path, extra, field):
     with pytest.raises(ScenarioError, match=field):
         load_scenario(_write(tmp_path, {"operator": "Z0", **extra}))
+
+
+@pytest.mark.parametrize("samples", [10**400, MAX_SAMPLES + 1], ids=["10**400", "bound+1"])
+def test_samples_above_the_bound_are_rejected_on_load(tmp_path, samples):
+    # Unbounded, 10**400 loaded and verify then drew rows until it was killed.
+    with pytest.raises(ScenarioError, match="samples"):
+        load_scenario(_write(tmp_path, {"operator": "Z0", "samples": samples}))
+    assert load_scenario(_write(tmp_path, {"operator": "Z0", "samples": MAX_SAMPLES})).samples == MAX_SAMPLES
+
+
+@pytest.mark.parametrize("integrator", [
+    {"steps": 10**400, "stride": 10**396},  # dt * stride overflowed in integrate
+    {"dt": 1e300, "steps": 10**10, "stride": 10**4},
+])
+def test_total_time_must_be_a_finite_float(tmp_path, integrator):
+    with pytest.raises(ValueError, match="dt \\* steps"):
+        IntegratorConfig(**{"method": "midpoint", "dt": 1e-3, **integrator})
+    with pytest.raises(ScenarioError, match="integrator"):
+        load_scenario(_write(tmp_path, {"operator": "Z0", "integrator": integrator}))
 
 
 def test_whole_number_of_too_many_digits_is_rejected(tmp_path):

@@ -18,7 +18,6 @@ from symqm.errors import DimensionMismatchError, NormalizationError
 def test_space_validation():
     sp = SymplecticSpace(3, hbar=0.5)
     assert sp.real_dim == 6
-    assert sp.convention_sign == 1
     with pytest.raises(ValueError):
         SymplecticSpace(0)
     with pytest.raises(ValueError):
