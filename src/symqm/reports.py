@@ -19,6 +19,11 @@ The kernel writes each cell into a 32-byte slot of four little-endian
 Only cells with a trailing zero digit (cleared by word masks) or with a dot
 inside their digits (``|x| >= 10``: the integer digits move one byte left)
 take a second pass.
+
+The kernel's full-size arrays live in one :class:`_Scratch` that every block of
+a file reuses.  Fresh ones per block (about 1.3 MiB for 8192 cells) would each
+time be given back to the system and faulted in again, as glibc trims the free
+top of its heap once it exceeds the trim threshold (128 KiB in a fresh process).
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .dynamics import Trajectory
 
 __all__ = ["canonical_json", "write_report", "write_trajectory_csv"]
 
-# Cells formatted per block: its temporaries come to about 1 MiB, so peak
+# Cells formatted per block: its scratch comes to about 1.3 MiB, so peak
 # memory does not move (blocks of 32,768 cells were no faster).
 _CHUNK_CELLS = 8192
 _U = np.uint64
@@ -70,44 +75,105 @@ _MOVED = _word_pairs([(1 << 8 * c - 8) - 1 if c else 0 for c in range(17)])
 _DOT = _word_pairs([ord(".") << 8 * c - 8 if c else 0 for c in range(17)])
 
 
-def _scaled(m, e, k):
+class _Scratch:
+    """The full-size arrays of formatting ``size`` cells, made once for every block of that size.
+
+    ``words`` is the ``(size, 4)`` slot array over the bytes of ``text``.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.a, self.frac = np.empty((2, size))
+        self.e = np.empty(size, dtype=np.intc)
+        self.k, self.r, self.s = np.empty((3, size), dtype=np.int64)
+        self.m, self.q, self.shift, self.head = np.empty((4, size), dtype=_U)
+        self.u = np.empty((6, size), dtype=_U)
+        self.exact, self.up, self.b = np.empty((3, size), dtype=bool)
+        self.text = bytearray(32 * size)
+        self.words = np.frombuffer(self.text, dtype="<u8").reshape(size, 4)
+
+
+def _scaled(m, e, k, w: _Scratch):
     """``m * 2**(e - 53) * 10**(16 - k)`` truncated, and whether it rounds up (half to even).
 
-    ``m * 5**(16 - k)`` is carried in 128 bits as four 32-bit partial products.
+    ``m * 5**(16 - k)`` is carried in 128 bits as four 32-bit partial products,
+    in ``w.u[:5]``; the results are ``w.q`` and ``w.up``.
     """
-    r = k + 37 - e
-    s = np.maximum(1 - r, 0)  # an integer |x| >= 2**51: shift left, so r >= 1
-    m = m << s.astype(_U)
-    r = (r + s).astype(_U)
-    p = _POW5[16 - k]
-    ml, mh, pl, ph = m & _LOW32, m >> _32, p & _LOW32, p >> _32
-    ll = ml * pl
-    mid = ml * ph + mh * pl + (ll >> _32)
-    lo = (mid << _32) | (ll & _LOW32)
-    q = ((mh * ph + (mid >> _32)) << (_U(64) - r)) | (lo >> r)
-    rem, half = lo & ((_1 << r) - _1), _1 << (r - _1)
-    return q, (rem > half) | ((rem == half) & (q & _1).astype(bool))
+    r, s, shift, q, up = w.r, w.s, w.shift, w.q, w.up
+    ml, mh, pl, ph, lo = w.u[:5]
+    np.add(k, 37, out=r)
+    r -= e
+    np.subtract(1, r, out=s)
+    np.maximum(s, 0, out=s)  # an integer |x| >= 2**51: shift left, so r >= 1
+    np.copyto(shift, s, casting="unsafe")
+    np.left_shift(m, shift, out=ml)
+    r += s
+    np.copyto(shift, r, casting="unsafe")
+    np.subtract(16, k, out=s)
+    np.take(_POW5, s, out=pl, mode="wrap")  # 16 - k lies in [0, 27]
+    np.right_shift(pl, _32, out=ph)
+    pl &= _LOW32
+    np.right_shift(ml, _32, out=mh)
+    ml &= _LOW32
+    np.multiply(ml, pl, out=lo)  # ll
+    ml *= ph
+    pl *= mh
+    ml += pl
+    np.right_shift(lo, _32, out=pl)
+    ml += pl  # mid = ml * ph + mh * pl + (ll >> 32)
+    lo &= _LOW32
+    np.left_shift(ml, _32, out=pl)
+    lo |= pl  # lo = (mid << 32) | (ll & _LOW32)
+    mh *= ph
+    ml >>= _32
+    mh += ml
+    np.subtract(_U(64), shift, out=ph)
+    np.left_shift(mh, ph, out=q)
+    np.right_shift(lo, shift, out=ph)
+    q |= ph  # q = ((mh * ph + (mid >> 32)) << (64 - r)) | (lo >> r)
+    np.left_shift(_1, shift, out=ph)
+    ph -= _1
+    lo &= ph  # rem = lo & ((1 << r) - 1)
+    shift -= _1
+    np.left_shift(_1, shift, out=ph)  # half = 1 << (r - 1)
+    np.greater(lo, ph, out=up)
+    np.equal(lo, ph, out=w.b)
+    np.bitwise_and(q, _1, out=ml)
+    np.logical_and(w.b, ml, out=w.b)
+    up |= w.b  # (rem > half) | ((rem == half) & (q & 1 != 0))
+    return q, up
 
 
-def _decimal17(x):
+def _decimal17(x, w: _Scratch | None = None):
     """``q, k, exact``: ``|x|`` rounds to ``q * 10**(k - 16)``, ``10**16 <= q < 10**17``.
 
     ``exact`` marks the cells computed, those with ``1e-11 < |x| < 1e17``.
+    ``q`` and ``k`` are arrays of ``w``, a new scratch if none is given.
     """
-    a = np.abs(x)
-    exact = (a > 1e-11) & (a < 1e17)
-    a = np.where(exact, a, 1.0)
-    frac, e = np.frexp(a)
-    m = (frac * 2.0 ** 53).astype(_U)
-    k = np.minimum(np.maximum(np.floor(np.log10(a)).astype(np.int64), -11), 16)
-    q, up = _scaled(m, e, k)
+    w = _Scratch(x.size) if w is None else w
+    a, exact, k, m = w.a, w.exact, w.k, w.m
+    np.abs(x, out=a)
+    np.greater(a, 1e-11, out=exact)
+    np.less(a, 1e17, out=w.b)
+    exact &= w.b
+    np.logical_not(exact, out=w.b)
+    np.copyto(a, 1.0, where=w.b)
+    frac, e = np.frexp(a, out=(w.frac, w.e))
+    frac *= 2.0 ** 53
+    np.copyto(m, frac, casting="unsafe")
+    np.log10(a, out=a)
+    np.floor(a, out=a)
+    np.copyto(k, a, casting="unsafe")
+    np.maximum(k, -11, out=k)
+    np.minimum(k, 16, out=k)
+    q, up = _scaled(m, e, k, w)
     # Next to a power of ten, log10 (its accuracy varies with numpy's SIMD path)
     # can be off by one; the redone cells are checked.
     low, high = q < _U(10 ** 16), q >= _U(10 ** 17)
     redo = np.flatnonzero(low | high)
     if redo.size:
         k[redo] += high[redo].astype(np.int64) - low[redo]
-        q[redo], up[redo] = _scaled(m[redo], e[redo], k[redo])
+        q[redo], up[redo] = _scaled(m[redo], e[redo], k[redo], _Scratch(redo.size))
         exact &= (q >= _U(10 ** 16)) & (q < _U(10 ** 17))
     q += up
     # A carry to 10**17 needs a double just below a power of ten, and no such
@@ -115,23 +181,26 @@ def _decimal17(x):
     return q, k, exact & (q < _U(10 ** 17))
 
 
-def _eight_digits(v):
+def _eight_digits(v, high, product):
     """The eight ASCII digits of each ``v < 10**8``, most significant in the lowest byte, in place.
+
+    ``high`` and ``product`` are work arrays of the shape of ``v``.
 
     ``v`` splits into 4-digit halves in 32-bit lanes, each half into 2-digit
     pairs in 16-bit lanes, each pair into digits in bytes; ``n * 5243 >> 19``
     is ``n // 100`` for ``n < 10**4`` and ``n * 103 >> 10`` is ``n // 10`` for
     ``n < 100``, and no lane's product reaches the next lane.
     """
-    high = v // _U(10_000)
-    v -= high * _U(10_000)
+    np.floor_divide(v, _U(10_000), out=high)
+    v -= np.multiply(high, _U(10_000), out=product)
     v <<= _U(32)
     v |= high
     for mul, shift, mask, base, width in ((5243, 19, 0x0000007F0000007F, 100, 16),
                                           (103, 10, 0x000F000F000F000F, 10, 8)):
-        high = (v * _U(mul)) >> _U(shift)
+        np.multiply(v, _U(mul), out=high)
+        high >>= _U(shift)
         high &= _U(mask)
-        v -= high * _U(base)
+        v -= np.multiply(high, _U(base), out=product)
         v <<= _U(width)
         v |= high
     v += _ASCII_ZEROS
@@ -146,7 +215,7 @@ def _through_last_nonzero(digits):
     return (t >> _U(7)) * _U(0xFF)
 
 
-def _format_cells(block) -> bytes:
+def _format_cells(block, w: _Scratch | None = None) -> bytearray:
     """The bytes of ``"%.17g" % x`` for every cell of ``block``, ``,``-separated, one line per row.
 
     Each cell fills one 32-byte slot of four words (see the module docstring);
@@ -156,19 +225,27 @@ def _format_cells(block) -> bytes:
     digit is 0 or with ``k >= 1`` then clear their trailing zeros, keep their
     dot only before a kept digit, and (``k >= 1``) move the ``k`` integer digits
     after the first one byte left, to make room for the dot.  Cells outside the
-    exact range take ``%`` one at a time.
+    exact range take ``%`` one at a time.  The full-size arrays are those of
+    ``w``, a new scratch unless it has the block's size.
     """
     x = np.ascontiguousarray(block, dtype=float).ravel()
     n = x.size
-    q, k, exact = _decimal17(x)
-    first = q // _U(10**16)
-    q -= first * _U(10**16)
-    digits = np.empty((2, n), dtype=_U)
+    w = w if w is not None and w.size == n else _Scratch(n)
+    q, k, exact = _decimal17(x, w)
+    digits, spare = w.u[:2], w.u[2:]
+    head = np.floor_divide(q, _U(10**16), out=w.head)  # the first digit
+    q -= np.multiply(head, _U(10**16), out=digits[0])
     np.floor_divide(q, _U(10**8), out=digits[0])
-    np.subtract(q, digits[0] * _U(10**8), out=digits[1])
-    low, high = _eight_digits(digits)
-    head = _HEAD[k + 11] | ((first + _U(ord("0"))) << _U(48)) | (x.view(_U) >> _U(63)) * _U(ord("-"))
-    cells = np.flatnonzero(((high >> _U(56)) == _U(ord("0"))) | (k >= 1))
+    np.subtract(q, np.multiply(digits[0], _U(10**8), out=digits[1]), out=digits[1])
+    low, high = _eight_digits(digits, spare[:2], spare[2:])
+    head += _U(ord("0"))
+    head <<= _U(48)
+    row = np.add(k, 11, out=w.r)  # of _HEAD and _TAIL, in [0, 27]
+    head |= np.take(_HEAD, row, out=spare[0], mode="wrap")
+    head |= np.multiply(np.right_shift(x.view(_U), _U(63), out=spare[0]), _U(ord("-")), out=spare[0])
+    np.equal(np.right_shift(high, _U(56), out=spare[0]), _U(ord("0")), out=w.b)
+    w.b |= np.greater_equal(k, 1, out=w.up)
+    cells = np.flatnonzero(w.b)
     if cells.size:
         c = np.maximum(k[cells], 0)
         lo, hi, integer_lo, integer_hi = low[cells], high[cells], _INTEGER[0][c], _INTEGER[1][c]
@@ -180,13 +257,14 @@ def _format_cells(block) -> bytes:
         head[cells] = (head[cells] & np.where(dot, _ALL, ~_BYTE7)) | ((lo << _U(56)) & ((c > 0) * _BYTE7))
         low[cells] = ((((lo >> _U(8)) | (hi << _U(56))) & _MOVED[0][c]) | (_DOT[0][c] * dot) | lo_fraction)
         high[cells] = (((hi >> _U(8)) & _MOVED[1][c]) | (_DOT[1][c] * dot) | hi_fraction)
-    words = np.empty((n, 4), dtype="<u8")
-    words[:, 0], words[:, 1], words[:, 2], words[:, 3] = head, low, high, _TAIL[k + 11]
+    words = w.words
+    words[:, 0], words[:, 1], words[:, 2] = head, low, high
+    words[:, 3] = np.take(_TAIL, row, out=spare[0], mode="wrap")
     words[block.shape[-1] - 1::block.shape[-1], 3] ^= _END_OF_ROW
     out = words.view(np.uint8).reshape(n, 32)
     for cell in np.flatnonzero(~exact):
         out[cell, :31] = np.frombuffer(("%.17g" % x[cell]).encode().ljust(31, b"\0"), dtype=np.uint8)
-    return out.tobytes().translate(None, b"\0")
+    return w.text.translate(None, b"\0")
 
 
 def _render(obj, indent: int) -> str:
@@ -237,7 +315,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
 
     Each block of at most ``_CHUNK_CELLS`` cells is one ``(rows, 2n + 3)``
     float array (the float view of the states interleaves ``re_k, im_k``),
-    written as the bytes ``"%.17g" %`` gives each cell, by :func:`_format_cells`.
+    written as the bytes ``"%.17g" %`` gives each cell, by :func:`_format_cells`
+    on one scratch for all full blocks.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -247,11 +326,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
         header += [f"re_{k}", f"im_{k}"]
     header += ["norm", "energy"]
     step = max(1, _CHUNK_CELLS // len(header))
+    scratch = _Scratch(min(step, len(traj)) * len(header))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(traj), step):
             rows = slice(start, start + step)
             fh.write(_format_cells(np.column_stack((
                 traj.times[rows], np.asarray(traj.states[rows], dtype=complex).view(float),
-                traj.norms[rows], traj.energies[rows]))))
+                traj.norms[rows], traj.energies[rows])), scratch))
     return path

@@ -8,6 +8,7 @@ draws the same cases.
 """
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from symqm import IntegratorConfig, ObservableFunction, SymplecticSpace, integrate, make_hermitian
 from symqm.dynamics import Trajectory
-from symqm.reports import _CHUNK_CELLS, _decimal17, _format_cells, write_trajectory_csv
+from symqm.reports import _CHUNK_CELLS, _Scratch, _decimal17, _format_cells, write_trajectory_csv
 from symqm.sampling import random_hermitian, random_unit_state
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "symqm-hypothesis")
@@ -133,6 +134,25 @@ def test_chunk_boundaries_match_percent(tmp_path, rows, n):
     traj = _wide_trajectory(rows, n, seed=rows + n)
     write_trajectory_csv(traj, tmp_path / "out.csv")
     assert (tmp_path / "out.csv").read_bytes() == _reference_file(traj)
+
+
+def test_a_block_on_a_reused_scratch_allocates_little():
+    """Its full-size arrays are the scratch's: a block allocates its text and small masks.
+
+    Without the scratch a block of standard normals allocates about 200 bytes
+    per cell, which a fresh process gives back and faults in again per block.
+    """
+    block = np.random.default_rng(3).standard_normal((431, 19))
+    scratch = _Scratch(block.size)
+    _format_cells(block, scratch)
+    tracemalloc.start()
+    try:
+        text = _format_cells(block, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == _reference(block)
+    assert peak < 64 * block.size
 
 
 @pytest.mark.parametrize("method", ["exact", "midpoint", "cayley", "rk4"])
