@@ -1,19 +1,20 @@
 """Deterministic report and trajectory serialization.
 
-Every finite float is written as ``"%.17g" % x`` writes it, and object keys
-are sorted, so identical inputs produce byte-identical files.  JSON reports
-write non-finite floats as :func:`json.dumps` does (``NaN``, ``Infinity``);
-the trajectory CSV keeps ``%``'s ``nan`` and ``inf``.  The CSV gets its bytes
-from an exact integer kernel over blocks of cells, after Adams, *Ryu
-revisited: printf floating point conversion* (OOPSLA 2019).
+Identical inputs produce byte-identical files.  A JSON report is the text of
+:func:`json.dumps` with sorted keys and a two-space indent: each float is the
+shortest text that reads back as the same double (an integral float keeps its
+``.0``), and non-finite floats are ``NaN`` and ``Infinity``.  The trajectory
+CSV writes every float as ``"%.17g" % x`` writes it, ``nan`` and ``inf``
+included, from an exact integer kernel over blocks of cells, after Adams,
+*Ryu revisited: printf floating point conversion* (OOPSLA 2019).
 
 The kernel writes each cell into a 32-byte slot of four little-endian
 ``uint64`` words, then drops the slots' NUL bytes in one pass:
 
 * word 0: the sign, the ``0.000`` that leads fixed notation below 1, the
   first digit and a dot;
-* words 1 and 2: the other 16 digits, eight ASCII digits each, made from
-  the integer by multiplies and shifts across the word's lanes;
+* words 1 and 2: the other 16 digits, eight ASCII digits each, one look-up
+  per half of four digits in a 10,000-entry table;
 * word 3: the exponent ``e-dd`` and, in its last byte, the separator.
 
 Only cells with a trailing zero digit (cleared by word masks) or with a dot
@@ -29,7 +30,6 @@ top of its heap once it exceeds the trim threshold (128 KiB in a fresh process).
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,13 @@ _ASCII_ZEROS, _SEVENS, _HIGH_BITS = _U(0x3030303030303030), _U(0x7F7F7F7F7F7F7F7
 _INTEGER = _word_pairs([(1 << 8 * c) - 1 for c in range(17)])
 _MOVED = _word_pairs([(1 << 8 * c - 8) - 1 if c else 0 for c in range(17)])
 _DOT = _word_pairs([ord(".") << 8 * c - 8 if c else 0 for c in range(17)])
+# The four ASCII digits of each n < 10**4, most significant in the lowest byte:
+# row n of the grid of digit bytes, read as a little-endian word.  Built from
+# bytes, the table adds about 0.3 MiB to the peak memory of an import; built
+# with int64 arithmetic, about 1.3 MiB (numpy 2.4 on Linux), which shows in
+# runs that write no CSV.
+_ASCII4 = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4, indexing="ij"),
+                   axis=-1).reshape(-1, 4).view("<u4").ravel().astype(_U)
 
 
 class _Scratch:
@@ -184,26 +191,16 @@ def _decimal17(x, w: _Scratch | None = None):
 def _eight_digits(v, high, product):
     """The eight ASCII digits of each ``v < 10**8``, most significant in the lowest byte, in place.
 
-    ``high`` and ``product`` are work arrays of the shape of ``v``.
-
-    ``v`` splits into 4-digit halves in 32-bit lanes, each half into 2-digit
-    pairs in 16-bit lanes, each pair into digits in bytes; ``n * 5243 >> 19``
-    is ``n // 100`` for ``n < 10**4`` and ``n * 103 >> 10`` is ``n // 10`` for
-    ``n < 100``, and no lane's product reaches the next lane.
+    ``high`` and ``product`` are work arrays of the shape of ``v``.  Each half
+    of four digits is one look-up in :data:`_ASCII4`, indexed through ``int64``
+    views so that the index cast does not depend on numpy's casting rules.
     """
     np.floor_divide(v, _U(10_000), out=high)
     v -= np.multiply(high, _U(10_000), out=product)
-    v <<= _U(32)
-    v |= high
-    for mul, shift, mask, base, width in ((5243, 19, 0x0000007F0000007F, 100, 16),
-                                          (103, 10, 0x000F000F000F000F, 10, 8)):
-        np.multiply(v, _U(mul), out=high)
-        high >>= _U(shift)
-        high &= _U(mask)
-        v -= np.multiply(high, _U(base), out=product)
-        v <<= _U(width)
-        v |= high
-    v += _ASCII_ZEROS
+    np.take(_ASCII4, v.view(np.int64), out=product, mode="wrap")
+    product <<= _32
+    np.take(_ASCII4, high.view(np.int64), out=v, mode="wrap")
+    v |= product
     return v
 
 
@@ -267,39 +264,16 @@ def _format_cells(block, w: _Scratch | None = None) -> bytearray:
     return w.text.translate(None, b"\0")
 
 
-def _render(obj, indent: int) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return "%.17g" % x if math.isfinite(x) else json.dumps(x)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        body = ",\n".join(f"{pad}  {_render(v, indent + 1)}" for v in items)
-        return f"[\n{body}\n{pad}]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_render(obj[k], indent + 1)}"
-            for k in sorted(obj, key=str)
-        )
-        return f"{{\n{body}\n{pad}}}"
+def _plain(obj):
+    """The Python value of a numpy scalar or array, for :func:`json.dumps`."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    """Render ``obj`` as deterministic JSON text."""
-    return _render(obj, 0) + "\n"
+    """``obj`` as deterministic JSON text: sorted keys, two-space indent, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
 def write_report(obj, path) -> Path:

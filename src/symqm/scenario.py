@@ -1,6 +1,7 @@
 """Scenario files: a JSON object configuring one CLI run.
 
-Recognized keys::
+The file is read as JSON bytes, in UTF-8 (a byte-order mark is allowed),
+UTF-16 or UTF-32.  Recognized keys::
 
     hbar            positive finite real, default 1
     operator        Pauli-sum expression, or "file:PATH" for a dense matrix;
@@ -13,8 +14,8 @@ Recognized keys::
     integrator      {method, dt, steps, solver_tol, solver_max_iter, stride};
                     dt * steps must be a finite float, and steps / stride at
                     most 10**6
-    outputs         {report: NAME, trajectory: NAME} relative to --out; for
-                    evolve the two must be different files
+    outputs         {report: NAME, trajectory: NAME} relative to --out, with
+                    no NUL; for evolve the two must be different files
     seed            whole number >= 0, default 0
     samples         whole number from 1 to MAX_SAMPLES = 10**6, default 100
     tolerances      per-check overrides, see DEFAULT_TOLERANCES
@@ -203,16 +204,16 @@ def load_scenario(path) -> Scenario:
     """Load, validate and resolve a scenario file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()  # json.loads detects UTF-8, -16 or -32
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # a whole number of more digits than Python converts
+    except ValueError as exc:  # undecodable bytes, or a whole number of too many digits
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     if "operator" not in _object(raw, "scenario", _FIELDS):
         raise ScenarioError("required field missing", "operator")
@@ -243,8 +244,8 @@ def load_scenario(path) -> Scenario:
 
     outputs = _object(raw.get("outputs", {}), "outputs", ("report", "trajectory"))
     for key, value in outputs.items():
-        if not isinstance(value, str) or not value:
-            raise ScenarioError(f"{key} must be a non-empty file name", "outputs")
+        if not isinstance(value, str) or not value or "\0" in value:
+            raise ScenarioError(f"{key} must be a non-empty file name without a NUL", "outputs")
     tolerances = raw.get("tolerances")  # null stands for the defaults
     tolerances = _object({} if tolerances is None else tolerances, "tolerances",
                          DEFAULT_TOLERANCES)

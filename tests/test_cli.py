@@ -77,6 +77,9 @@ def test_evolve_writes_trajectory(tmp_path):
     report = json.loads((tmp_path / "out" / "evolve_report.json").read_text())
     assert report["deviation_from_exact"] <= 1e-6
     assert max(report["phase_evolution"]["residuals"]) <= 1e-5
+    # Integral floats keep their point, so they load as floats.
+    assert isinstance(report["scenario"]["hbar"], float)
+    assert isinstance(report["diagnostics"]["mean_solver_iterations"], float)
 
     csv = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert csv[0] == "t,re_0,im_0,re_1,im_1,norm,energy"
@@ -308,6 +311,7 @@ def test_evolve_report_and_trajectory_must_differ(tmp_path, capsys, outputs):
     ("file/sub", {}, "--out"),  # a path under a file
     ("out", {"report": "taken"}, "outputs"),  # a report that is a directory
     ("out", {"trajectory": "taken"}, "outputs"),  # a trajectory that is a directory
+    ("out", {"report": "a\0b.json"}, "outputs"),  # a name that holds a NUL
 ])
 def test_unwritable_output_exit_code(tmp_path, capsys, out, outputs, field):
     (tmp_path / "file").write_text("")

@@ -1,11 +1,14 @@
-"""Trajectory CSV bytes against a per-cell reference writer kept in this file."""
+"""Report JSON values, and trajectory CSV bytes against a per-cell reference writer kept in this file."""
+
+import json
+import math
 
 import numpy as np
 import pytest
 
 from symqm import IntegratorConfig, ObservableFunction, SymplecticSpace, integrate, make_hermitian
 from symqm.dynamics import Trajectory
-from symqm.reports import write_trajectory_csv
+from symqm.reports import write_report, write_trajectory_csv
 from symqm.sampling import random_hermitian, random_unit_state
 
 SPECIAL = [-0.0, 0.0, np.nan, -np.inf, np.inf, 5e-324, -5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0]
@@ -64,3 +67,21 @@ def test_csv_bytes_match_per_cell_reference_on_a_flow(tmp_path, method):
     _reference_csv(traj, tmp_path / "ref.csv")
     write_trajectory_csv(traj, tmp_path / "out.csv")
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_report_floats_and_ints_load_back_as_written(tmp_path):
+    floats = [0.0, -0.0, 1.0, 85225218312039040.0, 5e-324, 0.1, 1e300, math.nan, math.inf, -math.inf]
+    report = {"floats": floats, "ints": [0, 10**20],
+              "numpy": [np.bool_(True), np.int64(7), np.array([2.0, -0.0]), np.float64(3.0)]}
+    loaded = json.loads(write_report(report, tmp_path / "report.json").read_text())
+    assert all(type(x) is float for x in loaded["floats"])
+    assert [x.hex() for x in loaded["floats"]] == [x.hex() for x in floats]  # float.hex(nan) is "nan"
+    assert loaded["ints"] == [0, 10**20] and all(type(x) is int for x in loaded["ints"])
+    assert loaded["numpy"] == [True, 7, [2.0, -0.0], 3.0]
+    assert [type(x) for x in loaded["numpy"]] == [bool, int, list, float]
+    assert math.copysign(1.0, loaded["numpy"][2][1]) == -1.0
+
+
+def test_report_rejects_values_that_are_not_json(tmp_path):
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        write_report({"x": object()}, tmp_path / "report.json")

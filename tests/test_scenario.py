@@ -136,6 +136,17 @@ def test_bad_json_reports_line(tmp_path):
         load_scenario(path)
 
 
+def test_scenario_file_is_read_as_json_bytes(tmp_path):
+    text = json.dumps({"operator": "Z0", "hbar": 0.5})
+    path = tmp_path / "scenario.json"
+    for data in (b"\xef\xbb\xbf" + text.encode(), text.encode("utf-16")):
+        path.write_bytes(data)
+        assert load_scenario(path).space.hbar == 0.5
+    path.write_bytes(b'{"operator": "Z0", "hbar": 1}\xff')
+    with pytest.raises(ScenarioError, match="^invalid JSON: 'utf-8' codec"):
+        load_scenario(path)
+
+
 def test_seed_and_samples_validation(tmp_path):
     with pytest.raises(ScenarioError, match="seed"):
         load_scenario(_write(tmp_path, {"operator": "Z0", "seed": -1}))
