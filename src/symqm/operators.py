@@ -38,16 +38,28 @@ MAX_DENSE_DIM = 4096
 # a trajectory.  Each block's ``(rows, n)`` temporaries stay a fraction of
 # the trajectory itself, so they add little to peak memory at large ``n``.
 _ROW_BLOCK = 256
-# Entries of an n x n matrix per validation block, so that the block's complex
-# temporaries come to 1 MiB at every n (a sixteenth of the matrix at n = 1024);
-# also the bound on the entries of a linear flow's table of step powers.
+# Bound on the entries of a linear flow's table of step powers, so that its
+# complex temporaries come to 1 MiB at every n.
 _BLOCK_ENTRIES = 2**16
+# Side of the square tiles that an n x n matrix is read in, a tile and its
+# mirror image at a time: a complex tile's temporaries come to 256 KiB (a
+# quarter of _BLOCK_ENTRIES), and at n = 1024 the check of Hermiticity took
+# half the time on tiles of 128 as on tiles of 256.
+_TILE = 128
 
 
 def _row_blocks(count: int):
     """Slices that cover ``range(count)`` in blocks of ``_ROW_BLOCK`` rows."""
     for start in range(0, count, _ROW_BLOCK):
         yield slice(start, min(start + _ROW_BLOCK, count))
+
+
+def _tile_pairs(n: int):
+    """Row and column slices ``(r, c)`` of the ``_TILE``-sided tiles on and above the
+    diagonal of an ``n x n`` matrix: the tile ``(r, c)`` and its mirror ``(c, r)``
+    hold each entry and the one across the diagonal from it, and each row of a tile
+    is read in order."""
+    return ((slice(r, r + _TILE), slice(c, c + _TILE)) for r in range(0, n, _TILE) for c in range(r, n, _TILE))
 
 
 def _coordinates(states: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -84,7 +96,8 @@ class HermitianOperator:
     """A validated ``n x n`` complex Hermitian matrix, ``n >= 1``.
 
     Construction rejects an empty matrix, and matrices with a non-finite entry
-    or with ``max|M - M†| > 1e-12 * (1 + max|M|)``.  The matrix is kept
+    or with ``max|M - M†| > 1e-12 * (1 + max|M|)``; both maxima come from one
+    walk over the pairs of :func:`_tile_pairs`.  The matrix is kept
     read-only by the rule of :func:`symqm.spaces._frozen`, so the one that
     :meth:`PauliSumExpr.to_matrix` returns is adopted and a writable one copied.
 
@@ -105,12 +118,18 @@ class HermitianOperator:
         m = _frozen(self.matrix, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise NonSquareError(f"expected a non-empty square matrix, got shape {m.shape}")
-        max_norm = _max_abs_by_rows(m.shape[0], lambda rows: m[rows])
+        norms, deviations = [], []
+        with np.errstate(invalid="ignore"):  # inf - inf: the non-finite entry raises below
+            for rows, cols in _tile_pairs(m.shape[0]):
+                tile, mirror = m[rows, cols], m[cols, rows]
+                norms += [np.max(np.abs(tile)), np.max(np.abs(mirror))]
+                # |a - conj(b)| and |b - conj(a)| are one double: the tile stands for both.
+                deviations.append(np.max(np.abs(tile - mirror.T.conj())))
+        max_norm = float(np.max(norms))  # np.max, so that a NaN propagates
         if not np.isfinite(max_norm):
             raise NonHermitianError(max_norm, "matrix has a non-finite entry")
-        scale = 1.0 + max_norm
-        deviation = _max_abs_by_rows(m.shape[0], lambda rows: m[rows] - m[:, rows].T.conj())
-        if deviation > HERMITICITY_TOL * scale:
+        deviation = float(np.max(deviations))
+        if deviation > HERMITICITY_TOL * (1.0 + max_norm):
             raise NonHermitianError(deviation)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "max_norm", max_norm)
@@ -137,26 +156,43 @@ class HermitianOperator:
 
         A matrix with no nonzero imaginary part takes the real symmetric solver.
         Each connected block of the nonzero pattern is decomposed apart, one
-        stacked solver call per block size (:func:`_block_eigh`); the gauge fix,
-        the order and the tie-break then act on the full columns, as for a
-        matrix that is one block.
+        stacked solver call per block size (:func:`_block_eigh`).  The order
+        comes from the eigenvalues alone, and each column's gauge from its own
+        block: a column is zero off its block, whose rows ascend, so the block
+        holds the column's first largest entry.  The gauged blocks are then
+        written once into the complex eigenvector matrix, at their final
+        columns.  Only runs of equal eigenvalues are ordered on the full
+        columns, as for a matrix that is one block.
         """
         m = self.matrix
+        # Allocated before the solver's arrays: allocated after them, it raised
+        # the peak resident memory of a process that decomposes n = 512 twice.
+        vecs = np.empty(m.shape, dtype=complex)
         try:
-            vals, vecs = _block_eigh(m if m.imag.any() else m.real)
+            stacks = _block_eigh(m if m.imag.any() else m.real)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
-        # Rotate each column's first largest-magnitude entry to real positive (never
-        # zero: eigh returns unit columns; a sign if real); order as spectral_decompose says.
-        peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vals.shape[0])]
-        vecs *= peak.conj() / np.abs(peak)
+        vals = np.concatenate([stack_vals.ravel() for _, stack_vals, _ in stacks])
+        phases = np.concatenate([_fix_gauge(stack_vecs).ravel() for _, _, stack_vecs in stacks])
         order = np.argsort(vals, kind="stable")
+        # The final column of each solver column: a scatter, as the first argsort of
+        # integers in a process pages in about 0.3 MiB of numpy's sorting code.
+        column = np.empty_like(order)
+        column[order] = np.arange(order.size)
+        if stacks[0][0].shape[1] < order.size:  # more than one block: the zeros off them, signed as 0 * phase
+            vecs[...] = (np.zeros(1, phases.dtype) * phases)[order]
+        for idx, _, stack_vecs in stacks:
+            cols, column = np.split(column, [idx.size])
+            vecs[idx[:, :, None], cols.reshape(idx.shape)[:, None, :]] = stack_vecs
         vals = vals[order]
         _, starts, counts = np.unique(vals, return_index=True, return_counts=True)
         for start, count in zip(starts[counts > 1], counts[counts > 1]):
-            run = order[start:start + count]
-            order[start:start + count] = sorted(run, key=lambda k: tuple(vecs[:, k].real))
-        vecs = np.take(vecs, order, axis=1)  # C-ordered, with no buffered temporary
+            # A run's full columns ordered by their real parts; a row that is zero in
+            # every column of the run cannot decide the order, so it is left out.
+            real = vecs[:, start:start + count].real
+            key = real[np.any(real != 0, axis=1)].T.tolist()
+            perm = sorted(range(count), key=key.__getitem__)
+            vecs[:, start:start + count] = vecs[:, start + np.array(perm)]
         scale = 1.0 + float(np.max(np.abs(vals)))
         gaps = np.diff(vals)
         degenerate = bool(gaps.size and np.min(gaps) <= DEGENERACY_TOL * scale)
@@ -165,15 +201,23 @@ class HermitianOperator:
         return SpectralData(vals, vecs, degenerate)
 
 
-def _max_abs_by_rows(n: int, entries) -> float:
-    """``max|entries(rows)|`` over the row blocks of an ``n x n`` matrix, ``n >= 1``.
+def _fix_gauge(vecs: np.ndarray) -> np.ndarray:
+    """Rotate each column of each matrix in the stack ``vecs`` in place by
+    ``conj(p) / |p|``, ``p`` its first largest-magnitude entry, so that ``p``
+    turns real positive; return the phases, one row per matrix.
 
-    Each block holds at most ``_BLOCK_ENTRIES`` entries (whole rows, at least
-    one), so its temporaries stay a small part of the matrix at every ``n``;
-    the maximum is the one of the whole, and a NaN propagates.
+    The entry is found by reductions along the rows, which read a C-ordered
+    array in row order (an argmax down its columns reads it column by column).
+    ``p`` is never zero, as ``eigh`` returns unit columns; for a real ``vecs``
+    the phase is a sign.
     """
-    rows = max(1, _BLOCK_ENTRIES // n)
-    return float(np.max([np.max(np.abs(entries(slice(start, start + rows)))) for start in range(0, n, rows)]))
+    size = vecs.shape[-1]
+    mags = np.abs(vecs)
+    first = np.where(mags == mags.max(axis=-2, keepdims=True), np.arange(size)[:, None], size).min(axis=-2)
+    peak = np.take_along_axis(vecs, first[:, None, :], axis=-2)[:, 0, :]
+    phases = peak.conj() / np.abs(peak)
+    vecs *= phases[:, None, :]
+    return phases
 
 
 def _connected_blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -181,14 +225,14 @@ def _connected_blocks(m: np.ndarray) -> list[np.ndarray]:
     ordered by their lowest index.
 
     A breadth-first search over the ``n x n`` boolean matrix of the pattern, made
-    symmetric one pair of ``_ROW_BLOCK``-row tiles at a time (a whole transpose
-    misses the cache at large ``n``); each level reads its frontier's rows once.
+    symmetric one pair of :func:`_tile_pairs` at a time (a whole transpose misses
+    the cache at large ``n``); each level reads its frontier's rows once.
     """
     n = m.shape[0]
     linked = m != 0
-    for rows in _row_blocks(n):
-        for cols in _row_blocks(n):
-            linked[rows, cols] |= linked[cols, rows].T
+    for rows, cols in _tile_pairs(n):
+        linked[rows, cols] |= linked[cols, rows].T
+        linked[cols, rows] = linked[rows, cols].T
     labels = np.empty(n, dtype=int)
     unseen = np.ones(n, dtype=bool)
     count = 0
@@ -204,28 +248,23 @@ def _connected_blocks(m: np.ndarray) -> list[np.ndarray]:
     return np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
 
 
-def _block_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _block_eigh(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``np.linalg.eigh`` of ``m``, one block of :func:`_connected_blocks` at a time.
 
-    The blocks of each size go to one stacked ``eigh`` call, and each block's
-    eigenvectors fill its own rows of their columns; every other entry is 0.
-    A stacked call gives each block the bits of its own call, and a matrix
-    that is one block goes to ``eigh`` unchanged, so its data is that of ``eigh(m)``.
+    The blocks of each size go to one stacked ``eigh`` call, ascending in size,
+    which returns ``(idx, eigenvalues, eigenvectors)``: row ``k`` of ``idx`` holds
+    block ``k``'s ascending row indices into ``m``, and entry ``k`` of the solver's
+    stacks its data for ``m[idx[k]][:, idx[k]]``.  A stacked call gives each block
+    the bits of its own call, and a matrix that is one block goes to ``eigh``
+    unchanged, so its data is that of ``eigh(m)``.
     """
     n = m.shape[0]
     blocks = _connected_blocks(m)
-    vals = np.empty(n)
-    vecs = np.zeros((n, n), dtype=m.dtype)
-    col = 0
+    stacks = []
     for size in sorted({b.size for b in blocks}):  # np.unique would import numpy.ma
         idx = np.stack([b for b in blocks if b.size == size])
-        stack_vals, stack_vecs = np.linalg.eigh(
-            m[None] if size == n else m[idx[:, :, None], idx[:, None, :]])
-        for rows, block_vals, block_vecs in zip(idx, stack_vals, stack_vecs):
-            vals[col:col + size] = block_vals
-            vecs[rows, col:col + size] = block_vecs
-            col += size
-    return vals, vecs
+        stacks.append((idx, *np.linalg.eigh(m[None] if size == n else m[idx[:, :, None], idx[:, None, :]])))
+    return stacks
 
 
 @dataclass(frozen=True)
@@ -293,8 +332,11 @@ def spectral_decompose(a: HermitianOperator) -> SpectralData:
     A real matrix takes the real symmetric solver, and each connected block
     of the nonzero pattern (the two parity sectors of an Ising chain, say) is
     decomposed apart, with one stacked solver call per block size, so each
-    eigenvector lies in one block.  A matrix that is one block decomposes bit
-    for bit as by one solver call on the whole (see ``HermitianOperator.spectral``).
+    eigenvector lies in one block; its gauge is read from the solver's block
+    and the blocks are written once at their final columns.  The data is bit
+    for bit that of one solver call per block followed by a gauge fix and an
+    order on the full columns, and a matrix that is one block decomposes as by
+    one solver call on the whole (see ``HermitianOperator.spectral``).
     """
     return a.spectral
 

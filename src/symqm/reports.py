@@ -277,10 +277,13 @@ def canonical_json(obj) -> str:
 
 
 def write_report(obj, path) -> Path:
+    """Write :func:`canonical_json` of ``obj`` to ``path``, rendered before the file is
+    opened: a value that cannot be written raises and leaves the file as it was."""
+    text = canonical_json(obj)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write(canonical_json(obj))
+        fh.write(text)
     return path
 
 

@@ -170,7 +170,8 @@ def test_non_finite_entries_rejected(bad):
 
 
 def test_row_block_validation_matches_the_whole_matrix():
-    # 600 rows span six blocks of 109 rows; the planted entries sit in the last one.
+    # 600 rows span five tiles of 128, the last one partial; (550, 20) sits in a
+    # tile below the diagonal, (599, 599) in the last, partial diagonal tile.
     rng = np.random.default_rng(5)
     m = _random_hermitian(rng, 600)
     m[550, 20] += 3e-13
@@ -180,6 +181,32 @@ def test_row_block_validation_matches_the_whole_matrix():
         make_hermitian(m)
     assert err.value.deviation == float(np.max(np.abs(m - m.conj().T)))
     m[599, 599] = np.nan
+    with pytest.raises(NonHermitianError, match="non-finite"):
+        make_hermitian(m)
+
+
+# One entry per kind of tile, for n = 129 and 600 (neither a multiple of the
+# tile side of 128): in a diagonal tile, above and below the diagonal, and in
+# the last, partial tile.
+TILE_ENTRIES = {
+    129: {"diagonal": (5, 70), "above": (3, 128), "below": (128, 3), "last partial": (128, 128)},
+    600: {"diagonal": (200, 140), "above": (130, 400), "below": (400, 130), "last partial": (599, 520)},
+}
+
+
+@pytest.mark.parametrize("n, tile", [(n, tile) for n in TILE_ENTRIES for tile in TILE_ENTRIES[n]])
+def test_tile_walk_reads_every_tile(n, tile):
+    i, j = TILE_ENTRIES[n][tile]
+    m = _random_hermitian(np.random.default_rng(n), n)
+    # The largest entry sits in the tile, so the norm must be read there.
+    m[i, j] = 7 + 2j * (i != j)
+    m[j, i] = m[i, j].conj()
+    assert make_hermitian(m).max_norm == float(np.max(np.abs(m))) == float(np.abs(m[i, j]))
+    m[i, j] += 1e-9j
+    with pytest.raises(NonHermitianError) as err:
+        make_hermitian(m)
+    assert err.value.deviation == float(np.max(np.abs(m - m.conj().T)))
+    m[i, j] = np.nan
     with pytest.raises(NonHermitianError, match="non-finite"):
         make_hermitian(m)
 
@@ -268,8 +295,9 @@ def test_first_decomposition_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # About 1.6x the complex matrix's bytes: real eigenvectors, a copy to order
-    # them and the stored complex copy.  Full-size scaled and doubly copied
+    # About 1.52x the complex matrix's bytes: the complex eigenvector matrix,
+    # allocated first, then the two real 512-blocks, their eigenvectors and the
+    # gauge's temporaries on one block.  Full-size scaled and doubly copied
     # eigenvectors peaked at 2.5x (40 MiB).
     assert peak <= 2.0 * m.nbytes
 

@@ -251,6 +251,18 @@ def test_array_gauge_fix_orders_exact_ties_as_reference(text):
     _assert_spectral_matches_per_column_reference(h)
 
 
+@pytest.mark.parametrize("q, extra, blocks", [(8, "", 2), (9, "", 2), (10, "", 2),
+                                             (8, " + 0.2*Y0*Z1 + 0.1*X0*Y1", 1)],
+                         ids=["chain8", "chain9", "chain10", "complex-chain8"])
+def test_array_gauge_fix_matches_per_column_reference_at_benchmark_sizes(q, extra, blocks):
+    # The benchmark's chains (n = 256 to 1024, two real parity blocks) and a complex
+    # operator that is one block, at sizes the drawn cases above do not reach.
+    terms = [f"0.5*X{k}*X{k + 1}" for k in range(q - 1)] + [f"0.3*Z{k}" for k in range(q)]
+    h = make_hermitian(parse_operator_expr(" + ".join(terms) + extra).to_matrix(q))
+    assert len(_components(h.matrix)) == blocks
+    _assert_spectral_matches_per_column_reference(h)
+
+
 def _recorded_eigh_inputs(monkeypatch):
     """Patch ``np.linalg.eigh`` to record each matrix it receives."""
     seen, eigh = [], np.linalg.eigh

@@ -83,5 +83,10 @@ def test_report_floats_and_ints_load_back_as_written(tmp_path):
 
 
 def test_report_rejects_values_that_are_not_json(tmp_path):
+    # The report is rendered before its file is opened (and so truncated), so
+    # the file that stood there keeps its text.
+    path = tmp_path / "report.json"
+    path.write_text('{"old": true}\n')
     with pytest.raises(TypeError, match="cannot serialize object"):
-        write_report({"x": object()}, tmp_path / "report.json")
+        write_report({"x": object()}, path)
+    assert path.read_text() == '{"old": true}\n'
