@@ -295,10 +295,10 @@ def test_first_decomposition_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # About 1.52x the complex matrix's bytes: the complex eigenvector matrix,
-    # allocated first, then the two real 512-blocks, their eigenvectors and the
-    # gauge's temporaries on one block.  Full-size scaled and doubly copied
-    # eigenvectors peaked at 2.5x (40 MiB).
+    # About 1.79x the complex matrix's bytes: the complex eigenvector matrix,
+    # allocated first (and not yet written), then the two real 512-blocks, their
+    # eigenvectors and the gauge's temporaries on both.  Full-size scaled and
+    # doubly copied eigenvectors peaked at 2.5x (40 MiB).
     assert peak <= 2.0 * m.nbytes
 
 
