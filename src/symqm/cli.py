@@ -17,7 +17,7 @@ import numpy as np
 
 from .brackets import ObservableFunction, bracket_commutator_report
 from .dynamics import integrate, phase_residuals, spectral_deviation, trajectory_diagnostics
-from .errors import NonConvergenceError, ScenarioError, SymqmError, _count, _positive
+from .errors import ScenarioError, SymqmError, _count, _positive
 from .operators import spectral_decompose
 from .quantum_function import (
     AxiomTolerances,
@@ -212,19 +212,14 @@ _COMMANDS = {
 
 
 def _run(command: str, scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    """Run one command and write its report, 0 iff it passed; a flow that fails to converge
-    writes an error report.  Overflow shows as non-finite residuals, not numpy warnings."""
+    """Run one command and write its report, 0 iff it passed.  Overflow shows as
+    non-finite residuals, not numpy warnings."""
     names = {"report": f"{command}_report.json", "trajectory": "trajectory.csv",
              **scenario.outputs}
     paths = {key: out_dir / name for key, name in names.items()}
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             body = _COMMANDS[command](scenario, paths, quiet)
-    except NonConvergenceError as exc:
-        if not quiet:
-            print(f"integrator failed to converge at step {exc.step}")
-        body = {"passed": False,
-                "error": {"type": "NonConvergence", "step": exc.step, "iterations": exc.iterations}}
     finally:
         random_unit_states.cache_clear()
     report = {"command": command, "scenario": scenario.resolved_dict(), **body}

@@ -3,25 +3,24 @@
 Four integrators:
 
 * ``exact``: spectral propagation, expectation Hamiltonians only.
-* ``midpoint``: implicit midpoint by fixed-point iteration; symplectic,
-  conserves quadratic first integrals, works for any observable.
-* ``cayley``: the closed-form midpoint solution for linear fields,
+* ``midpoint``: implicit midpoint; symplectic, conserves quadratic first
+  integrals, works for any observable.
+* ``cayley``: midpoint's closed form on a linear field,
   ``(I - dt/2 K)^{-1} (I + dt/2 K)``; exactly norm-preserving.
 * ``rk4``: classical explicit Runge-Kutta, the non-preserving baseline.
 
-For ``f = <H>`` the field ``K psi`` with ``K = -(i/hbar) H`` is linear, so
-midpoint, Cayley and RK4 take every step as ``psi + Q psi`` with one
-precomputed increment matrix ``Q`` (the increment form, not
-``(I + Q) psi``, whose round-off in ``I + Q`` drifts the norm).  The
-midpoint iterate after ``m`` fixed-point iterations is
-``Q_m = 2 (A + ... + A^(m+1))`` with ``A = (dt/2) K``, and the ``j``-th
-update has norm ``2 ||A^(j+1) psi||``; each step's count is audited
-against that stopping rule, so the counts and the step that raises
-``NonConvergenceError`` are exact.  A run of steps takes its states from
-one product with a table of step powers ``(I + Q)^j - I``, so they match
-the per-step recurrence to round-off, and are bit-identical to it where
-that table holds one step (``n >= 182``, so from 8 qubits on).  Generic
-observables keep the per-step fixed-point and RK4 loops.
+For ``f = <H>`` the field ``K psi`` with ``K = -(i/hbar) H`` is linear, and
+the midpoint equation ``y = psi + dt K (psi + y) / 2`` has one solution,
+Cayley's step.  There midpoint and Cayley take that one step, with no
+fixed-point iteration: they report 0 solver iterations and never raise
+``NonConvergenceError``, since ``I - (dt/2) K`` is invertible for every
+``dt``.  Midpoint, Cayley and RK4 then take every step as ``psi + Q psi``
+with one precomputed increment matrix ``Q`` (the increment form, not
+``(I + Q) psi``, whose round-off in ``I + Q`` drifts the norm), and a run of
+steps takes its states from one product with a table of step powers
+``(I + Q)^j - I``.  Generic observables keep the per-step fixed-point and
+RK4 loops; ``solver_tol`` and ``solver_max_iter`` govern only that
+fixed-point loop.
 """
 
 from __future__ import annotations
@@ -193,24 +192,6 @@ def _rk4_step(field, psi, dt):
     return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _midpoint_counts(starts: np.ndarray, a_t: np.ndarray, tol: float, upto: int) -> np.ndarray:
-    """Fixed-point iterations the midpoint step takes from each row of ``starts``.
-
-    From ``psi`` the ``j``-th update of the iteration is ``2 A^(j+1) psi``,
-    so a row needs the first ``j >= 1`` with ``2 ||A^(j+1) psi|| <= tol``.
-    The powers of all rows come from one product chain ``X A^T, X (A^T)^2,
-    ...``; a row that needs more than ``upto`` iterations gets ``upto + 1``.
-    """
-    counts = np.full(starts.shape[0], upto + 1)
-    power = starts @ a_t
-    for j in range(1, upto + 1):
-        power = power @ a_t
-        counts[(counts > upto) & (2.0 * np.linalg.norm(power, axis=1) <= tol)] = j
-        if np.all(counts <= upto):
-            break
-    return counts
-
-
 def _step_powers(q: np.ndarray, reach: int) -> np.ndarray:
     """``D_j = (I + Q)^j - I`` for ``j = 1 .. reach``, stacked as ``(reach * n, n)`` rows.
 
@@ -220,10 +201,9 @@ def _step_powers(q: np.ndarray, reach: int) -> np.ndarray:
     A table of one step is ``Q`` itself, not a copy of the flow's largest matrix.
 
     The table ends before its first power that is not finite.  A mode the
-    state never enters may grow without bound (RK4 or midpoint on a large
-    eigenvalue), and ``0 * inf`` would then make every increment NaN though
-    the per-step recurrence keeps that mode at 0; a shorter table only makes
-    shorter runs.
+    state never enters may grow without bound (RK4 on a large eigenvalue),
+    and ``0 * inf`` would then make every increment NaN though the per-step
+    recurrence keeps that mode at 0; a shorter table only makes shorter runs.
     """
     if reach == 1:
         return q
@@ -239,79 +219,40 @@ def _step_powers(q: np.ndarray, reach: int) -> np.ndarray:
     return table[:reach].reshape(-1, q.shape[0])
 
 
-def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states, iterations) -> None:
-    """Midpoint, Cayley or RK4 on ``f = <H>``, each step ``psi + Q psi``.
+def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states) -> None:
+    """Midpoint, Cayley or RK4 on ``f = <H>``, each step ``psi + Q psi``, into ``states``.
 
-    Cayley's ``Q`` is ``2 (I - A)^{-1} A`` and RK4's
-    ``dK + (dK)^2/2 + (dK)^3/6 + (dK)^4/24``.  A midpoint block takes its
-    count ``m`` from its first start state, steps up to ``_ROW_BLOCK`` steps
-    with ``Q_m``, then audits its other start states and the next block's in
-    one product chain; the next block starts at the first state that needs
-    another count, with the audited count if it is at most ``m`` (exact there;
-    above ``m`` it is capped, so searched again), and is at most twice as long
-    as the steps kept.  Inside a block, each run of ``r <= reach`` steps from
-    ``psi`` is ``psi + D_j psi`` for ``j = 1 .. r``, one product with the table
-    of :func:`_step_powers` for ``Q_m``; ``reach`` keeps that table within
-    ``_BLOCK_ENTRIES`` entries (1 MiB): 256 up to ``n = 16``, 1 from
-    ``n = 182`` on, and a table holds fewer steps where its powers stop
-    being finite.  The counts and the non-convergence step are exact; the
-    states match the per-step recurrence to round-off, and are bit-identical
-    where ``reach`` is 1.
+    Midpoint and Cayley take ``Q = 2 (I - A)^{-1} A`` with ``A = (dt/2) K``,
+    RK4 ``dK + (dK)^2/2 + (dK)^3/6 + (dK)^4/24``.  Each run of ``r <= held``
+    steps from ``psi`` is ``psi + D_j psi`` for ``j = 1 .. r``, one product
+    with the table of :func:`_step_powers`, which ``reach`` keeps within
+    ``_BLOCK_ENTRIES`` entries.  The states match the per-step recurrence to
+    round-off, and are bit-identical to it where the table holds one step.
     """
     n = psi.shape[0]
     reach = max(1, min(_ROW_BLOCK, _BLOCK_ENTRIES // n**2, cfg.steps))
     a = (0.5 * cfg.dt) * ((-1j / f.space.hbar) * f.operator.matrix)
-    if cfg.method == "midpoint":
-        b = 2.0 * a  # dt K
-        tables = {}  # the step powers of Q_m for each count m met so far
+    eye = np.eye(n, dtype=complex)
+    if cfg.method == "rk4":  # in Horner form
+        a *= 2.0  # dt K
+        q = a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
+    else:  # (I - A) X = A, I - A in place; Q = 2X, doubled exactly
+        q = np.linalg.solve(np.subtract(eye, a, out=eye), a)
+        q *= 2.0
+    table = _step_powers(q, reach)
+    a = eye = q = None  # the flow keeps no n x n matrix but its table
 
-        def counts(starts, upto):
-            return _midpoint_counts(starts, a.T, cfg.solver_tol, upto)
-    else:
-        eye = np.eye(n, dtype=complex)
-        if cfg.method == "cayley":  # (I - A) X = A, I - A in place; Q = 2X, doubled exactly
-            q = np.linalg.solve(np.subtract(eye, a, out=eye), a)
-            q *= 2.0
-        else:  # rk4, in Horner form
-            b = 2.0 * a  # dt K
-            q = b @ (eye + (b / 2.0) @ (eye + (b / 3.0) @ (eye + b / 4.0)))
-        tables = {0: _step_powers(q, reach)}
-        a = b = eye = q = None  # the flow keeps no n x n matrix but its table
-
-        def counts(starts, upto):
-            return np.zeros(starts.shape[0], dtype=int)
-
-    block_states = np.empty((_ROW_BLOCK + 1, n), dtype=complex)
-    block_states[0] = psi
-    done = span = known = 0
-    while done < cfg.steps:
-        m = known or int(counts(block_states[:1], cfg.solver_max_iter)[0])
-        if m > cfg.solver_max_iter:
-            raise NonConvergenceError(done + 1, cfg.solver_max_iter)
-        if m not in tables:  # Q_0 = 2A and Q_j = 2A + A Q_(j-1), as the iteration
-            q = b
-            for _ in range(m):
-                q = b + a @ q
-            tables[m] = _step_powers(q, reach)
-        table = tables[m]
-        held = table.shape[0] // n  # reach, or fewer where the powers overflow
-        block = min(span or _ROW_BLOCK, cfg.steps - done)
-        for start in range(0, block, held):  # psi + D_j psi, written in place
-            run = block_states[start + 1:min(start + held, block) + 1]
-            np.dot(table[:run.size], block_states[start], out=run.reshape(-1))
-            run += block_states[start]
-        audit = counts(block_states[1:block + 1], m)  # the last row starts the next block
-        wrong = np.flatnonzero(audit[:-1] != m)
-        if wrong.size:  # keep the steps up to the first start state that needs another count
-            block = int(wrong[0]) + 1
-        known = int(audit[block - 1]) if audit[block - 1] <= m else 0  # above m: capped, search
-        step = done + np.arange(1, block + 1)
-        kept = step % cfg.stride == 0
-        states[step[kept] // cfg.stride] = block_states[1:block + 1][kept]
-        iterations[step[kept] // cfg.stride] = m
-        done += block
-        span = min(2 * block, _ROW_BLOCK)
-        block_states[0] = block_states[block]
+    held = table.shape[0] // n  # reach, or fewer where the powers overflow
+    run = np.empty((held + 1, n), dtype=complex)
+    run[0] = psi
+    for done in range(0, cfg.steps, held):  # psi + D_j psi, written in place
+        r = min(held, cfg.steps - done)
+        np.dot(table[:r * n], run[0], out=run[1:r + 1].reshape(-1))
+        run[1:r + 1] += run[0]
+        first = cfg.stride - done % cfg.stride  # the run's first stored step, counted from its start
+        kept = run[first:r + 1:cfg.stride]
+        states[(done + first) // cfg.stride:][:len(kept)] = kept
+        run[0] = run[r]
 
 
 def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig) -> Trajectory:
@@ -320,8 +261,12 @@ def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig) -> Trajectory:
     The ``exact`` and ``cayley`` methods require an expectation observable
     (linear field); ``midpoint`` and ``rk4`` accept any observable.  For
     ``f = <H>`` every method but ``exact`` steps with one increment matrix
-    (:func:`_linear_flow`).  For generic observables the field carries
-    finite-difference noise of order ``1e-8``, so the midpoint
+    (:func:`_linear_flow`), and midpoint takes Cayley's step, the one
+    solution of its equation, so ``solver_tol`` and ``solver_max_iter`` do
+    not apply.  For generic observables midpoint iterates to its fixed point
+    until an update is at most ``solver_tol``, and raises
+    :class:`NonConvergenceError` after ``solver_max_iter`` updates.  Their
+    field carries finite-difference noise of order ``1e-8``, so
     ``solver_tol`` must be chosen above ``dt`` times that noise or the fixed
     point cannot settle.
 
@@ -347,7 +292,7 @@ def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig) -> Trajectory:
         states = spectral_decompose(f.operator).propagate(psi, times, f.space.hbar)
         states[0] = psi
     elif f.operator is not None:
-        _linear_flow(f, psi, cfg, states, iterations)
+        _linear_flow(f, psi, cfg, states)
     else:
         def field(v):
             return hamiltonian_vector_field(f, v)

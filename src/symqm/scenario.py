@@ -13,11 +13,16 @@ UTF-16 or UTF-32.  Recognized keys::
                     normalized on load
     integrator      {method, dt, steps, solver_tol, solver_max_iter, stride};
                     dt * steps must be a finite float, and steps / stride at
-                    most 10**6
+                    most 10**6.  Every command integrates the expectation of
+                    the operator, a linear field, on which midpoint and Cayley
+                    take one step; solver_tol and solver_max_iter govern only
+                    the fixed-point loop of generic observables
     outputs         {report: NAME, trajectory: NAME} relative to --out, with
                     no NUL; for evolve the two must be different files
     seed            whole number >= 0, default 0
-    samples         whole number from 1 to MAX_SAMPLES = 10**6, default 100
+    samples         whole number from 1 to MAX_SAMPLES = 10**6, default 100;
+                    samples * dimension at most MAX_DENSE_DIM**2 = 2**24, the
+                    entries of the largest dense operator
     tolerances      per-check overrides, see DEFAULT_TOLERANCES
     phi_map         "reconstruction" | "identity" | "constant" (reconstruct
                     command only; "constant" is the negative control)
@@ -253,6 +258,9 @@ def load_scenario(path) -> Scenario:
     samples = _count(raw.get("samples", 100), "samples")
     if samples > MAX_SAMPLES:
         raise ScenarioError(f"must be at most {MAX_SAMPLES}", "samples")
+    if samples * operator.dim > MAX_DENSE_DIM**2:  # the states drawn, checked before any draw
+        raise ScenarioError(f"{samples} states of dimension {operator.dim} exceed the "
+                            f"{MAX_DENSE_DIM**2} entries of the largest dense operator", "samples")
 
     phi_map = raw.get("phi_map", "reconstruction")
     if phi_map not in PHI_MAPS:

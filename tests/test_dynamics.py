@@ -24,6 +24,11 @@ SPACE = SymplecticSpace(2)
 UNIFORM = np.array([1, 1]) / np.sqrt(2)
 
 
+def _generic(h):
+    """``<H>`` as a callable: its midpoint steps iterate to their fixed point."""
+    return ObservableFunction.from_callable(lambda v: np.vdot(v, h.matrix @ v).real, SPACE)
+
+
 def test_integrator_config_validation():
     cfg = IntegratorConfig("midpoint", 1e-3, 100)
     assert cfg.total_time == pytest.approx(0.1)
@@ -96,11 +101,12 @@ def test_cayley_norm_preservation():
 
 
 def test_cayley_equals_midpoint_for_linear_field():
-    # the Cayley step is the exact midpoint solution of a linear field
+    # the Cayley step is the one midpoint solution of a linear field
     f = ObservableFunction.expectation_of(Z, SPACE)
     cay = integrate(f, UNIFORM, IntegratorConfig("cayley", 1e-2, 100))
     mid = integrate(f, UNIFORM, IntegratorConfig("midpoint", 1e-2, 100))
-    assert np.max(np.abs(cay.states - mid.states)) <= 1e-11
+    np.testing.assert_array_equal(mid.states, cay.states)
+    np.testing.assert_array_equal(mid.solver_iterations, cay.solver_iterations)
 
 
 def test_flow_equivalence_random_hamiltonians():
@@ -144,12 +150,16 @@ def test_method_unsupported_for_generic_observables():
 
 
 def test_nonconvergence_reports_step():
-    # a huge step makes the fixed-point iteration diverge
-    f = ObservableFunction.expectation_of(make_hermitian(100 * Z.matrix), SPACE)
+    # a huge step makes the fixed-point iteration of a generic observable
+    # diverge; on <H> itself midpoint takes the step in closed form
+    cfg = IntegratorConfig("midpoint", 1.0, 5, solver_max_iter=10)
+    h = make_hermitian(100 * Z.matrix)
     with pytest.raises(NonConvergenceError) as err:
-        integrate(f, UNIFORM, IntegratorConfig("midpoint", 1.0, 5, solver_max_iter=10))
+        integrate(_generic(h), UNIFORM, cfg)
     assert err.value.step == 1
     assert err.value.iterations == 10
+    linear = integrate(ObservableFunction.expectation_of(h, SPACE), UNIFORM, cfg)
+    assert np.max(np.abs(linear.norms - 1)) <= 1e-12
 
 
 def test_trajectory_stride():
@@ -214,7 +224,11 @@ def test_trajectory_diagnostics_exact_and_midpoint():
         integrate(f, UNIFORM, IntegratorConfig("midpoint", 1e-2, 10_000))
     )
     assert mid.max_energy_drift <= 1e-10
-    assert mid.max_solver_iterations >= 1
+    assert mid.max_solver_iterations == 0  # Cayley's step, no fixed-point iteration
+    generic = trajectory_diagnostics(
+        integrate(_generic(Z), UNIFORM, IntegratorConfig("midpoint", 1e-2, 100, solver_tol=1e-8))
+    )
+    assert generic.max_solver_iterations >= 1
 
     rk4 = trajectory_diagnostics(
         integrate(f, UNIFORM, IntegratorConfig("rk4", 1e-2, 10_000))
@@ -224,14 +238,13 @@ def test_trajectory_diagnostics_exact_and_midpoint():
 
 def test_solver_iteration_stats_count_steps_only():
     # Row 0 is the initial state, not a step; its 0 must not enter the mean.
-    f = ObservableFunction.expectation_of(Z, SPACE)
-    traj = integrate(f, UNIFORM, IntegratorConfig("midpoint", 1e-3, 100))
+    traj = integrate(_generic(Z), UNIFORM, IntegratorConfig("midpoint", 1e-3, 100, solver_tol=1e-8))
     assert traj.solver_iterations[0] == 0
     steps = traj.solver_iterations[1:]
-    assert np.all(steps == steps[0]) and steps[0] >= 1
+    assert np.all(steps >= 1)
     diag = trajectory_diagnostics(traj)
-    assert diag.mean_solver_iterations == float(steps[0])
-    assert diag.max_solver_iterations == steps[0]
+    assert diag.mean_solver_iterations == float(np.mean(steps))
+    assert diag.max_solver_iterations == np.max(steps)
     single = Trajectory(times=[0.0], states=[UNIFORM], norms=[1.0], energies=[0.0],
                         solver_iterations=[0], method="midpoint")
     assert trajectory_diagnostics(single).mean_solver_iterations == 0.0

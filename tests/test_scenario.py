@@ -6,7 +6,10 @@ import json
 import numpy as np
 import pytest
 
+import symqm.brackets
+import symqm.quantum_function
 from symqm import IntegratorConfig, load_scenario
+from symqm.cli import main
 from symqm.errors import ScenarioError
 from symqm.pauli import PauliSumExpr
 from symqm.scenario import DEFAULT_TOLERANCES, MAX_SAMPLES
@@ -178,6 +181,20 @@ def test_samples_above_the_bound_are_rejected_on_load(tmp_path, samples):
     # Unbounded, 10**400 loaded and verify then drew rows until it was killed.
     with pytest.raises(ScenarioError, match="samples"):
         load_scenario(_write(tmp_path, {"operator": "Z0", "samples": samples}))
+    assert load_scenario(_write(tmp_path, {"operator": "Z0", "samples": MAX_SAMPLES})).samples == MAX_SAMPLES
+
+
+def test_samples_times_dimension_is_bounded_before_any_draw(tmp_path, monkeypatch):
+    # 10**6 samples at n = 32 are 3.2e7 entries, above the 2**24 of the largest
+    # dense operator; at n = 4096 they would be a 61 GiB matrix.
+    calls = []
+    for module in (symqm.brackets, symqm.quantum_function):
+        monkeypatch.setattr(module, "random_unit_states", lambda *args: calls.append(args))
+    path = _write(tmp_path, {"operator": "Z4", "samples": 10**6})
+    with pytest.raises(ScenarioError, match="^samples: "):
+        load_scenario(path)
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert not calls
     assert load_scenario(_write(tmp_path, {"operator": "Z0", "samples": MAX_SAMPLES})).samples == MAX_SAMPLES
 
 
