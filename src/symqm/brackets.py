@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DimensionMismatchError, _positive
 from .operators import HermitianOperator, _coordinates, commutator, expectations
 from .sampling import random_unit_directions, random_unit_states
-from .spaces import SymplecticSpace, _frozen, from_real_coords, hermitian_inner
+from .spaces import SymplecticSpace, _frozen, from_real_coords, hermitian_inner, symplectic_form
 
 __all__ = [
     "ObservableFunction",
@@ -201,20 +201,19 @@ def _closed_form_field(f: ObservableFunction, states: np.ndarray) -> np.ndarray:
 
 
 def _checked_field(g: ObservableFunction, states: np.ndarray, seed: int):
-    """The closed-form ``X_g`` at every row, and the worst ``|dg(r) - 2 hbar Im <X_g|r>|`` over four
+    """The closed-form ``X_g`` at every row, and the worst ``|dg(r) - Omega(X_g, r)|`` over four
     unit directions ``r`` per row drawn from ``seed``, ``dg(r)`` by FD at ``BRACKET_REPORT_STEP``."""
     k, field = 4, _closed_form_field(g, states)
     r = random_unit_directions(g.space.complex_dim, seed, k * len(states))
     dg = _fd_bracket(lambda s: _observable_values(g, s), g.space, np.repeat(states, k, axis=0), r,
                      BRACKET_REPORT_STEP)
-    omega = 2.0 * g.space.hbar * np.einsum("ki,ki->k", np.repeat(field, k, axis=0).conj(), r).imag
-    return field, _largest(np.abs(dg - omega))
+    return field, _largest(np.abs(dg - symplectic_form(np.repeat(field, k, axis=0), r, g.space)))
 
 
 def _closed_form_brackets(f: ObservableFunction, g: ObservableFunction, states: np.ndarray) -> np.ndarray:
     """``{<A>, <B>} = (2/hbar) Im <A psi | B psi>`` per row; ``A psi`` is a row of ``states @ A^T``."""
-    return (2.0 / f.space.hbar) * np.einsum(
-        "ki,ki->k", (states @ f.operator.matrix.T).conj(), states @ g.operator.matrix.T).imag
+    a_psi, b_psi = states @ f.operator.matrix.T, states @ g.operator.matrix.T
+    return (2.0 / f.space.hbar) * hermitian_inner(a_psi, b_psi).imag
 
 
 def _use_closed_form(method: str, closed_form: bool) -> bool:
@@ -332,7 +331,7 @@ def bracket_commutator_report(a: HermitianOperator, b: HermitianOperator,
     f = ObservableFunction.expectation_of(a, space)
     g = ObservableFunction.expectation_of(b, space)
     states = random_unit_states(space.complex_dim, seed, samples)
-    target = np.einsum("ki,ki->k", states.conj(), states @ commutator(a, b).T)
+    target = hermitian_inner(states, states @ commutator(a, b).T)
     analytic = _closed_form_brackets(f, g, states)
     field, field_check = _checked_field(g, states, seed)
     fd = _fd_bracket(lambda s: _observable_values(f, s), space, states, field, BRACKET_REPORT_STEP)

@@ -135,7 +135,8 @@ class Trajectory:
             steps = np.diff(self.times)
             if np.any(steps <= 0):
                 raise ValueError("times must be strictly increasing")
-            if np.max(steps) - np.min(steps) > 1e-12 * max(np.max(steps), 1.0):
+            # The spacing of t_k = dt * k varies by ulps of t, so the tolerance scales with max |t|.
+            if np.max(steps) - np.min(steps) > 1e-12 * max(np.max(steps), np.max(np.abs(self.times)), 1.0):
                 raise ValueError("times must advance with a constant step")
 
     def __len__(self) -> int:

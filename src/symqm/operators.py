@@ -14,7 +14,7 @@ from .errors import (
     NonHermitianError,
     NonSquareError,
 )
-from .spaces import _as_complex_vector, _frozen
+from .spaces import _as_complex_vector, _frozen, hermitian_inner
 
 __all__ = [
     "HermitianOperator",
@@ -140,7 +140,8 @@ class HermitianOperator:
 
     @property
     def spectral_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
+        """``||A||_2 = max_n |a_n|``, read from the eigenvalues of the one decomposition :attr:`spectral`."""
+        return float(np.max(np.abs(self.spectral.eigenvalues)))
 
     def apply(self, psi) -> np.ndarray:
         v = _as_complex_vector(psi)
@@ -349,7 +350,7 @@ def quadratic_form(mx, psi) -> complex:
         raise DimensionMismatchError(
             f"state has length {v.shape[0]}, matrix has shape {m.shape}"
         )
-    return complex(np.vdot(v, m @ v))
+    return hermitian_inner(v, m @ v)
 
 
 def _imaginary_tolerance(a: HermitianOperator) -> float:
@@ -371,11 +372,11 @@ def expectations(a: HermitianOperator, states: np.ndarray) -> np.ndarray:
     """
     if states.shape[-1] != a.dim:
         raise DimensionMismatchError(f"states have length {states.shape[-1]}, operator has dimension {a.dim}")
-    values = np.einsum("ki,ki->k", states.conj(), states @ a.matrix.T)
+    values = hermitian_inner(states, states @ a.matrix.T)
     residue = np.abs(values.imag)
     bad = residue > _imaginary_tolerance(a)
     if np.any(bad):
-        bad &= residue > _imaginary_tolerance(a) * np.maximum(np.einsum("ki,ki->k", states.conj(), states).real, 1.0)
+        bad &= residue > _imaginary_tolerance(a) * np.maximum(hermitian_inner(states, states).real, 1.0)
     if np.any(bad):
         raise NonHermitianError(residue[bad][0], "expectation value has a nonzero imaginary part")
     return values.real

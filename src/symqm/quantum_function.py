@@ -53,7 +53,7 @@ from .operators import (
     spectral_decompose,
 )
 from .sampling import random_unit_states
-from .spaces import SymplecticSpace, _as_complex_vector, _frozen
+from .spaces import SymplecticSpace, _as_complex_vector, _frozen, hermitian_inner
 
 __all__ = [
     "QuantumFunction",
@@ -316,23 +316,23 @@ class RowwiseMap:
 
 @dataclass(frozen=True)
 class ReconstructionMap(RowwiseMap):
-    """The map ``xi -> (u_1(xi), ..., u_n(xi))`` into the recovered basis, row-wise.
-
-    ``recovered_operator`` is the diagonal operator with the quantum function's
-    eigenvalues, whose expectation in the image reproduces its values.
-    """
+    """The map ``xi -> (u_1(xi), ..., u_n(xi))`` into the recovered basis, row-wise."""
 
     qf: QuantumFunction
-    recovered_operator: HermitianOperator
 
     def rows(self, states: np.ndarray) -> np.ndarray:
         return _coordinate_rows(self.qf, states)
 
+    @cached_property
+    def recovered_operator(self) -> HermitianOperator:
+        """The diagonal operator with the quantum function's eigenvalues, whose expectation in
+        the image reproduces its values; its ``n x n`` matrix is formed on first read, once."""
+        return make_hermitian(np.diag(self.qf.eigenvalues), label="recovered")
+
 
 def reconstruction_map(qf: QuantumFunction) -> ReconstructionMap:
-    """Bundle the quantum coordinates with the recovered diagonal operator."""
-    recovered = make_hermitian(np.diag(qf.eigenvalues), label="recovered")
-    return ReconstructionMap(qf=qf, recovered_operator=recovered)
+    """The quantum coordinates of ``qf`` as a map; the recovered diagonal operator comes with it."""
+    return ReconstructionMap(qf=qf)
 
 
 @dataclass(frozen=True)
@@ -470,12 +470,11 @@ def quantum_function_from_qfe(a: HermitianOperator, phi, xi_n: Sequence,
     if not worst_norm <= tol:
         raise PreconditionFailedError("normalization", worst_norm)
 
-    basis = spectral.eigenvectors
     stationary = np.array([space.check_dim(xi, "stationary state") for xi in xi_n])
-    # Phi(xi_k) against psi_k, each up to the global phase of <psi_k|Phi(xi_k)>.
-    matched = _map_rows(phi, stationary, a.dim).T
-    phases = np.exp(1j * np.angle(np.sum(basis.conj() * matched, axis=0)))
-    worst_match = _largest(np.linalg.norm(matched * phases.conj() - basis, axis=0))
+    # Phi(xi_k) against psi_k, each up to the global phase of <psi_k|Phi(xi_k)>; row k of each.
+    matched, targets = _map_rows(phi, stationary, a.dim), spectral.eigenvectors.T
+    phases = np.exp(1j * np.angle(hermitian_inner(targets, matched)))
+    worst_match = _largest(np.linalg.norm(matched * phases.conj()[:, None] - targets, axis=1))
     if not worst_match <= tol:
         raise PreconditionFailedError("stationary-state match", worst_match)
 
@@ -489,7 +488,7 @@ def quantum_function_from_qfe(a: HermitianOperator, phi, xi_n: Sequence,
     return QuantumFunction(
         space=space,
         eigenvalues=spectral.eigenvalues,
-        coordinates=RowwiseMap(lambda rows: _coordinates(_map_rows(phi, rows, a.dim), basis)),
+        coordinates=RowwiseMap(lambda rows: _coordinates(_map_rows(phi, rows, a.dim), spectral.eigenvectors)),
         stationary_states=stationary,
         f=induced,
         degenerate_flag=spectral.degenerate_flag,

@@ -50,7 +50,7 @@ def random_hermitian(n: int, seed, index=None, norm_bound=None) -> np.ndarray:
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a = (m + m.conj().T) / 2.0
     if norm_bound is not None:
-        spectral = float(np.linalg.norm(a, 2))
+        spectral = float(np.max(np.abs(np.linalg.eigvalsh(a))))
         if spectral > 0:
             a *= norm_bound / spectral
     return a

@@ -11,6 +11,10 @@ with the canonical flat form ``x^T J y`` on the real coordinates, where
 ``J = [[0, I], [-I, 0]]``.  The sign of Omega is fixed so that the
 Hamiltonian vector field of an expectation-value function ``<A>`` is
 ``-(i/hbar) * A psi``; see :mod:`symqm.brackets`.
+
+:func:`hermitian_inner` and :func:`symplectic_form` are the one place each
+formula is written.  Both work over rows: given two vectors they return one
+value, given two ``(k, n)`` stacks one value per row.
 """
 
 from __future__ import annotations
@@ -187,23 +191,29 @@ def from_real_coords(x, space: SymplecticSpace) -> np.ndarray:
     return arr[..., :n] / s + 1j * (arr[..., n:] / s)
 
 
-def hermitian_inner(v, w) -> complex:
-    """Hermitian inner product, conjugate-linear in the first argument."""
-    a = _as_complex_vector(v)
-    b = _as_complex_vector(w)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return complex(np.vdot(a, b))
+def hermitian_inner(v, w) -> complex | np.ndarray:
+    """Hermitian inner product ``<v|w>``, conjugate-linear in the first argument, over rows.
+
+    Two vectors give one complex number; two ``(k, n)`` stacks give the
+    length-``k`` array of ``<v_i|w_i>``, one value per row.
+    """
+    a, b = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
+    if a.ndim not in (1, 2) or a.shape != b.shape:
+        raise DimensionMismatchError(f"expected two vectors or two stacks of one shape: {a.shape}, {b.shape}")
+    values = np.einsum("...i,...i->...", a.conj(), b)
+    return complex(values) if a.ndim == 1 else values
 
 
-def symplectic_form(v, w, space: SymplecticSpace) -> float:
-    """Evaluate ``Omega(v, w) = 2 * hbar * Im <v|w>``.
+def symplectic_form(v, w, space: SymplecticSpace) -> float | np.ndarray:
+    """Evaluate ``Omega(v, w) = 2 * hbar * Im <v|w>`` over rows, as :func:`hermitian_inner`.
 
     Antisymmetric and non-degenerate; equals the canonical form
-    ``x^T J y`` of the real coordinates of ``v`` and ``w``.
+    ``x^T J y`` of the real coordinates of ``v`` and ``w``.  Two vectors of
+    ``space`` give one float, two ``(k, n)`` stacks one value per row.
     """
-    a = space.check_dim(v)
-    return 2.0 * space.hbar * hermitian_inner(a, w).imag
+    if np.shape(v)[-1:] != (space.complex_dim,):
+        raise DimensionMismatchError(f"shape {np.shape(v)}, space has complex_dim {space.complex_dim}")
+    return 2.0 * space.hbar * hermitian_inner(v, w).imag
 
 
 def norm(v) -> float:

@@ -288,9 +288,15 @@ def test_cayley_evolve_decomposes_once(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("command, method", [
     ("evolve", "exact"), ("evolve", "cayley"), ("verify", "exact"), ("reconstruct", "exact"),
+    ("bracket", "exact"),
 ])
 def test_one_eigendecomposition_per_command(monkeypatch, tmp_path, command, method):
-    # The chain's two parity blocks have one size, so they take one stacked eigh call.
+    # Each operator is decomposed at most once.  verify and bracket read ||A||_2 and
+    # ||B||_2 from the eigenvalues, so they decompose the second operator too.  The
+    # chain's two parity blocks have one size, so they take one stacked eigh call,
+    # as do the two blocks of Y0*I1.
+    chain = "0.5*X0*X1 + 0.3*Z0 + 0.3*Z1"
+    expected = [chain, "Y0"] if command in ("verify", "bracket") else [chain]
     calls = _counting(monkeypatch, [np.linalg], "eigh")
     spectral = symqm.operators.HermitianOperator.spectral
     computed = []
@@ -304,14 +310,14 @@ def test_one_eigendecomposition_per_command(monkeypatch, tmp_path, command, meth
     monkeypatch.setattr(symqm.operators.HermitianOperator, "spectral", prop)
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({
-        "operator": "0.5*X0*X1 + 0.3*Z0 + 0.3*Z1",
+        "operator": chain,
         "second_operator": "Y0",
         "integrator": {"method": method, "dt": 0.001, "steps": 300},
     }))
     assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out"),
                  "--quiet"]) == 0
-    assert len(calls) == 1
-    assert len(computed) == 1
+    assert sorted(computed) == sorted(expected)
+    assert len(calls) == len(expected)
 
 
 def test_operator_energies_and_diagnostics_never_call_f(monkeypatch):

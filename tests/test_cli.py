@@ -408,3 +408,49 @@ def test_tol_scale_overflowing_a_tolerance_rejected(tmp_path, capsys):
     scenario = _scenario(tmp_path, {"tolerances": {"qfe": 10.0}})
     assert _run("verify", scenario, tmp_path / "out", "--tol-scale", "1e308") == 2
     assert "tolerances" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, files, field", [
+    ({"operator": "Z0", "integrator": 3}, {}, "integrator"),
+    ({"second_operator": "X0"}, {}, "operator"),
+    ({"operator": ""}, {}, "operator"),
+    ({"operator": "-X0"}, {}, "operator"),
+    ({"operator": "Z0", "initial_state": 3}, {}, "initial_state"),
+    ({"operator": "Z0", "initial_state": "basis:x"}, {}, "initial_state"),
+    ({"operator": "Z0", "second_operator": "file:four.mat"},
+     {"four.mat": "4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"}, "second_operator"),
+    ({"operator": "file:empty.mat"}, {"empty.mat": ""}, "operator"),
+    ({"operator": "file:zero.mat"}, {"zero.mat": "0\n"}, "operator"),
+    ({"operator": "file:short.mat"}, {"short.mat": "2\n1 0\n-1\n"}, "operator"),
+    ({"operator": "Z0", "integrator": {"method": "exact", "dt": 1e-3, "steps": 10**6 + 1}}, {},
+     "integrator"),
+], ids=["integrator-not-object", "operator-missing", "operator-empty", "operator-leading-minus",
+        "initial-state-number", "initial-state-basis-x", "second-operator-other-dimension",
+        "matrix-file-empty", "matrix-file-dimension-0", "matrix-file-short-row", "stored-steps"])
+def test_load_time_rejection_exit_code(tmp_path, capsys, scenario, files, field):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    for command in ("verify", "evolve", "bracket", "reconstruct"):
+        assert _run(command, path, tmp_path / "out") == 2
+        assert f"error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "reconstruct"])
+def test_long_exact_flow_accepts_its_own_times(tmp_path, command):
+    # The spacing of t_k = dt * k varies by ulps of t, about 4e-16 t; with a
+    # tolerance of 1e-12 times the step, integrate rejected its own times from
+    # t of about 1e4 on, and both commands ended in a traceback.
+    scenario = _scenario(tmp_path, {"integrator": {"method": "exact", "dt": 0.1, "steps": 100000}})
+    assert _run(command, scenario, tmp_path / "out") == 0
+
+
+def test_reconstruct_identity_phi_map(tmp_path):
+    # Phi = identity solves the quantum-function equation i*hbar*{<A>, psi} = A psi.
+    scenario = _scenario(tmp_path, {"operator": "X0 + 0.5*Y0", "phi_map": "identity"})
+    assert _run("reconstruct", scenario, tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "reconstruct_report.json").read_text())
+    assert report["qfe"]["phi_map"] == "identity"
+    assert report["qfe"]["residual"] <= 1e-5

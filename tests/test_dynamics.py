@@ -16,7 +16,7 @@ from symqm import (
     trajectory_diagnostics,
 )
 from symqm.dynamics import Trajectory
-from symqm.errors import MethodUnsupportedError, NonConvergenceError
+from symqm.errors import DimensionMismatchError, MethodUnsupportedError, NonConvergenceError
 from symqm.sampling import random_hermitian, random_unit_state
 
 Z = make_hermitian([[1, 0], [0, -1]])
@@ -147,6 +147,23 @@ def test_method_unsupported_for_generic_observables():
     for method in ("exact", "cayley"):
         with pytest.raises(MethodUnsupportedError):
             integrate(f_gen, UNIFORM, IntegratorConfig(method, 1e-2, 10))
+    with pytest.raises(MethodUnsupportedError):
+        exact_propagate(f_gen, UNIFORM, 0.1)
+
+
+def test_rk4_generic_observable_matches_linear_path():
+    # RK4 on <H> as a closure steps with the FD field, per step; on <H> itself
+    # it takes one increment matrix.  The field's FD noise bounds the gap.
+    h = make_hermitian(random_hermitian(3, 30, norm_bound=1.0))
+    space = SymplecticSpace(3)
+    f_gen = ObservableFunction.from_callable(lambda v: np.vdot(v, h.matrix @ v).real, space)
+    psi0 = random_unit_state(3, 31)
+    cfg = IntegratorConfig("rk4", 1e-2, 50, stride=5)
+    lin = integrate(ObservableFunction.expectation_of(h, space), psi0, cfg)
+    gen = integrate(f_gen, psi0, cfg)
+    assert len(gen) == 11
+    assert np.max(np.abs(lin.states - gen.states)) <= 1e-6
+    np.testing.assert_array_equal(gen.solver_iterations, 0)
 
 
 def test_nonconvergence_reports_step():
@@ -264,3 +281,32 @@ def test_integrator_config_rejects_non_finite_and_fractional_values(changes, fie
     with pytest.raises(ValueError, match=field):
         IntegratorConfig(**{"method": "midpoint", "dt": 0.01, "steps": 10, **changes})
     assert IntegratorConfig("midpoint", 0.01, 10.0, stride=2.0).steps == 10
+
+
+def _trajectory(times):
+    times = np.asarray(times, dtype=float)
+    rows = len(times)
+    return Trajectory(times=times, states=np.tile(UNIFORM, (rows, 1)), norms=np.ones(rows),
+                      energies=np.zeros(rows), solver_iterations=np.zeros(rows, dtype=int),
+                      method="exact")
+
+
+def test_trajectory_rejects_malformed_times():
+    with pytest.raises(DimensionMismatchError, match="lengths differ"):
+        Trajectory(times=[0.0, 1.0], states=[UNIFORM], norms=[1.0], energies=[0.0],
+                   solver_iterations=[0], method="exact")
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _trajectory([0.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="constant step"):
+        _trajectory([0.0, 1.0, 2.0 + 1e-9, 3.0])
+
+
+def test_trajectory_step_tolerance_scales_with_the_times():
+    # dt * arange(k) is as evenly spaced as floats near t allow, and must pass
+    # whatever t reaches; a step off by 1e-9 of max |t| must still fail.
+    times = 0.1 * np.arange(100001)
+    assert len(_trajectory(times)) == 100001
+    off = times.copy()
+    off[50000:] += 1e-9 * times[-1]
+    with pytest.raises(ValueError, match="constant step"):
+        _trajectory(off)

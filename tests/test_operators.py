@@ -319,6 +319,22 @@ def test_quantum_function_holds_its_eigenbasis_once(qubits):
     assert held <= 1.1 * basis.nbytes
 
 
+def test_spectral_norm_reads_the_one_decomposition(monkeypatch):
+    # ||A||_2 = max |a_n| of the cached decomposition: no SVD, and no second eigh.
+    a = make_hermitian(_random_hermitian(np.random.default_rng(90), 6))
+    reference = np.linalg.norm(a.matrix, 2)
+    calls = []
+
+    def counting(name, solver):
+        return lambda *args, **kwargs: calls.append(name) or solver(*args, **kwargs)
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    assert abs(a.spectral_norm - reference) <= 1e-14 * reference
+    assert a.spectral_norm == np.max(np.abs(a.spectral.eigenvalues))
+    assert calls == ["eigh"]
+
+
 def test_quadratic_form_examples():
     psi = StatePoint([1, 0], normalized=True)
     assert quadratic_form(np.eye(2), psi) == 1

@@ -1,6 +1,7 @@
 """Tests for quantum functions, axiom verification and reconstruction."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from symqm import (
     verify_axioms,
     verify_reconstruction,
 )
+from symqm.cli import main
 from symqm.errors import NormalizationError, PreconditionFailedError
+from symqm.operators import HermitianOperator
 from symqm.quantum_function import AxiomTolerances
 from symqm.sampling import random_hermitian, random_unit_state
 
@@ -150,6 +153,24 @@ def test_reconstruction_map_basics():
         assert abs(np.linalg.norm(image) - 1) <= 1e-12
         recovered = np.vdot(image, phi.recovered_operator.matrix @ image).real
         assert abs(recovered - evaluate(qf, psi)) <= 1e-12
+
+
+def test_reconstruct_builds_no_recovered_operator(monkeypatch, tmp_path):
+    # No check of reconstruct reads the recovered operator, so its n x n
+    # matrix is formed only where a reader asks for it, once.
+    labels = []
+    validate = HermitianOperator.__post_init__
+    monkeypatch.setattr(HermitianOperator, "__post_init__",
+                        lambda self: labels.append(self.label) or validate(self))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"operator": "0.5*X0*X1 + 0.3*Z0", "samples": 10}))
+    assert main(["reconstruct", "--scenario", str(scenario), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    assert labels == ["0.5*X0*X1 + 0.3*Z0"]
+    phi = reconstruction_map(from_operator(Z, SPACE))
+    assert labels.count("recovered") == 0
+    assert phi.recovered_operator is phi.recovered_operator
+    assert labels.count("recovered") == 1
 
 
 def test_recovered_operator_eigenvalues_match():

@@ -104,6 +104,35 @@ def test_hermitian_inner_examples():
         hermitian_inner([1, 0], [1, 0, 0])
 
 
+def test_hermitian_inner_over_rows():
+    rng = np.random.default_rng(2)
+    v = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    w = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    rows = hermitian_inner(v, w)
+    assert rows.shape == (5,)
+    for k in range(5):
+        bound = 1e-15 * np.linalg.norm(v[k]) * np.linalg.norm(w[k])
+        assert abs(rows[k] - hermitian_inner(v[k], w[k])) <= bound
+        assert abs(rows[k] - np.vdot(v[k], w[k])) <= bound
+    for a, b in ((v, w[:4]), (v, w[:, :2]), (v[0], w), (v[None], w[None])):
+        with pytest.raises(DimensionMismatchError):
+            hermitian_inner(a, b)
+
+
+def test_symplectic_form_over_rows():
+    sp = SymplecticSpace(3, hbar=0.7)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    w = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    rows = symplectic_form(v, w, sp)
+    assert rows.shape == (4,)
+    single = [symplectic_form(v[k], w[k], sp) for k in range(4)]
+    np.testing.assert_allclose(rows, single, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(rows, -symplectic_form(w, v, sp), rtol=0, atol=1e-14)
+    with pytest.raises(DimensionMismatchError):
+        symplectic_form(v[:, :2], w[:, :2], sp)
+
+
 def test_symplectic_form_examples():
     sp = SymplecticSpace(2)
     rng = np.random.default_rng(0)
