@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, _positive
-from .operators import HermitianOperator, _coordinates, commutator, expectations
+from .operators import HermitianOperator, _coordinates, _product, commutator, expectations
 from .sampling import random_unit_directions, random_unit_states
 from .spaces import SymplecticSpace, _frozen, from_real_coords, hermitian_inner, symplectic_form
 
@@ -116,8 +116,8 @@ class ComplexFunction:
     def __post_init__(self):
         if (self.vector is None) == (self.func is None):
             raise ValueError("exactly one of vector= or func= must be given")
-        if self.vector is not None:
-            v = self.space.check_dim(_frozen(self.vector, complex), "coordinate vector")
+        if self.vector is not None:  # kept float64 if real, as a column of a real eigenbasis
+            v = self.space.check_dim(_frozen(self.vector, None), "coordinate vector")
             object.__setattr__(self, "vector", v)
 
     @classmethod
@@ -197,7 +197,7 @@ def _fd_bracket(values, space: SymplecticSpace, states, fields, step=None) -> np
 
 def _closed_form_field(f: ObservableFunction, states: np.ndarray) -> np.ndarray:
     """``X_<A> = -(i/hbar) A psi`` at one state, or at every row of a matrix of states."""
-    return -1j / f.space.hbar * (states @ f.operator.matrix.T)
+    return -1j / f.space.hbar * _product(states, f.operator.matrix.T)
 
 
 def _checked_field(g: ObservableFunction, states: np.ndarray, seed: int):
@@ -212,7 +212,7 @@ def _checked_field(g: ObservableFunction, states: np.ndarray, seed: int):
 
 def _closed_form_brackets(f: ObservableFunction, g: ObservableFunction, states: np.ndarray) -> np.ndarray:
     """``{<A>, <B>} = (2/hbar) Im <A psi | B psi>`` per row; ``A psi`` is a row of ``states @ A^T``."""
-    a_psi, b_psi = states @ f.operator.matrix.T, states @ g.operator.matrix.T
+    a_psi, b_psi = _product(states, f.operator.matrix.T), _product(states, g.operator.matrix.T)
     return (2.0 / f.space.hbar) * hermitian_inner(a_psi, b_psi).imag
 
 
@@ -331,7 +331,7 @@ def bracket_commutator_report(a: HermitianOperator, b: HermitianOperator,
     f = ObservableFunction.expectation_of(a, space)
     g = ObservableFunction.expectation_of(b, space)
     states = random_unit_states(space.complex_dim, seed, samples)
-    target = hermitian_inner(states, states @ commutator(a, b).T)
+    target = hermitian_inner(states, _product(states, commutator(a, b).T))
     analytic = _closed_form_brackets(f, g, states)
     field, field_check = _checked_field(g, states, seed)
     fd = _fd_bracket(lambda s: _observable_values(f, s), space, states, field, BRACKET_REPORT_STEP)

@@ -338,7 +338,7 @@ def phase_residuals(states, basis, eigenvalues, times, hbar: float) -> np.ndarra
     the column maxima of the drift of ``operators._spectral_drift``; a NaN
     coordinate makes its residual NaN.
     """
-    v = np.asarray(basis, dtype=complex)
+    v = np.asarray(basis)
     residuals = np.zeros(v.shape[1])
     for drift in _spectral_drift(lambda block: _coordinates(block, v),
                                  np.asarray(states, dtype=complex), eigenvalues, times, hbar):

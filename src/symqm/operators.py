@@ -31,7 +31,8 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
-# Largest dimension n of a dense n x n operator (12 qubits, 256 MiB).
+# Largest dimension n of a dense n x n operator (12 qubits): 256 MiB complex,
+# 128 MiB real.
 MAX_DENSE_DIM = 4096
 
 # Rows (times or stored steps) handled per block by the array products along
@@ -62,9 +63,33 @@ def _tile_pairs(n: int):
     return ((slice(r, r + _TILE), slice(c, c + _TILE)) for r in range(0, n, _TILE) for c in range(r, n, _TILE))
 
 
+def _product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``rows @ matrix`` for one state or a ``(k, n)`` stack of rows: the one product of states
+    with an operator matrix or an eigenbasis.
+
+    A complex ``matrix`` multiplies the rows as they are.  A float64 ``matrix`` meets complex rows
+    as one real product per block of ``_ROW_BLOCK`` rows, over their ``2b`` stacked real and
+    imaginary parts, written into the complex result: the matrix is read at half the bytes, and
+    with half the flops, of the complex product it equals to round-off, and it is never copied
+    to complex.  The stacked parts of a block are all the temporaries, a fraction of the result.
+    """
+    if np.iscomplexobj(matrix) or not np.iscomplexobj(rows):
+        return rows @ matrix
+    flat = rows.reshape(-1, rows.shape[-1])
+    out = np.empty((flat.shape[0],) + matrix.shape[1:], dtype=complex)
+    for block in _row_blocks(flat.shape[0]):
+        rows_in, rows_out = flat[block], out[block]
+        parts = np.concatenate((rows_in.real, rows_in.imag)) @ matrix
+        rows_out.real, rows_out.imag = parts[:len(rows_in)], parts[len(rows_in):]
+    return out.reshape(rows.shape[:-1] + matrix.shape[1:])
+
+
 def _coordinates(states: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """``<phi_n|psi>`` for every row ``psi`` of ``states`` (or one state) and column ``phi_n`` of ``basis``."""
-    return (states.conj() @ basis).conj()
+    """``<phi_n|psi>`` for every row ``psi`` of ``states`` (or one state) and column ``phi_n`` of ``basis``:
+    ``conj(conj(psi) @ basis)``, which for a real ``basis`` is ``psi @ basis`` bit for bit."""
+    if np.isrealobj(basis):
+        return _product(states, basis)
+    return _product(states.conj(), basis).conj()
 
 
 def _evolved_coefficients(coeffs, eigenvalues, elapsed, hbar: float) -> np.ndarray:
@@ -93,18 +118,21 @@ def _spectral_drift(coordinates, states: np.ndarray, eigenvalues, times, hbar: f
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A validated ``n x n`` complex Hermitian matrix, ``n >= 1``.
+    """A validated ``n x n`` Hermitian matrix, ``n >= 1``, stored float64 when it is real.
 
     Construction rejects an empty matrix, and matrices with a non-finite entry
-    or with ``max|M - M†| > 1e-12 * (1 + max|M|)``; both maxima come from one
-    walk over the pairs of :func:`_tile_pairs`.  The matrix is kept
-    read-only by the rule of :func:`symqm.spaces._frozen`, so the one that
+    or with ``max|M - M†| > 1e-12 * (1 + max|M|)`` (``|M - M^T|`` for a real
+    one); both maxima, and whether any imaginary part is nonzero, come from one
+    walk over the pairs of :func:`_tile_pairs`.  A real matrix is kept float64,
+    and a complex one whose imaginary parts are all zero is stored as its real
+    part; any other stays complex128.  The matrix is kept read-only by the rule
+    of :func:`symqm.spaces._frozen`, so the one that
     :meth:`PauliSumExpr.to_matrix` returns is adopted and a writable one copied.
 
     Parameters
     ----------
     matrix : ndarray
-        Square complex matrix.
+        Square real or complex matrix.
     label : str, optional
         Source expression or free-form tag, carried through reports.
     """
@@ -115,22 +143,27 @@ class HermitianOperator:
     max_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _frozen(self.matrix, complex)
+        m = _frozen(self.matrix, None)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise NonSquareError(f"expected a non-empty square matrix, got shape {m.shape}")
-        norms, deviations = [], []
+        norms, deviations, imaginary = [], [], False
+        complex_entries = np.iscomplexobj(m)
         with np.errstate(invalid="ignore"):  # inf - inf: the non-finite entry raises below
             for rows, cols in _tile_pairs(m.shape[0]):
                 tile, mirror = m[rows, cols], m[cols, rows]
                 norms += [np.max(np.abs(tile)), np.max(np.abs(mirror))]
                 # |a - conj(b)| and |b - conj(a)| are one double: the tile stands for both.
-                deviations.append(np.max(np.abs(tile - mirror.T.conj())))
+                deviations.append(np.max(np.abs(tile - (mirror.T.conj() if complex_entries else mirror.T))))
+                imaginary = imaginary or complex_entries and bool(tile.imag.any() or mirror.imag.any())
         max_norm = float(np.max(norms))  # np.max, so that a NaN propagates
         if not np.isfinite(max_norm):
             raise NonHermitianError(max_norm, "matrix has a non-finite entry")
         deviation = float(np.max(deviations))
         if deviation > HERMITICITY_TOL * (1.0 + max_norm):
             raise NonHermitianError(deviation)
+        if complex_entries and not imaginary:
+            m = m.real.copy()
+            m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "max_norm", max_norm)
 
@@ -149,28 +182,30 @@ class HermitianOperator:
             raise DimensionMismatchError(
                 f"state has length {v.shape[0]}, operator has dimension {self.dim}"
             )
-        return self.matrix @ v
+        return _product(v, self.matrix.T)
 
     @functools.cached_property
     def spectral(self) -> SpectralData:
         """The :func:`spectral_decompose` data, computed once: the matrix is immutable.
 
-        A matrix with no nonzero imaginary part takes the real symmetric solver.
-        Each connected block of the nonzero pattern is decomposed apart, one
-        stacked solver call per block size (:func:`_block_eigh`).  The order
-        comes from the eigenvalues alone, and each column's gauge from its own
-        block: a column is zero off its block, whose rows ascend, so the block
-        holds the column's first largest entry.  The gauged blocks are then
-        written once into the complex eigenvector matrix, at their final
-        columns.  Only runs of equal eigenvalues are ordered on the full
-        columns, as for a matrix that is one block.
+        A real matrix (see :class:`HermitianOperator`) takes the real symmetric
+        solver and has a float64 eigenbasis; a complex one, the complex
+        Hermitian solver and a complex128 eigenbasis.  Each connected block of
+        the nonzero pattern is decomposed apart, one stacked solver call per
+        block size (:func:`_block_eigh`).  The order comes from the eigenvalues
+        alone, and each column's gauge from its own block: a column is zero off
+        its block, whose rows ascend, so the block holds the column's first
+        largest entry.  The gauged blocks are then written once into the
+        eigenvector matrix, of the matrix's dtype, at their final columns.
+        Only runs of equal eigenvalues are ordered on the full columns, as for
+        a matrix that is one block.
         """
         m = self.matrix
         # Allocated before the solver's arrays: allocated after them, it raised
         # the peak resident memory of a process that decomposes n = 512 twice.
-        vecs = np.empty(m.shape, dtype=complex)
+        vecs = np.empty(m.shape, dtype=m.dtype)
         try:
-            stacks = _block_eigh(m if m.imag.any() else m.real)
+            stacks = _block_eigh(m)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
         vals = np.concatenate([stack_vals.ravel() for _, stack_vals, _ in stacks])
@@ -274,8 +309,9 @@ class SpectralData:
 
     ``eigenvalues`` ascend; the columns of ``eigenvectors`` are orthonormal
     and gauge-fixed so each column's largest-magnitude component is real
-    positive.  ``degenerate_flag`` is set when two consecutive eigenvalues
-    are closer than ``1e-9 * (1 + max|a_n|)``.
+    positive.  ``eigenvectors`` keeps its dtype: float64 for a real operator,
+    complex128 otherwise.  ``degenerate_flag`` is set when two consecutive
+    eigenvalues are closer than ``1e-9 * (1 + max|a_n|)``.
     """
 
     eigenvalues: np.ndarray
@@ -284,7 +320,7 @@ class SpectralData:
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues, float))
-        object.__setattr__(self, "eigenvectors", _frozen(self.eigenvectors, complex))
+        object.__setattr__(self, "eigenvectors", _frozen(self.eigenvectors, None))
 
     def vector(self, k: int) -> np.ndarray:
         return self.eigenvectors[:, k]
@@ -301,7 +337,7 @@ class SpectralData:
         times = np.asarray(times, dtype=float)
         states = np.empty((times.shape[0], v.shape[0]), dtype=complex)
         for rows in _row_blocks(times.shape[0]):
-            states[rows] = _evolved_coefficients(coeffs, self.eigenvalues, times[rows], hbar) @ v.T
+            states[rows] = _product(_evolved_coefficients(coeffs, self.eigenvalues, times[rows], hbar), v.T)
         return states
 
 
@@ -311,17 +347,24 @@ def make_hermitian(m, label: str | None = None) -> HermitianOperator:
 
 
 def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, HermitianOperator):
-        return op.matrix
-    return np.asarray(op, dtype=complex)
+    """An operator's matrix, or an array-like as it is: a real one is never made complex."""
+    return op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
 
 
 def commutator(a, b) -> np.ndarray:
-    """The commutator ``AB - BA``; anti-Hermitian for Hermitian inputs."""
+    """The commutator ``AB - BA``; anti-Hermitian for Hermitian inputs.
+
+    Real if both are real.  A real factor of a complex one is the matrix of
+    :func:`_product` (``XY = (Y^T X^T)^T``), so it is never copied to complex.
+    """
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    return ma @ mb - mb @ ma
+
+    def times(x, y):
+        return _product(y.T, x.T).T if np.isrealobj(x) and np.iscomplexobj(y) else _product(x, y)
+
+    return times(ma, mb) - times(mb, ma)
 
 
 def spectral_decompose(a: HermitianOperator) -> SpectralData:
@@ -330,7 +373,8 @@ def spectral_decompose(a: HermitianOperator) -> SpectralData:
     Exact eigenvalue ties are ordered by lexicographic comparison of the
     phase-fixed eigenvectors' real parts, so the output is deterministic.
     Each operator is decomposed once; later calls return the same data.
-    A real matrix takes the real symmetric solver, and each connected block
+    A real matrix takes the real symmetric solver and gets a float64
+    eigenbasis, a complex one a complex128 eigenbasis; each connected block
     of the nonzero pattern (the two parity sectors of an Ising chain, say) is
     decomposed apart, with one stacked solver call per block size, so each
     eigenvector lies in one block; its gauge is read from the solver's block
@@ -343,14 +387,14 @@ def spectral_decompose(a: HermitianOperator) -> SpectralData:
 
 
 def quadratic_form(mx, psi) -> complex:
-    """``<psi | M psi>`` for an arbitrary square complex matrix ``M``."""
+    """``<psi | M psi>`` for an arbitrary square real or complex matrix ``M``."""
     m = _as_matrix(mx)
     v = _as_complex_vector(psi)
     if m.shape[1] != v.shape[0]:
         raise DimensionMismatchError(
             f"state has length {v.shape[0]}, matrix has shape {m.shape}"
         )
-    return hermitian_inner(v, m @ v)
+    return hermitian_inner(v, _product(v, m.T))
 
 
 def _imaginary_tolerance(a: HermitianOperator) -> float:
@@ -372,7 +416,7 @@ def expectations(a: HermitianOperator, states: np.ndarray) -> np.ndarray:
     """
     if states.shape[-1] != a.dim:
         raise DimensionMismatchError(f"states have length {states.shape[-1]}, operator has dimension {a.dim}")
-    values = hermitian_inner(states, states @ a.matrix.T)
+    values = hermitian_inner(states, _product(states, a.matrix.T))
     residue = np.abs(values.imag)
     bad = residue > _imaginary_tolerance(a)
     if np.any(bad):

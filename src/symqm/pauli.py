@@ -81,18 +81,20 @@ class PauliSumExpr:
     def to_matrix(self, num_qubits: int | None = None) -> np.ndarray:
         """Evaluate to a dense ``2^q x 2^q`` matrix, site 0 leftmost.
 
-        The matrix is returned read-only, so :class:`HermitianOperator` adopts
-        it without a copy.
+        The matrix is float64 when the phase of every term's bit form is even
+        (``i^phase`` is real: an even number of ``Y`` factors, ``ZX = -XZ``
+        counted), and complex128 otherwise.  It is returned read-only, so
+        :class:`HermitianOperator` adopts it without a copy.
         """
         nq = self.num_qubits if num_qubits is None else int(num_qubits)
         if nq < self.num_qubits:
             raise ValueError(f"expression touches site {self.num_qubits - 1}, "
                              f"but only {nq} qubits requested")
         dim = 2 ** nq
-        total = np.zeros((dim, dim), dtype=complex)
+        forms = [term.bit_form(nq) for term in self.terms]
+        total = np.zeros((dim, dim), dtype=complex if any(phase % 2 for _, _, phase in forms) else float)
         j = np.arange(dim)
-        for term in self.terms:
-            x, z, phase = term.bit_form(nq)
+        for term, (x, z, phase) in zip(self.terms, forms):
             sign = np.where((j[:, None] & z) >> np.arange(nq) & 1, -1.0, 1.0).prod(axis=1)
             # i^phase is +-1 or +-i, so each entry adds exactly +-coefficient to one part.
             part = total.imag if phase % 2 else total.real

@@ -45,6 +45,7 @@ from .errors import DimensionMismatchError, NormalizationError, PreconditionFail
 from .operators import (
     HermitianOperator,
     _coordinates,
+    _product,
     _row_blocks,
     _spectral_drift,
     expectations,
@@ -83,9 +84,10 @@ class QuantumFunction:
     (``psi.conj() @ coordinates`` holds each ``conj(u_n(psi))``, and the
     closed forms apply), or a :class:`RowwiseMap` from a ``(rows, dim)`` stack
     of states to its ``(rows, n)`` coordinates.  ``stationary_states`` is the
-    read-only ``(n, dim)`` array whose row ``m`` is ``xi_m``, and
-    :attr:`eigenfunctions` the ``u_n`` one by one, derived from
-    ``coordinates``.  ``f`` backs flows and brackets; :meth:`value` evaluates
+    read-only ``(n, dim)`` array whose row ``m`` is ``xi_m``.  Both keep the
+    dtype they are given: float64 for the eigenbasis of a real operator,
+    complex128 otherwise.  :attr:`eigenfunctions` are the ``u_n`` one by one,
+    derived from ``coordinates``.  ``f`` backs flows and brackets; :meth:`value` evaluates
     the defining sum ``sum_n a_n |u_n|^2`` directly from the coordinates.
     """
 
@@ -98,11 +100,11 @@ class QuantumFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues, float))
-        object.__setattr__(self, "stationary_states", _frozen(self.stationary_states, complex))
+        object.__setattr__(self, "stationary_states", _frozen(self.stationary_states, None))
         dims = (self.space.complex_dim, self.size)
         matrix = not isinstance(self.coordinates, RowwiseMap)
         if matrix:
-            object.__setattr__(self, "coordinates", _frozen(self.coordinates, complex))
+            object.__setattr__(self, "coordinates", _frozen(self.coordinates, None))
         if self.stationary_states.shape != dims[::-1] or matrix and self.coordinates.shape != dims:
             raise DimensionMismatchError(f"{self.size} eigenvalues on {dims[0]} dimensions need "
                                          f"stationary states {dims[::-1]} and coordinates {dims}")
@@ -425,7 +427,7 @@ def _qfe_equation(a: HermitianOperator, phi, space: SymplecticSpace, states, ima
 
     field = _fd_fields(lambda rows: expectations(a, mapped(rows)), space, states, BRACKET_REPORT_STEP)
     brackets = _fd_bracket(mapped, space, states, field, BRACKET_REPORT_STEP)
-    return _largest(np.abs(1j * space.hbar * brackets - images @ a.matrix.T))
+    return _largest(np.abs(1j * space.hbar * brackets - _product(images, a.matrix.T)))
 
 
 def qfe_residual(a: HermitianOperator, phi, space: SymplecticSpace,

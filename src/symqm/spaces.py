@@ -49,7 +49,9 @@ def _as_complex_vector(v) -> np.ndarray:
 def _frozen(value, dtype) -> np.ndarray:
     """``value`` as a read-only array of ``dtype``: the one rule by which a container keeps an array.
 
-    The array is adopted, not copied, when the conversion to ``dtype`` made it
+    ``dtype`` None keeps the kind of the converted array: float64 for a real
+    one (integers included), complex128 for a complex one.  The array is
+    adopted, not copied, when the conversion made it
     (from a list, or from an array of another dtype), or when it is read-only
     down to the array that owns its memory: the arrays that
     :meth:`PauliSumExpr.to_matrix`, ``HermitianOperator.spectral`` and
@@ -60,6 +62,8 @@ def _frozen(value, dtype) -> np.ndarray:
     container never aliases memory that its caller can still write.
     """
     arr = np.asarray(value, dtype=dtype)
+    if dtype is None:
+        arr = arr.astype(np.result_type(arr, float), copy=False)
     made = arr is not value and (isinstance(value, np.ndarray) or not hasattr(value, "__array__"))
     owner = arr
     while not owner.flags.writeable and isinstance(owner.base, np.ndarray):
@@ -195,12 +199,14 @@ def hermitian_inner(v, w) -> complex | np.ndarray:
     """Hermitian inner product ``<v|w>``, conjugate-linear in the first argument, over rows.
 
     Two vectors give one complex number; two ``(k, n)`` stacks give the
-    length-``k`` array of ``<v_i|w_i>``, one value per row.
+    length-``k`` array of ``<v_i|w_i>``, one value per row.  Real operands
+    are read as they are, never copied to complex: two real stacks give real
+    values.
     """
-    a, b = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
+    a, b = np.asarray(v), np.asarray(w)
     if a.ndim not in (1, 2) or a.shape != b.shape:
         raise DimensionMismatchError(f"expected two vectors or two stacks of one shape: {a.shape}, {b.shape}")
-    values = np.einsum("...i,...i->...", a.conj(), b)
+    values = np.einsum("...i,...i->...", a.conj() if np.iscomplexobj(a) else a, b)
     return complex(values) if a.ndim == 1 else values
 
 

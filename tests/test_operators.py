@@ -77,7 +77,9 @@ def test_make_hermitian_never_aliases_a_writable_array():
     space = SymplecticSpace(2)
     qf = from_operator(h, space)
     keeps = [
-        (Z, lambda a: make_hermitian(a).matrix),
+        # A complex operator stays complex, a real one float64 (see the test of the dtype rule).
+        (Y, lambda a: make_hermitian(a).matrix),
+        (Z.real.copy(), lambda a: make_hermitian(a).matrix),
         (np.eye(2, dtype=complex), lambda a: SpectralData(np.array([-1.0, 1.0]), a, False).eigenvectors),
         (np.array([1, 0], dtype=complex), lambda a: StatePoint(a).amplitudes),
         (np.array([0, 1], dtype=complex), lambda a: ComplexFunction.coordinate(a, space).vector),
@@ -295,11 +297,14 @@ def test_first_decomposition_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # About 1.79x the complex matrix's bytes: the complex eigenvector matrix,
-    # allocated first (and not yet written), then the two real 512-blocks, their
-    # eigenvectors and the gauge's temporaries on both.  Full-size scaled and
-    # doubly copied eigenvectors peaked at 2.5x (40 MiB).
-    assert peak <= 2.0 * m.nbytes
+    # About 2.6x the real matrix's bytes (20.6 MiB): the float64 eigenvector
+    # matrix, allocated first (and not yet written), then the two real 512-blocks,
+    # their eigenvectors and the gauge's temporaries on both.  With the matrix
+    # and its eigenbasis complex the peak was 1.79x the complex matrix's bytes
+    # (28.6 MiB), under a bound of 2.0x (32 MiB); full-size scaled and doubly
+    # copied eigenvectors peaked at 40 MiB.
+    assert m.dtype == np.float64
+    assert peak <= 2.75 * m.nbytes
 
 
 @pytest.mark.parametrize("qubits", [9, 10])
@@ -399,3 +404,69 @@ def test_read_matrix_file_errors(tmp_path):
     bad_entry.write_text("1\nnope\n")
     with pytest.raises(ValueError):
         read_matrix_file(bad_entry)
+
+
+@pytest.mark.parametrize("text, dtype", [
+    ("Z0", np.float64), ("X0*X1 + 0.3*Z0", np.float64), ("Y0*Y1", np.float64),
+    ("Y0", np.complex128), ("X0*Y1", np.complex128), ("0.2*Y0*Z1", np.complex128),
+])
+def test_pauli_sum_dtype_is_decided_once_at_the_build(text, dtype):
+    # Real iff i^phase of every term's bit form is real (Y0*Y1 = -(XZ)(XZ) is real);
+    # the operator adopts that matrix, and its eigenbasis, coordinates and
+    # stationary states keep the dtype.
+    m = parse_operator_expr(text).to_matrix()
+    h = make_hermitian(m)
+    assert m.dtype == dtype and h.matrix is m
+    qf = from_operator(h, SymplecticSpace(h.dim))
+    assert spectral_decompose(h).eigenvectors.dtype == dtype
+    assert qf.coordinates.dtype == dtype and qf.stationary_states.dtype == dtype
+    assert np.shares_memory(qf.coordinates, spectral_decompose(h).eigenvectors)
+
+
+def test_matrix_file_dtype_follows_its_imaginary_parts(tmp_path):
+    # All imaginary parts zero (a signed zero among them): stored as the real part.
+    zero = tmp_path / "zero.mat"
+    zero.write_text("2\n1 2+0j\n2-0j -0.5\n")
+    h = make_hermitian(read_matrix_file(zero))
+    assert h.matrix.dtype == np.float64 and not h.matrix.flags.writeable
+    np.testing.assert_array_equal(h.matrix, [[1, 2], [2, -0.5]])
+    assert spectral_decompose(h).eigenvectors.dtype == np.float64
+    # One pair of the smallest subnormal imaginary parts keeps it complex.
+    pair = tmp_path / "pair.mat"
+    pair.write_text("3\n1 0 2+5e-324j\n0 1 0\n2-5e-324j 0 -0.5\n")
+    h = make_hermitian(read_matrix_file(pair))
+    assert h.matrix.dtype == np.complex128 and h.matrix[0, 2].imag == 5e-324
+    assert spectral_decompose(h).eigenvectors.dtype == np.complex128
+    # A read-only complex owner with zero imaginary parts is not adopted: its real part is copied.
+    owner = Z.copy()
+    owner.setflags(write=False)
+    kept = make_hermitian(owner).matrix
+    assert kept.dtype == np.float64 and not kept.flags.writeable and not np.shares_memory(kept, owner)
+
+
+def test_real_chain_build_and_decomposition_hold_half_the_complex_bytes():
+    n = 1024
+    tracemalloc.start()
+    try:
+        h = make_hermitian(_chain(10))
+        spectral = spectral_decompose(h)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # The matrix and its eigenbasis, float64: 16 MiB.  Both complex held 32 MiB.
+    assert h.matrix.dtype == spectral.eigenvectors.dtype == np.float64
+    assert held <= 0.51 * (2 * n * n * np.dtype(complex).itemsize)
+
+
+def test_commutator_of_a_real_and_a_complex_operator():
+    # The real factor is the matrix of the row product, never copied to complex.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 5))
+    a += a.T
+    b = _random_hermitian(rng, 5)
+    reference = a.astype(complex) @ b - b @ a.astype(complex)
+    scale = np.finfo(float).eps * 5 * (np.abs(a) @ np.abs(b) + np.abs(b) @ np.abs(a))
+    for c in (commutator(a, b), -commutator(b, a)):
+        assert c.dtype == np.complex128
+        assert np.all(np.abs(c - reference) <= 2 * scale)
+    assert commutator(a, np.diag(np.arange(5.0))).dtype == np.float64

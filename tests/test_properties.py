@@ -50,6 +50,7 @@ from symqm.brackets import (
     _fd_bracket,
     _observable_values,
 )
+from symqm.operators import _product
 from symqm.pauli import PauliFactor, PauliSumExpr, PauliTerm
 from symqm.sampling import random_hermitian, random_unit_state
 
@@ -142,7 +143,7 @@ def _kronecker_reference(expr, num_qubits):
 
 def _assert_same_bits(actual, expected):
     # Compare bit patterns, so that -0.0 against +0.0 counts as a difference.
-    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
     np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
@@ -164,7 +165,14 @@ def pauli_sums(draw, max_qubits, coefficient):
 @given(expr=pauli_sums(6, coefficients), pad=st.integers(min_value=0, max_value=2))
 def test_bit_form_build_matches_kronecker_reference(expr, pad):
     num_qubits = expr.num_qubits + pad
-    _assert_same_bits(expr.to_matrix(num_qubits), _kronecker_reference(expr, num_qubits))
+    actual, reference = expr.to_matrix(num_qubits), _kronecker_reference(expr, num_qubits)
+    # The dtype rule: float64 iff the phase of every term's bit form is even.
+    real = all(term.bit_form(num_qubits)[2] % 2 == 0 for term in expr.terms)
+    assert actual.dtype == (np.float64 if real else np.complex128)
+    if real:  # the reference's imaginary parts are all +0.0, and its real parts the same bits
+        _assert_same_bits(np.ascontiguousarray(reference.imag), np.zeros(reference.shape))
+        reference = np.ascontiguousarray(reference.real)
+    _assert_same_bits(actual, reference)
 
 
 def _fix_phase(column):
@@ -202,8 +210,8 @@ def _assert_spectral_matches_per_column_reference(h):
     order = sorted(range(n), key=lambda k: (vals[k], tuple(cols[k].real)))
     spectral = spectral_decompose(h)
     _assert_same_bits(spectral.eigenvalues, np.array(vals)[order])
-    _assert_same_bits(spectral.eigenvectors,
-                      np.column_stack([cols[k] for k in order]).astype(complex))
+    # The eigenbasis keeps the dtype of the solver's blocks: float64 for a real matrix.
+    _assert_same_bits(spectral.eigenvectors, np.column_stack([cols[k] for k in order]))
 
 
 @st.composite
@@ -286,7 +294,9 @@ def test_real_matrices_take_the_real_symmetric_solver(monkeypatch):
     seen = _recorded_eigh_inputs(monkeypatch)
     chain = make_hermitian(parse_operator_expr("0.5*X0*X1 + 0.3*Z0 + 0.3*Z1").to_matrix())
     signed = make_hermitian(_real_with_negative_zero_imaginary_parts())
-    assert np.all(np.signbit(signed.matrix.imag))
+    # Its imaginary parts are all -0.0, so it is stored as its real part.
+    assert signed.matrix.dtype == np.float64
+    _assert_same_bits(signed.matrix, _real_with_negative_zero_imaginary_parts().real.copy())
     for h in (chain, signed):
         spectral_decompose(h)
         assert seen[-1].dtype == np.float64
@@ -498,3 +508,25 @@ def test_directional_fd_bracket_matches_the_closed_form(n, seed, hbar, step):
     assert np.max(np.abs(along_field - closed)) <= tol
     fd = poisson_bracket(f, g, psi, method="finite_difference", step=step)
     assert abs(fd - closed[0]) <= tol
+
+
+@SEEDED
+@given(n=dims, cols=dims, k=st.integers(min_value=0, max_value=6), seed=seeds, single=st.booleans(),
+       real_rows=st.booleans(), real_matrix=st.booleans())
+def test_product_matches_the_complex_product(n, cols, k, seed, single, real_rows, real_matrix):
+    # One state or a (k, n) stack, times a real or complex (n, cols) matrix.
+    rng = np.random.default_rng(seed)
+    shape = (n,) if single else (k, n)
+    rows = rng.standard_normal(shape) + (0.0 if real_rows else 1j * rng.standard_normal(shape))
+    matrix = rng.standard_normal((n, cols)) + (0.0 if real_matrix else 1j * rng.standard_normal((n, cols)))
+    got = _product(rows, matrix)
+    want = rows.astype(complex) @ matrix.astype(complex)
+    assert got.shape == want.shape
+    assert got.dtype == (np.float64 if real_rows and real_matrix else np.complex128)
+    if not real_matrix:  # a complex matrix multiplies the rows as they are
+        _assert_same_bits(got.astype(complex), want)
+    # Each part sums the same n products as the complex product, in another order:
+    # within 2n ulps of the sum of their magnitudes.
+    bound = 2 * n * np.finfo(float).eps * (np.abs(rows) @ np.abs(matrix))
+    assert np.all(np.abs(got.real - want.real) <= bound)
+    assert np.all(np.abs(np.imag(got) - want.imag) <= bound)
