@@ -11,8 +11,11 @@ forces FD, and any other value raises ``ValueError``.  Every central
 difference is the kernel ``_fd_bracket``: ``du(X)`` along the field ``X`` at
 every row of a matrix of states.  FD paths (``"finite_difference"``, generic
 ``f``, the QFE) take ``X_f = J grad f``, the gradient as ``2n`` directional
-differences of ``f`` along the real coordinate axes, one kernel pass per
-state.  The reports that cross-check closed forms (the bracket report;
+differences of ``f`` along the real coordinate axes, one kernel call per
+block of (state, axis) pairs whose arrays hold at most ``2**16`` entries.
+The QFE differences the map ``Phi`` alone and contracts each block with
+``A Phi``, so ``A`` never meets the perturbed points.  The reports that
+cross-check closed forms (the bracket report;
 ``verify_reconstruction`` for ``f = <A>``) take the closed-form field and
 check it by FD on seeded ``r``, ``dg(r) = Omega(X_g, r)``: Freivalds' check
 (IFIP Congress 1977).
@@ -39,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, _positive
-from .operators import HermitianOperator, _coordinates, _product, commutator, expectations
+from .operators import HermitianOperator, _coordinates, _product, _row_blocks, commutator, expectations
 from .sampling import random_unit_directions, random_unit_states
 from .spaces import SymplecticSpace, _frozen, from_real_coords, hermitian_inner, symplectic_form
 
@@ -160,13 +163,26 @@ def _complex_values(u: ComplexFunction, states: np.ndarray) -> np.ndarray:
     return np.array([complex(u.func(psi)) for psi in states], dtype=complex)
 
 
-def _fd_fields(values, space: SymplecticSpace, states: np.ndarray, step=None) -> np.ndarray:
-    """``X_f = J grad f``, ``J = [[0, I], [-I, 0]]``, at every row: ``grad f`` is ``df`` along the
-    ``2n`` real coordinate axes (``e_k``, then ``i e_k``, over ``sqrt(2 hbar)``), one kernel pass each."""
-    n = space.complex_dim
-    axes = np.concatenate([np.eye(n), 1j * np.eye(n)]) / space.coord_scale
-    grads = np.array([_fd_bracket(values, space, np.broadcast_to(psi, axes.shape), axes, step)
-                      for psi in states])  # (q, p)
+def _fd_fields(values, space: SymplecticSpace, states: np.ndarray, step=None, covector=None) -> np.ndarray:
+    """``X_f = J grad f``, ``J = [[0, I], [-I, 0]]``, at every row of ``states``.
+
+    ``grad f`` is ``df`` along the ``2n`` real coordinate axes (``e_k``, then ``i e_k``, over
+    ``sqrt(2 hbar)``): one kernel call per block of :func:`_row_blocks` over the ``(state, axis)``
+    pairs in order, two points of ``n`` entries per pair.  Without a ``covector``, ``values`` is
+    ``f`` per point.  With one, ``values`` is a map ``Phi`` (a row per
+    point), ``f = <Phi|A|Phi>`` and row ``c`` of ``covector`` is ``A Phi`` at that state:
+    ``df(e) = 2 Re <c, dPhi(e)>``, ``dPhi(e)`` the difference of ``Phi`` alone, contracted inside
+    the block, so that no block's derivative rows outlive it.
+    """
+    k, n = states.shape
+    grads = np.empty(k * 2 * n)
+    for pairs in _row_blocks(grads.size, 2 * n):
+        state, axis = np.divmod(np.arange(pairs.start, pairs.stop), 2 * n)
+        axes = np.zeros((axis.size, n), dtype=complex)
+        axes[np.arange(axis.size), axis % n] = np.where(axis < n, 1.0, 1j) / space.coord_scale
+        d = _fd_bracket(values, space, states[state], axes, step)
+        grads[pairs] = d if covector is None else 2.0 * hermitian_inner(covector[state], d).real
+    grads = grads.reshape(k, 2 * n)  # (q, p)
     return from_real_coords(np.concatenate([grads[:, n:], -grads[:, :n]], axis=1), space)
 
 

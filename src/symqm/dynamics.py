@@ -18,7 +18,9 @@ fixed-point iteration: they report 0 solver iterations and never raise
 with one precomputed increment matrix ``Q`` (the increment form, not
 ``(I + Q) psi``, whose round-off in ``I + Q`` drifts the norm), and a run of
 steps takes its states from one product with a table of step powers
-``(I + Q)^j - I``.  Generic observables keep the per-step fixed-point and
+``(I + Q)^j - I``.  The operator's dtype decides the arithmetic of ``Q``, for
+every method: a float64 ``H`` builds it from real solves and products, and
+only ``Q`` itself is complex; a complex ``H`` builds it in complex arithmetic.  Generic observables keep the per-step fixed-point and
 RK4 loops; ``solver_tol`` and ``solver_max_iter`` govern only that
 fixed-point loop.
 """
@@ -220,28 +222,64 @@ def _step_powers(q: np.ndarray, reach: int) -> np.ndarray:
     return table[:reach].reshape(-1, q.shape[0])
 
 
+def _increment(h: np.ndarray, method: str, dt: float, hbar: float) -> np.ndarray:
+    """The complex ``Q`` of one step ``psi + Q psi`` of ``method`` on ``K = -(i/hbar) H``.
+
+    Midpoint and Cayley take ``Q = 2 (I - A)^{-1} A`` with ``A = (dt/2) K``, RK4
+    ``dK + (dK)^2/2 + (dK)^3/6 + (dK)^4/24``.  The operator's dtype decides the arithmetic.  A
+    complex ``H`` takes them as written: one complex solve, or RK4 in Horner form.  A float64
+    ``H`` builds ``Q`` in real arithmetic, whose parts are written into ``Q``, the one complex
+    array it makes.  Cayley: ``Y = (I + M^2)^{-1} M`` with ``M = tau H``, ``tau = dt / 2 hbar``,
+    and ``Q = -2 M Y - 2i Y``, from one real solve and two real products.  RK4:
+    ``Re Q = u^2 (u^2/24 - I/2)`` and ``Im Q = u (u^2/6 - I)`` with ``u = (dt/hbar) H``, from three
+    real products.
+    """
+    n = h.shape[0]
+    if np.iscomplexobj(h):
+        a = (0.5 * dt) * ((-1j / hbar) * h)
+        eye = np.eye(n, dtype=complex)
+        if method == "rk4":  # in Horner form
+            a *= 2.0  # dt K
+            return a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
+        q = np.linalg.solve(np.subtract(eye, a, out=eye), a)  # (I - A) X = A, I - A in place
+        q *= 2.0  # Q = 2X, doubled exactly
+        return q
+    if method == "rk4":
+        u = (dt / hbar) * h
+        u2 = u @ u
+        q = np.empty((n, n), dtype=complex)
+        part = u2 / 6.0
+        part.flat[::n + 1] -= 1.0
+        q.imag = u @ part
+        np.divide(u2, 24.0, out=part)
+        part.flat[::n + 1] -= 0.5
+        q.real = u2 @ part
+        return q
+    m = (0.5 * dt / hbar) * h
+    square = m @ m
+    square.flat[::n + 1] += 1.0  # I + M^2
+    y = np.linalg.solve(square, m)
+    square = None
+    q = np.empty((n, n), dtype=complex)
+    np.multiply(m @ y, -2.0, out=q.real)
+    np.multiply(y, -2.0, out=q.imag)
+    return q
+
+
 def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states) -> None:
     """Midpoint, Cayley or RK4 on ``f = <H>``, each step ``psi + Q psi``, into ``states``.
 
-    Midpoint and Cayley take ``Q = 2 (I - A)^{-1} A`` with ``A = (dt/2) K``,
-    RK4 ``dK + (dK)^2/2 + (dK)^3/6 + (dK)^4/24``.  Each run of ``r <= held``
-    steps from ``psi`` is ``psi + D_j psi`` for ``j = 1 .. r``, one product
+    ``Q`` comes from :func:`_increment`, in real arithmetic for a float64 ``H``.  Each run of
+    ``r <= held`` steps from ``psi`` is ``psi + D_j psi`` for ``j = 1 .. r``, one product
     with the table of :func:`_step_powers`, which ``reach`` keeps within
     ``_BLOCK_ENTRIES`` entries.  The states match the per-step recurrence to
     round-off, and are bit-identical to it where the table holds one step.
     """
     n = psi.shape[0]
     reach = max(1, min(_ROW_BLOCK, _BLOCK_ENTRIES // n**2, cfg.steps))
-    a = (0.5 * cfg.dt) * ((-1j / f.space.hbar) * f.operator.matrix)
-    eye = np.eye(n, dtype=complex)
-    if cfg.method == "rk4":  # in Horner form
-        a *= 2.0  # dt K
-        q = a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
-    else:  # (I - A) X = A, I - A in place; Q = 2X, doubled exactly
-        q = np.linalg.solve(np.subtract(eye, a, out=eye), a)
-        q *= 2.0
+    q = _increment(f.operator.matrix, cfg.method, cfg.dt, f.space.hbar)
     table = _step_powers(q, reach)
-    a = eye = q = None  # the flow keeps no n x n matrix but its table
+    q = None  # the flow keeps no n x n matrix but its table
 
     held = table.shape[0] // n  # reach, or fewer where the powers overflow
     run = np.empty((held + 1, n), dtype=complex)
@@ -312,10 +350,9 @@ def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig) -> Trajectory:
                 states[idx] = psi
                 iterations[idx] = iters
 
-    norms = np.concatenate([np.linalg.norm(states[rows], axis=1)
-                            for rows in _row_blocks(states.shape[0])])
-    energies = np.concatenate([_observable_values(f, states[rows])
-                               for rows in _row_blocks(states.shape[0])])
+    blocks = list(_row_blocks(*states.shape))
+    norms = np.concatenate([np.linalg.norm(states[rows], axis=1) for rows in blocks])
+    energies = np.concatenate([_observable_values(f, states[rows]) for rows in blocks])
     for arr in (times, states, norms, energies, iterations):
         arr.setflags(write=False)  # made here, so the trajectory adopts them
     return Trajectory(
@@ -371,7 +408,7 @@ def spectral_deviation(traj: Trajectory, spectral: SpectralData, hbar: float) ->
     """
     elapsed = traj.times - traj.times[0]
     deviation = 0.0
-    for rows in _row_blocks(len(traj)):
+    for rows in _row_blocks(len(traj), traj.dim):
         exact = spectral.propagate(traj.states[0], elapsed[rows], hbar)
         gaps = np.linalg.norm(traj.states[rows] - exact, axis=1)
         deviation = float(np.maximum(deviation, np.max(gaps)))

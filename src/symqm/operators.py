@@ -35,12 +35,12 @@ DEGENERACY_TOL = 1e-9
 # 128 MiB real.
 MAX_DENSE_DIM = 4096
 
-# Rows (times or stored steps) handled per block by the array products along
-# a trajectory.  Each block's ``(rows, n)`` temporaries stay a fraction of
-# the trajectory itself, so they add little to peak memory at large ``n``.
+# Rows (times, stored steps, samples or FD points) handled per block by the
+# array products, at most.
 _ROW_BLOCK = 256
-# Bound on the entries of a linear flow's table of step powers, so that its
-# complex temporaries come to 1 MiB at every n.
+# Bound on the entries of a block of rows, and of a linear flow's table of
+# step powers, so that each complex temporary comes to at most 1 MiB at
+# every n (a block of rows always holds at least one row).
 _BLOCK_ENTRIES = 2**16
 # Side of the square tiles that an n x n matrix is read in, a tile and its
 # mirror image at a time: a complex tile's temporaries come to 256 KiB (a
@@ -49,10 +49,14 @@ _BLOCK_ENTRIES = 2**16
 _TILE = 128
 
 
-def _row_blocks(count: int):
-    """Slices that cover ``range(count)`` in blocks of ``_ROW_BLOCK`` rows."""
-    for start in range(0, count, _ROW_BLOCK):
-        yield slice(start, min(start + _ROW_BLOCK, count))
+def _row_blocks(count: int, width: int):
+    """Slices that cover ``range(count)`` in order, in blocks of rows ``width`` entries wide: each
+    block has at most ``_ROW_BLOCK`` rows and ``_BLOCK_ENTRIES`` entries, and at least one row.
+    So up to ``width`` 256 a block has ``_ROW_BLOCK`` rows, and from 512 up a complex ``(rows,
+    width)`` temporary of a block holds 1 MiB."""
+    size = max(1, min(_ROW_BLOCK, _BLOCK_ENTRIES // width))
+    for start in range(0, count, size):
+        yield slice(start, min(start + size, count))
 
 
 def _tile_pairs(n: int):
@@ -68,7 +72,7 @@ def _product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     with an operator matrix or an eigenbasis.
 
     A complex ``matrix`` multiplies the rows as they are.  A float64 ``matrix`` meets complex rows
-    as one real product per block of ``_ROW_BLOCK`` rows, over their ``2b`` stacked real and
+    as one real product per block of :func:`_row_blocks`, over their ``2b`` stacked real and
     imaginary parts, written into the complex result: the matrix is read at half the bytes, and
     with half the flops, of the complex product it equals to round-off, and it is never copied
     to complex.  The stacked parts of a block are all the temporaries, a fraction of the result.
@@ -77,7 +81,7 @@ def _product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         return rows @ matrix
     flat = rows.reshape(-1, rows.shape[-1])
     out = np.empty((flat.shape[0],) + matrix.shape[1:], dtype=complex)
-    for block in _row_blocks(flat.shape[0]):
+    for block in _row_blocks(flat.shape[0], max(matrix.shape)):
         rows_in, rows_out = flat[block], out[block]
         parts = np.concatenate((rows_in.real, rows_in.imag)) @ matrix
         rows_out.real, rows_out.imag = parts[:len(rows_in)], parts[len(rows_in):]
@@ -104,12 +108,12 @@ def _evolved_coefficients(coeffs, eigenvalues, elapsed, hbar: float) -> np.ndarr
 
 
 def _spectral_drift(coordinates, states: np.ndarray, eigenvalues, times, hbar: float):
-    """Yield ``C - exp(-i a (t - t_0) / hbar) C_0`` per block of ``_ROW_BLOCK`` rows of ``states``,
+    """Yield ``C - exp(-i a (t - t_0) / hbar) C_0`` per block of :func:`_row_blocks` of ``states``,
     ``C = coordinates(block)`` their eigen-coordinates; ``C_0``, row 0 of the first
     block's product, cancels the ``t_0`` row exactly, and a NaN coordinate stays NaN."""
     elapsed = np.asarray(times, dtype=float) - float(times[0])
     c0 = None
-    for rows in _row_blocks(states.shape[0]):
+    for rows in _row_blocks(states.shape[0], max(states.shape[1], len(eigenvalues))):
         coords = coordinates(states[rows])
         if c0 is None:
             c0 = coords[0].copy()
@@ -330,13 +334,13 @@ class SpectralData:
         ``i*hbar*dpsi/dt = H psi`` at every ``t`` in ``times``.
 
         Row ``k`` of the result is the state at ``times[k]``, formed by one
-        product per block of ``_ROW_BLOCK`` rows.
+        product per block of :func:`_row_blocks`.
         """
         v = self.eigenvectors
         coeffs = _coordinates(_as_complex_vector(psi0), v)
         times = np.asarray(times, dtype=float)
         states = np.empty((times.shape[0], v.shape[0]), dtype=complex)
-        for rows in _row_blocks(times.shape[0]):
+        for rows in _row_blocks(times.shape[0], v.shape[0]):
             states[rows] = _product(_evolved_coefficients(coeffs, self.eigenvalues, times[rows], hbar), v.T)
         return states
 

@@ -48,7 +48,6 @@ from .operators import (
     _product,
     _row_blocks,
     _spectral_drift,
-    expectations,
     make_hermitian,
     quadratic_form,
     spectral_decompose,
@@ -261,7 +260,7 @@ def _stationary_blocks(qf: QuantumFunction):
     """``(rows, xi, u(xi) - e)`` for the stationary states ``xi_m``, ``m`` in one block of rows;
     ``xi`` is a C-contiguous copy, so the products see one layout even where the states are
     a transposed view (:func:`from_operator`)."""
-    for rows in _row_blocks(qf.size):
+    for rows in _row_blocks(qf.size, max(qf.size, qf.space.complex_dim)):
         xi = np.ascontiguousarray(qf.stationary_states[rows])
         yield rows, xi, _coordinate_rows(qf, xi) - np.eye(len(xi), qf.size, rows.start)
 
@@ -421,13 +420,18 @@ def _image_pass(a: HermitianOperator, phi, space: SymplecticSpace, samples: int,
 
 
 def _qfe_equation(a: HermitianOperator, phi, space: SymplecticSpace, states, images) -> float:
-    """Max of ``|i*hbar*{<Phi|A|Phi>, Phi} - A Phi|`` over the rows of ``states``."""
+    """Max of ``|i*hbar*{<Phi|A|Phi>, Phi} - A Phi|`` over the rows of ``states``.
+
+    ``Phi`` is differenced as a black box: ``grad <Phi|A|Phi>`` from the differences of ``Phi``
+    alone, each contracted with ``A Phi`` (:func:`_fd_fields`), and the bracket along that field.
+    """
     def mapped(rows: np.ndarray) -> np.ndarray:
         return _map_rows(phi, rows, a.dim)
 
-    field = _fd_fields(lambda rows: expectations(a, mapped(rows)), space, states, BRACKET_REPORT_STEP)
+    a_images = _product(images, a.matrix.T)
+    field = _fd_fields(mapped, space, states, BRACKET_REPORT_STEP, a_images)
     brackets = _fd_bracket(mapped, space, states, field, BRACKET_REPORT_STEP)
-    return _largest(np.abs(1j * space.hbar * brackets - _product(images, a.matrix.T)))
+    return _largest(np.abs(1j * space.hbar * brackets - a_images))
 
 
 def qfe_residual(a: HermitianOperator, phi, space: SymplecticSpace,
@@ -437,9 +441,12 @@ def qfe_residual(a: HermitianOperator, phi, space: SymplecticSpace,
     ``phi`` maps unit states of ``space`` to unit vectors of the operator's
     Hilbert space (checked on the samples to ``UNIT_STATE_TOL``).  The bracket of
     the induced observable with each component of ``phi`` is the FD kernel
-    along ``J grad <Phi|A|Phi>``: a :class:`RowwiseMap` is called once per stack
-    of perturbed states, any other ``phi`` once per state.  The residual is
-    the max over components and samples.
+    along ``J grad <Phi|A|Phi>``.  That gradient differences ``phi`` alone,
+    ``2 Re <A Phi, (Phi(psi + h e) - Phi(psi - h e)) / 2h>`` along each real
+    axis ``e``, over blocks of (sample, axis) pairs, so ``A`` never meets the
+    perturbed points.  A :class:`RowwiseMap` is called once per block of
+    perturbed states, any other ``phi`` once per state.  The residual is the
+    max over components and samples.
     """
     states, images, worst_norm = _image_pass(a, phi, space, samples, seed)
     if not worst_norm <= UNIT_STATE_TOL:

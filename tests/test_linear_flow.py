@@ -68,8 +68,10 @@ def _reference(method, h, hbar, psi, dt, steps, tol=1e-13, max_iter=50):
     return np.array(states), np.array(counts)
 
 
-def _flow(n, seed, hbar, norm_bound=1.0):
-    h = make_hermitian(random_hermitian(n, seed, norm_bound=norm_bound))
+def _flow(n, seed, hbar, norm_bound=1.0, real=False):
+    """A seeded ``<H>``; ``real`` keeps the real part of ``H``, a symmetric float64 matrix."""
+    m = random_hermitian(n, seed, norm_bound=norm_bound)
+    h = make_hermitian(m.real if real else m)
     return h, ObservableFunction.expectation_of(h, SymplecticSpace(n, hbar=hbar))
 
 
@@ -88,13 +90,67 @@ def _assert_matches_reference(traj, states, stride):
 @given(n=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=2**16),
        hbar=st.sampled_from([0.7, 2.0]), stride=st.sampled_from([1, 5]),
        dt=st.floats(min_value=1e-3, max_value=0.1),
-       method=st.sampled_from(["midpoint", "cayley", "rk4"]))
-def test_increment_loop_matches_per_step_reference(n, seed, hbar, stride, dt, method):
-    h, f = _flow(n, seed, hbar)
+       method=st.sampled_from(["midpoint", "cayley", "rk4"]), real=st.booleans())
+def test_increment_loop_matches_per_step_reference(n, seed, hbar, stride, dt, method, real):
+    h, f = _flow(n, seed, hbar, real=real)
+    assert h.matrix.dtype == np.float64 or not real  # a 1 x 1 Hermitian matrix is real anyway
     psi = random_unit_state(n, seed, 1)
     states, _ = _reference(method, h, hbar, psi, dt, STEPS)
     traj = integrate(f, psi, IntegratorConfig(method, dt, STEPS, stride=stride))
     _assert_matches_reference(traj, states, stride)
+
+
+def _complex_increment(h, method, dt, hbar):
+    """``Q`` by the complex formulas, as the flow once built it for every ``H``."""
+    a = (0.5 * dt) * ((-1j / hbar) * h)
+    eye = np.eye(h.shape[0], dtype=complex)
+    if method == "rk4":
+        a *= 2.0
+        return a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
+    q = np.linalg.solve(np.subtract(eye, a, out=eye), a)
+    q *= 2.0
+    return q
+
+
+def _symmetric(n, seed):
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return g + g.T
+
+
+@pytest.mark.parametrize("method", ["cayley", "rk4"])
+@pytest.mark.parametrize("dt, hbar", [(1e-3, 1.0), (0.05, 0.7), (0.5, 2.0)])
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+def test_real_increment_matches_the_complex_formula(n, dt, hbar, method):
+    h = _symmetric(n, n)
+    q = symqm.dynamics._increment(h, method, dt, hbar)
+    reference = _complex_increment(h.astype(complex), method, dt, hbar)
+    assert q.dtype == np.complex128
+    assert np.max(np.abs(q - reference)) <= 4 * n * np.finfo(float).eps * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("method", ["midpoint", "cayley", "rk4"])
+def test_complex_increment_keeps_its_bits(method):
+    h = random_hermitian(6, 11)
+    np.testing.assert_array_equal(symqm.dynamics._increment(h, method, 0.05, 0.7),
+                                  _complex_increment(h, method, 0.05, 0.7))
+
+
+@pytest.mark.parametrize("method, reals", [("cayley", 3), ("rk4", 4)])
+def test_real_increment_makes_no_complex_temporary(method, reals):
+    n = 256
+    h = _symmetric(n, 5)
+    peaks = []
+    for matrix in (h, h.astype(complex)):
+        tracemalloc.start()
+        try:
+            q = symqm.dynamics._increment(matrix, method, 0.05, 0.7)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Q and at most three (Cayley) or four (RK4) real n x n arrays at once, plus
+    # 64 KiB of small objects; the complex formulas hold more complex n x n arrays.
+    bound = q.nbytes + reals * h.nbytes + 2**16
+    assert peaks[0] <= bound < peaks[1], peaks
 
 
 # A large dt*||H|| and a loose solver_tol, under which the fixed-point

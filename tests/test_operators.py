@@ -24,7 +24,7 @@ from symqm import (
     spectral_decompose,
 )
 from symqm.errors import DimensionMismatchError, NonHermitianError, NonSquareError
-from symqm.operators import _connected_blocks
+from symqm.operators import _BLOCK_ENTRIES, _ROW_BLOCK, _connected_blocks, _row_blocks
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -194,6 +194,16 @@ TILE_ENTRIES = {
     129: {"diagonal": (5, 70), "above": (3, 128), "below": (128, 3), "last partial": (128, 128)},
     600: {"diagonal": (200, 140), "above": (130, 400), "below": (400, 130), "last partial": (599, 520)},
 }
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 1000])
+@pytest.mark.parametrize("width", [1, 16, 256, 257, 512, 1024, 2**16, 2**16 + 1])
+def test_row_blocks_cover_the_rows_in_bounded_blocks(count, width):
+    blocks = list(_row_blocks(count, width))
+    assert [i for rows in blocks for i in range(count)[rows]] == list(range(count))
+    for rows in blocks:
+        size = len(range(count)[rows])
+        assert 1 <= size <= _ROW_BLOCK and size * width <= max(width, _BLOCK_ENTRIES)
 
 
 @pytest.mark.parametrize("n, tile", [(n, tile) for n in TILE_ENTRIES for tile in TILE_ENTRIES[n]])

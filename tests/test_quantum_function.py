@@ -2,13 +2,16 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import symqm.operators
 from symqm import (
     IntegratorConfig,
     ObservableFunction,
+    RowwiseMap,
     StatePoint,
     SymplecticSpace,
     evaluate,
@@ -16,6 +19,7 @@ from symqm import (
     from_operator,
     integrate,
     make_hermitian,
+    parse_operator_expr,
     qfe_residual,
     quantum_function_from_qfe,
     reconstruction_map,
@@ -23,11 +27,12 @@ from symqm import (
     verify_axioms,
     verify_reconstruction,
 )
+from symqm.brackets import BRACKET_REPORT_STEP, _fd_fields
 from symqm.cli import main
 from symqm.errors import NormalizationError, PreconditionFailedError
-from symqm.operators import HermitianOperator
+from symqm.operators import HermitianOperator, expectations
 from symqm.quantum_function import AxiomTolerances
-from symqm.sampling import random_hermitian, random_unit_state
+from symqm.sampling import random_hermitian, random_unit_state, random_unit_states
 
 Z = make_hermitian([[1, 0], [0, -1]])
 SPACE = SymplecticSpace(2)
@@ -221,6 +226,76 @@ def test_qfe_residual_constant_map_negative_control():
     # the bracket side vanishes, leaving max |(A phi0)_j| = 1
     assert abs(residual - 1.0) <= 1e-9
     assert residual >= 0.1
+
+
+def _antilinear(weight):
+    """``psi + weight * conj(psi)``, normalized row by row: unit, but not a quantum-function map."""
+    def rows(states):
+        mixed = states + weight * states.conj()
+        return mixed / np.linalg.norm(mixed, axis=1, keepdims=True)
+    return RowwiseMap(rows)
+
+
+def _qfe_maps(a, space):
+    return {"reconstruction": reconstruction_map(from_operator(a, space)),
+            "identity": RowwiseMap(lambda rows: rows), "antilinear": _antilinear(1e-3)}
+
+
+@pytest.mark.parametrize("n", (2, 5, 16))
+@pytest.mark.parametrize("hbar", (1.0, 0.7))
+def test_qfe_gradient_differences_phi_alone(n, hbar):
+    space = SymplecticSpace(n, hbar=hbar)
+    a = make_hermitian(random_hermitian(n, 150 + n))
+    states = random_unit_states(n, 151, 10)
+    maps = _qfe_maps(a, space)
+    for name, phi in maps.items():
+        # The central difference of the quadratic <Phi|A|Phi> itself, against the
+        # differences of Phi alone, each contracted with A Phi at its state.
+        quadratic = _fd_fields(lambda rows: expectations(a, phi.rows(rows)), space, states,
+                               BRACKET_REPORT_STEP)
+        phi_only = _fd_fields(phi.rows, space, states, BRACKET_REPORT_STEP, phi.rows(states) @ a.matrix.T)
+        assert np.max(np.abs(phi_only - quadratic)) <= 1e-9 * (1.0 + np.max(np.abs(quadratic))), name
+    assert qfe_residual(a, maps["antilinear"], space, samples=10, seed=151) > 1e-5
+
+
+def test_qfe_constant_map_reads_the_largest_entry_of_its_image():
+    # Phi's differences vanish exactly, so the field and the bracket side are 0.
+    a = make_hermitian(random_hermitian(5, 152))
+    constant = np.eye(5, dtype=complex)[0]
+    residual = qfe_residual(a, lambda v: constant, SymplecticSpace(5, hbar=0.7), samples=7, seed=3)
+    assert residual == np.max(np.abs(a.matrix[:, 0]))
+
+
+@pytest.mark.parametrize("name", ("reconstruction", "antilinear"))
+def test_qfe_residual_does_not_depend_on_the_block_size(monkeypatch, name):
+    n = 16
+    space = SymplecticSpace(n, hbar=0.7)
+    a = make_hermitian(random_hermitian(n, 153).real)  # a real eigenbasis: _product blocks too
+    phi = _qfe_maps(a, space)[name]
+    default = qfe_residual(a, phi, space, samples=10, seed=4)
+    monkeypatch.setattr(symqm.operators, "_BLOCK_ENTRIES", 64)  # 2 (state, axis) pairs a block
+    small = qfe_residual(a, phi, space, samples=10, seed=4)
+    assert abs(small - default) <= 1e-12 * default
+
+
+def test_qfe_peak_memory_at_n_256():
+    q = 8
+    terms = [f"0.5*X{k}*X{k + 1}" for k in range(q - 1)] + [f"0.3*Z{k}" for k in range(q)]
+    a = make_hermitian(parse_operator_expr(" + ".join(terms)).to_matrix(num_qubits=q))
+    space = SymplecticSpace(2**q)
+    phi = reconstruction_map(from_operator(a, space))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        residual = qfe_residual(a, phi, space, samples=20, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # Per-sample (4n, n) complex stacks of the perturbed points, their images and A times
+    # them (4 MiB each at n = 256) peaked at 18.2 MiB; a block of (state, axis) pairs holds
+    # 1 MiB per array.
+    assert residual <= 1e-5
+    assert peak < 12 * 2**20, peak / 2**20
 
 
 def test_qfe_residual_rejects_non_unit_map():
