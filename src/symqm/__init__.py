@@ -8,12 +8,10 @@ Hamiltonian flows and spectral data reproduce the standard quantum picture.
 
 from .spaces import (
     SymplecticSpace,
-    StatePoint,
     to_real_coords,
     from_real_coords,
     hermitian_inner,
     symplectic_form,
-    norm,
 )
 from .operators import (
     HermitianOperator,
@@ -22,14 +20,12 @@ from .operators import (
     commutator,
     spectral_decompose,
     quadratic_form,
-    expectation,
     reconstruct_from_spectrum,
     read_matrix_file,
 )
 from .brackets import (
     ObservableFunction,
     ComplexFunction,
-    differential,
     hamiltonian_vector_field,
     poisson_bracket,
     complex_bracket,
@@ -40,7 +36,6 @@ from .dynamics import (
     IntegratorConfig,
     Trajectory,
     TrajectoryDiagnostics,
-    exact_propagate,
     integrate,
     phase_residuals,
     phase_evolution_residual,
@@ -49,13 +44,11 @@ from .dynamics import (
 )
 from .quantum_function import (
     QuantumFunction,
-    ReconstructionMap,
     RowwiseMap,
     AxiomTolerances,
     AxiomReport,
     ReconstructionReport,
     from_operator,
-    evaluate,
     verify_axioms,
     reconstruction_map,
     verify_reconstruction,

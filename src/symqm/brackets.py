@@ -1,8 +1,11 @@
-"""Differentials, Hamiltonian vector fields and Poisson brackets.
+"""Hamiltonian vector fields and Poisson brackets.
 
 Expectation-value functions ``<A>`` and coordinate functionals ``<phi|.>``
 get closed forms, each written once over the rows of a ``(rows, n)`` matrix
-of states: the single-state functions are its one-row case.  Any other
+of states.  The reports work on such matrices; the per-state functions
+(:func:`hamiltonian_vector_field`, :func:`poisson_bracket`,
+:func:`complex_bracket` and calling a function at a state) are their one-row
+case, which the generic flows of :mod:`symqm.dynamics` step with.  Any other
 function falls back to central finite differences (FD).
 :func:`poisson_bracket`, :func:`complex_bracket` and ``verify_axioms`` take
 the closed form iff ``method="auto"`` and every function has one (an
@@ -41,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, _positive
+from .errors import DimensionMismatchError, _count, _positive
 from .operators import HermitianOperator, _coordinates, _product, _row_blocks, commutator, expectations
 from .sampling import random_unit_directions, random_unit_states
 from .spaces import SymplecticSpace, _frozen, from_real_coords, hermitian_inner, symplectic_form
@@ -49,7 +52,6 @@ from .spaces import SymplecticSpace, _frozen, from_real_coords, hermitian_inner,
 __all__ = [
     "ObservableFunction",
     "ComplexFunction",
-    "differential",
     "hamiltonian_vector_field",
     "poisson_bracket",
     "complex_bracket",
@@ -94,10 +96,6 @@ class ObservableFunction:
     def from_callable(cls, func, space: SymplecticSpace, label=None) -> "ObservableFunction":
         return cls(space=space, func=func, label=label)
 
-    @property
-    def kind(self) -> str:
-        return "expectation" if self.operator is not None else "generic"
-
     def __call__(self, psi) -> float:
         v = self.space.check_dim(psi, "state")
         return float(_observable_values(self, v[None])[0])
@@ -130,10 +128,6 @@ class ComplexFunction:
     @classmethod
     def from_callable(cls, func, space: SymplecticSpace, label=None) -> "ComplexFunction":
         return cls(space=space, func=func, label=label)
-
-    @property
-    def kind(self) -> str:
-        return "coordinate" if self.vector is not None else "generic"
 
     def __call__(self, psi) -> complex:
         v = self.space.check_dim(psi, "state")
@@ -239,18 +233,6 @@ def _use_closed_form(method: str, closed_form: bool) -> bool:
     return method == "auto" and closed_form
 
 
-def differential(f: ObservableFunction, psi, y) -> float:
-    """The differential ``df`` at ``psi`` applied to the direction ``y``.
-
-    Expectation functions use the exact formula ``2 Re <A psi | y>``;
-    generic functions a central difference along ``y``.
-    """
-    v, w = f.space.check_dim(psi, "state"), f.space.check_dim(y, "direction")
-    if f.operator is not None:
-        return 2.0 * hermitian_inner(f.operator.apply(v), w).real
-    return float(_fd_bracket(lambda s: _observable_values(f, s), f.space, v[None], w[None])[0])
-
-
 def hamiltonian_vector_field(f: ObservableFunction, psi) -> np.ndarray:
     """The vector field ``X_f`` with ``Omega(X_f, Y) = df(Y)`` for all ``Y``.
 
@@ -346,7 +328,7 @@ def bracket_commutator_report(a: HermitianOperator, b: HermitianOperator,
         raise DimensionMismatchError("operators do not match the space dimension")
     f = ObservableFunction.expectation_of(a, space)
     g = ObservableFunction.expectation_of(b, space)
-    states = random_unit_states(space.complex_dim, seed, samples)
+    states = random_unit_states(space.complex_dim, seed, _count(samples, "samples"))
     target = hermitian_inner(states, _product(states, commutator(a, b).T))
     analytic = _closed_form_brackets(f, g, states)
     field, field_check = _checked_field(g, states, seed)

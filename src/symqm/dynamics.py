@@ -50,13 +50,12 @@ from .operators import (
     _spectral_drift,
     spectral_decompose,
 )
-from .spaces import StatePoint, _frozen
+from .spaces import _frozen
 
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "TrajectoryDiagnostics",
-    "exact_propagate",
     "integrate",
     "phase_residuals",
     "phase_evolution_residual",
@@ -148,9 +147,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def state(self, k: int) -> StatePoint:
-        return StatePoint(self.states[k])
-
 
 @dataclass(frozen=True)
 class TrajectoryDiagnostics:
@@ -162,18 +158,6 @@ class TrajectoryDiagnostics:
     mean_solver_iterations: float
     steps_stored: int
     method: str
-
-
-def exact_propagate(f: ObservableFunction, psi0, t: float) -> StatePoint:
-    """Spectral solution of ``i*hbar*dpsi/dt = H psi`` at time ``t``, for ``f = <H>``.
-
-    Expands ``psi0`` in the eigenbasis of ``H`` and advances each mode by
-    its own phase ``exp(-i a_n t / hbar)``, with ``hbar`` of ``f.space``.
-    """
-    if f.operator is None:
-        raise MethodUnsupportedError("the spectral solution requires an expectation observable")
-    v = f.space.check_dim(psi0, "state")
-    return StatePoint(spectral_decompose(f.operator).propagate(v, [t], f.space.hbar)[0])
 
 
 def _midpoint_step(field, psi, dt, tol, max_iter, step_index):

@@ -23,7 +23,6 @@ __all__ = [
     "commutator",
     "spectral_decompose",
     "quadratic_form",
-    "expectation",
     "expectations",
     "reconstruct_from_spectrum",
     "read_matrix_file",
@@ -180,14 +179,6 @@ class HermitianOperator:
         """``||A||_2 = max_n |a_n|``, read from the eigenvalues of the one decomposition :attr:`spectral`."""
         return float(np.max(np.abs(self.spectral.eigenvalues)))
 
-    def apply(self, psi) -> np.ndarray:
-        v = _as_complex_vector(psi)
-        if v.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"state has length {v.shape[0]}, operator has dimension {self.dim}"
-            )
-        return _product(v, self.matrix.T)
-
     @functools.cached_property
     def spectral(self) -> SpectralData:
         """The :func:`spectral_decompose` data, computed once: the matrix is immutable.
@@ -326,9 +317,6 @@ class SpectralData:
         object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues, float))
         object.__setattr__(self, "eigenvectors", _frozen(self.eigenvectors, None))
 
-    def vector(self, k: int) -> np.ndarray:
-        return self.eigenvectors[:, k]
-
     def propagate(self, psi0, times, hbar: float) -> np.ndarray:
         """The spectral solution ``V exp(-i a t / hbar) V^H psi0`` of
         ``i*hbar*dpsi/dt = H psi`` at every ``t`` in ``times``.
@@ -404,11 +392,6 @@ def quadratic_form(mx, psi) -> complex:
 def _imaginary_tolerance(a: HermitianOperator) -> float:
     """``1e-12 * (1 + max|A|)``, the largest imaginary part an expectation of a unit state may carry."""
     return 1e-12 * (1.0 + a.max_norm)
-
-
-def expectation(a: HermitianOperator, psi) -> float:
-    """The real expectation value ``<psi | A psi>``: :func:`expectations` at one row."""
-    return float(expectations(a, _as_complex_vector(psi)[None])[0])
 
 
 def expectations(a: HermitianOperator, states: np.ndarray) -> np.ndarray:

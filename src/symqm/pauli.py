@@ -74,10 +74,6 @@ class PauliSumExpr:
     def num_qubits(self) -> int:
         return 1 + max(f.site for t in self.terms for f in t.factors)
 
-    @property
-    def dimension(self) -> int:
-        return 2 ** self.num_qubits
-
     def to_matrix(self, num_qubits: int | None = None) -> np.ndarray:
         """Evaluate to a dense ``2^q x 2^q`` matrix, site 0 leftmost.
 

@@ -12,13 +12,15 @@ It holds its ``u_n`` in one coordinate source: the matrix of the
 ``phi_n`` of ``u_n = <phi_n|.>``, or one row-wise map from a stack of states
 to their coordinates.  Every Hermitian operator induces one through its
 spectral decomposition (:func:`from_operator`), whose eigenvector matrix is
-its coordinates and, transposed, its stationary states.  :func:`verify_axioms` and
-:func:`verify_reconstruction` measure the residuals through one core: a
-matrix of seeded unit states, drawn once, with its quantum coordinates and
-value residuals; each report reduces them its own way.  The reconstruction
-map sends phase-space points back to a Hilbert-space picture, and the
-residual of the quantum-function equation ``i*hbar*{<Phi|A|Phi>, Phi} = A Phi``
-tests arbitrary candidate maps ``Phi``.
+its coordinates and, transposed, its stationary states.  Every check reads
+the coordinates over the rows of a matrix of states, in one call:
+:func:`verify_axioms` and :func:`verify_reconstruction` measure the
+residuals through one core, a matrix of seeded unit states, drawn once,
+with its quantum coordinates and value residuals; each report reduces them
+its own way.  The reconstruction map (:func:`reconstruction_map`, a
+:class:`RowwiseMap` of the coordinates) sends phase-space points back to a
+Hilbert-space picture, and the residual of the quantum-function equation
+``i*hbar*{<Phi|A|Phi>, Phi} = A Phi`` tests arbitrary candidate maps ``Phi``.
 """
 
 from __future__ import annotations
@@ -41,14 +43,13 @@ from .brackets import (
     _observable_values,
     _use_closed_form,
 )
-from .errors import DimensionMismatchError, NormalizationError, PreconditionFailedError
+from .errors import DimensionMismatchError, NormalizationError, PreconditionFailedError, _count
 from .operators import (
     HermitianOperator,
     _coordinates,
     _product,
     _row_blocks,
     _spectral_drift,
-    make_hermitian,
     quadratic_form,
     spectral_decompose,
 )
@@ -57,13 +58,11 @@ from .spaces import SymplecticSpace, _as_complex_vector, _frozen, hermitian_inne
 
 __all__ = [
     "QuantumFunction",
-    "ReconstructionMap",
     "RowwiseMap",
     "AxiomTolerances",
     "AxiomReport",
     "ReconstructionReport",
     "from_operator",
-    "evaluate",
     "verify_axioms",
     "reconstruction_map",
     "verify_reconstruction",
@@ -86,8 +85,7 @@ class QuantumFunction:
     read-only ``(n, dim)`` array whose row ``m`` is ``xi_m``.  Both keep the
     dtype they are given: float64 for the eigenbasis of a real operator,
     complex128 otherwise.  :attr:`eigenfunctions` are the ``u_n`` one by one,
-    derived from ``coordinates``.  ``f`` backs flows and brackets; :meth:`value` evaluates
-    the defining sum ``sum_n a_n |u_n|^2`` directly from the coordinates.
+    derived from ``coordinates``.  ``f`` backs flows and brackets.
     """
 
     space: SymplecticSpace
@@ -112,10 +110,6 @@ class QuantumFunction:
     def size(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def quantum_coordinates(self, xi) -> np.ndarray:
-        """The vector ``(u_1(xi), ..., u_n(xi))``."""
-        return _coordinate_rows(self, _as_complex_vector(xi))
-
     @cached_property
     def eigenfunctions(self) -> tuple:
         """The ``u_n`` one by one, for the per-function API: a column of the coordinate
@@ -130,11 +124,6 @@ class QuantumFunction:
     def operator_backed(self) -> bool:
         """``f = <A>`` and every ``u_n`` a coordinate functional: the closed forms apply."""
         return self.f.operator is not None and isinstance(self.coordinates, np.ndarray)
-
-    def value(self, xi) -> float:
-        """Evaluate the defining sum ``sum_n a_n |u_n(xi)|^2``."""
-        coords = self.quantum_coordinates(xi)
-        return float(np.sum(self.eigenvalues * np.abs(coords) ** 2))
 
 
 def from_operator(a: HermitianOperator, space: SymplecticSpace) -> QuantumFunction:
@@ -160,17 +149,6 @@ def from_operator(a: HermitianOperator, space: SymplecticSpace) -> QuantumFuncti
     )
 
 
-def evaluate(qf: QuantumFunction, xi) -> float:
-    """Evaluate ``qf`` at a unit state; rejects non-normalized input."""
-    v = _as_complex_vector(xi)
-    deviation = abs(float(np.linalg.norm(v)) - 1.0)
-    if deviation > UNIT_STATE_TOL:
-        raise NormalizationError(
-            f"state deviates from unit norm by {deviation:.3e}"
-        )
-    return qf.value(v)
-
-
 @dataclass(frozen=True)
 class AxiomTolerances:
     """Per-axiom residual tolerances."""
@@ -185,9 +163,6 @@ class AxiomTolerances:
     def finite_difference(cls) -> "AxiomTolerances":
         """Looser defaults for quantum functions checked with numeric brackets."""
         return cls(1e-5, 1e-5, 1e-5, 1e-5, 1e-5)
-
-    def scaled(self, factor: float) -> "AxiomTolerances":
-        return AxiomTolerances(**{name: tol * factor for name, tol in asdict(self).items()})
 
 
 @dataclass(frozen=True)
@@ -238,7 +213,7 @@ def _coordinate_rows(qf: QuantumFunction, states: np.ndarray) -> np.ndarray:
 def _sampled_rows(qf: QuantumFunction, samples: int, seed: int):
     """The core both verifications share: ``samples`` seeded unit states as the rows of
     one matrix, their quantum coordinates and the value residual ``|f - sum_n a_n |u_n|^2|``."""
-    states = random_unit_states(qf.space.complex_dim, seed, samples)
+    states = random_unit_states(qf.space.complex_dim, seed, _count(samples, "samples"))
     coords = _coordinate_rows(qf, states)
     weights = np.sum(qf.eigenvalues * np.abs(coords) ** 2, axis=1)
     return states, coords, np.abs(_observable_values(qf.f, states) - weights)
@@ -315,25 +290,9 @@ class RowwiseMap:
         return self.rows(_as_complex_vector(xi)[None])[0]
 
 
-@dataclass(frozen=True)
-class ReconstructionMap(RowwiseMap):
-    """The map ``xi -> (u_1(xi), ..., u_n(xi))`` into the recovered basis, row-wise."""
-
-    qf: QuantumFunction
-
-    def rows(self, states: np.ndarray) -> np.ndarray:
-        return _coordinate_rows(self.qf, states)
-
-    @cached_property
-    def recovered_operator(self) -> HermitianOperator:
-        """The diagonal operator with the quantum function's eigenvalues, whose expectation in
-        the image reproduces its values; its ``n x n`` matrix is formed on first read, once."""
-        return make_hermitian(np.diag(self.qf.eigenvalues), label="recovered")
-
-
-def reconstruction_map(qf: QuantumFunction) -> ReconstructionMap:
-    """The quantum coordinates of ``qf`` as a map; the recovered diagonal operator comes with it."""
-    return ReconstructionMap(qf=qf)
+def reconstruction_map(qf: QuantumFunction) -> RowwiseMap:
+    """The map ``xi -> (u_1(xi), ..., u_n(xi))`` of the quantum coordinates of ``qf``, row-wise."""
+    return RowwiseMap(lambda rows: _coordinate_rows(qf, rows))
 
 
 @dataclass(frozen=True)
@@ -414,7 +373,7 @@ def _map_rows(phi, states, dim: int) -> np.ndarray:
 
 def _image_pass(a: HermitianOperator, phi, space: SymplecticSpace, samples: int, seed: int):
     """The sample matrix, ``Phi`` at its rows, and the worst ``abs(norm(Phi) - 1)``."""
-    states = random_unit_states(space.complex_dim, seed, samples)
+    states = random_unit_states(space.complex_dim, seed, _count(samples, "samples"))
     images = _map_rows(phi, states, a.dim)
     return states, images, _largest(np.abs(np.linalg.norm(images, axis=1) - 1.0))
 

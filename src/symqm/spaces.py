@@ -23,23 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NormalizationError, _count, _positive
+from .errors import DimensionMismatchError, _count, _positive
 
 __all__ = [
     "SymplecticSpace",
-    "StatePoint",
     "to_real_coords",
     "from_real_coords",
     "hermitian_inner",
     "symplectic_form",
-    "norm",
 ]
-
-NORMALIZATION_TOL = 1e-12
 
 
 def _as_complex_vector(v) -> np.ndarray:
-    """Coerce a StatePoint or array-like to a 1-d complex array."""
+    """Coerce an array-like to a 1-d complex array."""
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"expected a vector, got shape {arr.shape}")
@@ -128,44 +124,6 @@ class SymplecticSpace:
         return v
 
 
-@dataclass(frozen=True)
-class StatePoint:
-    """A point of the phase space: a length-``n`` complex amplitude vector.
-
-    When constructed with ``normalized=True`` the norm is validated to lie
-    within ``1e-12`` of one.
-    """
-
-    amplitudes: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        arr = _as_complex_vector(_frozen(self.amplitudes, complex))
-        object.__setattr__(self, "amplitudes", arr)
-        if self.normalized:
-            deviation = abs(float(np.linalg.norm(arr)) - 1.0)
-            if deviation > NORMALIZATION_TOL:
-                raise NormalizationError(
-                    f"state flagged normalized deviates from unit norm by {deviation:.3e}"
-                )
-
-    @classmethod
-    def unit(cls, amplitudes) -> "StatePoint":
-        """Normalize ``amplitudes`` and return the resulting state."""
-        arr = _as_complex_vector(amplitudes)
-        nrm = float(np.linalg.norm(arr))
-        if nrm == 0.0:
-            raise NormalizationError("cannot normalize the zero vector")
-        return cls(arr / nrm, normalized=True)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.amplitudes, dtype=dtype)
-
-
 def to_real_coords(psi, space: SymplecticSpace) -> np.ndarray:
     """Translate a complex vector into canonical real coordinates.
 
@@ -221,7 +179,3 @@ def symplectic_form(v, w, space: SymplecticSpace) -> float | np.ndarray:
         raise DimensionMismatchError(f"shape {np.shape(v)}, space has complex_dim {space.complex_dim}")
     return 2.0 * space.hbar * hermitian_inner(v, w).imag
 
-
-def norm(v) -> float:
-    """Euclidean norm ``sqrt(<v|v>)``; zero iff ``v`` is the zero vector."""
-    return float(np.linalg.norm(_as_complex_vector(v)))

@@ -12,7 +12,6 @@ from symqm import (
     ObservableFunction,
     SymplecticSpace,
     bracket_commutator_report,
-    exact_propagate,
     from_operator,
     hamiltonian_vector_field,
     integrate,
@@ -21,6 +20,7 @@ from symqm import (
     phase_evolution_residual,
     qfe_residual,
     reconstruction_map,
+    spectral_decompose,
     verify_axioms,
     verify_reconstruction,
 )
@@ -87,7 +87,7 @@ def test_criterion_3_schroedinger_as_hamilton_flow():
         f = ObservableFunction.expectation_of(h, space)
         psi0 = random_unit_state(n, 3001, index=trial)
         traj = integrate(f, psi0, IntegratorConfig("midpoint", 1e-3, 1000))
-        target = np.asarray(exact_propagate(f, psi0, 1.0))
+        target = spectral_decompose(h).propagate(psi0, [1.0], space.hbar)[0]
         worst_dev = max(worst_dev, float(np.linalg.norm(traj.states[-1] - target)))
     flow_ok = worst_dev <= 1e-5
 

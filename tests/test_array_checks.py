@@ -452,9 +452,9 @@ def test_report_reductions_match_reference(n):
                              eigenvalues=qf.eigenvalues + np.linspace(0.5, 1.0, n))
     a, samples, seed = qf.eigenvalues, 30, 12
     states = [random_unit_state(n, seed, i) for i in range(samples)]
-    coords = [qf.quantum_coordinates(psi) for psi in states]
+    coords = [qf.coordinates.conj().T @ psi for psi in states]
     values = [qf.f(psi) for psi in states]
-    offsets = [qf.quantum_coordinates(xi) - np.eye(n)[m]
+    offsets = [qf.coordinates.conj().T @ xi - np.eye(n)[m]
                for m, xi in enumerate(qf.stationary_states)]
     value = max(abs(f - np.sum(a * np.abs(c) ** 2)) for f, c in zip(values, coords))
     axioms = verify_axioms(qf, samples, seed)
@@ -492,12 +492,15 @@ def test_coordinates_have_one_source():
     qf = from_operator(make_hermitian(random_hermitian(3, 0)), space)
     skewed = dataclasses.replace(qf, coordinates=_stretched_u0(qf))
     psi = random_unit_state(3, 1, 0)
-    for read in (lambda q: q.quantum_coordinates(psi), lambda q: reconstruction_map(q)(psi),
+    for read in (lambda q: q.coordinates.conj().T @ psi, lambda q: reconstruction_map(q)(psi),
                  lambda q: [q.eigenfunctions[0](psi)]):
         assert abs(read(skewed)[0]) / abs(read(qf)[0]) == pytest.approx(1.5, rel=1e-12)
-    c0 = qf.quantum_coordinates(psi)[0]
-    assert skewed.value(psi) == pytest.approx(
-        qf.value(psi) + 1.25 * qf.eigenvalues[0] * abs(c0) ** 2, rel=1e-12)
+
+    def value(q):  # the defining sum sum_n a_n |u_n|^2, read through the reconstruction map
+        return float(np.sum(q.eigenvalues * np.abs(reconstruction_map(q)(psi)) ** 2))
+
+    c0 = (qf.coordinates.conj().T @ psi)[0]
+    assert value(skewed) == pytest.approx(value(qf) + 1.25 * qf.eigenvalues[0] * abs(c0) ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", SIZES)

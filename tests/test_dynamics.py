@@ -8,11 +8,11 @@ from symqm import (
     IntegratorConfig,
     ObservableFunction,
     SymplecticSpace,
-    exact_propagate,
     from_operator,
     integrate,
     make_hermitian,
     phase_evolution_residual,
+    spectral_decompose,
     trajectory_diagnostics,
 )
 from symqm.dynamics import Trajectory
@@ -45,17 +45,12 @@ def test_integrator_config_validation():
 
 
 def test_exact_propagate_examples():
-    np.testing.assert_array_equal(
-        np.asarray(exact_propagate(ObservableFunction.expectation_of(Z, SPACE), UNIFORM, 0.0)),
-        UNIFORM,
-    )
-    flipped = np.asarray(exact_propagate(ObservableFunction.expectation_of(Z, SPACE),
-                                         UNIFORM, np.pi))
+    np.testing.assert_array_equal(spectral_decompose(Z).propagate(UNIFORM, [0.0], SPACE.hbar)[0], UNIFORM)
+    flipped = spectral_decompose(Z).propagate(UNIFORM, [np.pi], SPACE.hbar)[0]
     np.testing.assert_allclose(flipped, -UNIFORM, atol=1e-15)
     ident = make_hermitian(np.eye(2))
     psi = random_unit_state(2, 0)
-    f_ident = ObservableFunction.expectation_of(ident, SymplecticSpace(2, hbar=2.0))
-    evolved = np.asarray(exact_propagate(f_ident, psi, 0.7))
+    evolved = spectral_decompose(ident).propagate(psi, [0.7], 2.0)[0]  # hbar = 2
     np.testing.assert_allclose(evolved, np.exp(-1j * 0.7 / 2.0) * psi, atol=1e-15)
 
 
@@ -65,15 +60,14 @@ def test_exact_propagate_norm_preserved():
         h = make_hermitian(random_hermitian(n, 10, index=n))
         psi = random_unit_state(n, 11, index=n)
         for t in rng.uniform(0, 10, size=5):
-            out = np.asarray(exact_propagate(
-                ObservableFunction.expectation_of(h, SymplecticSpace(n)), psi, t))
+            out = spectral_decompose(h).propagate(psi, [t], 1.0)[0]
             assert abs(np.linalg.norm(out) - 1) <= 1e-12
 
 
 def test_midpoint_matches_exact_propagator():
     f = ObservableFunction.expectation_of(Z, SPACE)
     traj = integrate(f, UNIFORM, IntegratorConfig("midpoint", 1e-3, 1000))
-    target = np.asarray(exact_propagate(f, UNIFORM, 1.0))
+    target = spectral_decompose(Z).propagate(UNIFORM, [1.0], SPACE.hbar)[0]
     assert np.linalg.norm(traj.states[-1] - target) <= 1e-6
 
 
@@ -116,7 +110,7 @@ def test_flow_equivalence_random_hamiltonians():
         f = ObservableFunction.expectation_of(h, space)
         psi0 = random_unit_state(n, 21, index=trial)
         traj = integrate(f, psi0, IntegratorConfig("midpoint", 1e-3, 1000))
-        target = np.asarray(exact_propagate(f, psi0, 1.0))
+        target = spectral_decompose(h).propagate(psi0, [1.0], space.hbar)[0]
         assert np.linalg.norm(traj.states[-1] - target) <= 1e-5
 
 
@@ -147,8 +141,6 @@ def test_method_unsupported_for_generic_observables():
     for method in ("exact", "cayley"):
         with pytest.raises(MethodUnsupportedError):
             integrate(f_gen, UNIFORM, IntegratorConfig(method, 1e-2, 10))
-    with pytest.raises(MethodUnsupportedError):
-        exact_propagate(f_gen, UNIFORM, 0.1)
 
 
 def test_rk4_generic_observable_matches_linear_path():
@@ -194,8 +186,6 @@ def test_trajectory_fields_consistent():
     assert len(traj) == 11
     assert traj.dim == 2
     assert np.all(np.diff(traj.times) > 0)
-    psi5 = traj.state(5)
-    np.testing.assert_array_equal(psi5.amplitudes, traj.states[5])
 
 
 def test_phase_evolution_residual_eigenfunction():

@@ -10,11 +10,9 @@ from scipy.sparse.csgraph import connected_components
 from symqm import (
     ComplexFunction,
     SpectralData,
-    StatePoint,
     SymplecticSpace,
     Trajectory,
     commutator,
-    expectation,
     from_operator,
     make_hermitian,
     parse_operator_expr,
@@ -24,7 +22,7 @@ from symqm import (
     spectral_decompose,
 )
 from symqm.errors import DimensionMismatchError, NonHermitianError, NonSquareError
-from symqm.operators import _BLOCK_ENTRIES, _ROW_BLOCK, _connected_blocks, _row_blocks
+from symqm.operators import _BLOCK_ENTRIES, _ROW_BLOCK, _connected_blocks, _row_blocks, expectations
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -81,7 +79,6 @@ def test_make_hermitian_never_aliases_a_writable_array():
         (Y, lambda a: make_hermitian(a).matrix),
         (Z.real.copy(), lambda a: make_hermitian(a).matrix),
         (np.eye(2, dtype=complex), lambda a: SpectralData(np.array([-1.0, 1.0]), a, False).eigenvectors),
-        (np.array([1, 0], dtype=complex), lambda a: StatePoint(a).amplitudes),
         (np.array([0, 1], dtype=complex), lambda a: ComplexFunction.coordinate(a, space).vector),
         (np.array([-1.0, 1.0]), lambda a: dataclasses.replace(qf, eigenvalues=a).eigenvalues),
         (np.eye(2, dtype=complex),
@@ -122,8 +119,8 @@ def test_commutator_anti_hermitian():
 def test_spectral_decompose_diagonal():
     data = spectral_decompose(make_hermitian(np.diag([3.0, 1.0])))
     np.testing.assert_allclose(data.eigenvalues, [1.0, 3.0])
-    np.testing.assert_allclose(np.abs(data.vector(0)), [0, 1], atol=1e-15)
-    np.testing.assert_allclose(np.abs(data.vector(1)), [1, 0], atol=1e-15)
+    np.testing.assert_allclose(np.abs(data.eigenvectors[:, 0]), [0, 1], atol=1e-15)
+    np.testing.assert_allclose(np.abs(data.eigenvectors[:, 1]), [1, 0], atol=1e-15)
     assert not data.degenerate_flag
 
 
@@ -131,8 +128,8 @@ def test_spectral_decompose_pauli_x_gauge():
     data = spectral_decompose(make_hermitian(X))
     np.testing.assert_allclose(data.eigenvalues, [-1.0, 1.0])
     # phase fixing: first component real positive on ties
-    np.testing.assert_allclose(data.vector(0), np.array([1, -1]) / np.sqrt(2), atol=1e-15)
-    np.testing.assert_allclose(data.vector(1), np.array([1, 1]) / np.sqrt(2), atol=1e-15)
+    np.testing.assert_allclose(data.eigenvectors[:, 0], np.array([1, -1]) / np.sqrt(2), atol=1e-15)
+    np.testing.assert_allclose(data.eigenvectors[:, 1], np.array([1, 1]) / np.sqrt(2), atol=1e-15)
 
 
 def test_spectral_decompose_degenerate_identity():
@@ -148,7 +145,7 @@ def test_spectral_invariants_random():
         data = spectral_decompose(a)
         norm_a = np.linalg.norm(a.matrix, 2)
         for k in range(n):
-            residual = np.linalg.norm(a.matrix @ data.vector(k) - data.eigenvalues[k] * data.vector(k))
+            residual = np.linalg.norm(a.matrix @ data.eigenvectors[:, k] - data.eigenvalues[k] * data.eigenvectors[:, k])
             assert residual <= 1e-10 * (1 + abs(data.eigenvalues[k])) * norm_a
         gram = data.eigenvectors.conj().T @ data.eigenvectors
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
@@ -351,7 +348,7 @@ def test_spectral_norm_reads_the_one_decomposition(monkeypatch):
 
 
 def test_quadratic_form_examples():
-    psi = StatePoint([1, 0], normalized=True)
+    psi = np.array([1, 0])
     assert quadratic_form(np.eye(2), psi) == 1
     assert quadratic_form(2j * Z, psi) == 2j
     uniform = np.array([1, 1]) / np.sqrt(2)
@@ -364,9 +361,10 @@ def test_expectation_examples():
     z = make_hermitian(Z)
     x = make_hermitian(X)
     uniform = np.array([1, 1]) / np.sqrt(2)
-    assert expectation(z, [1, 0]) == 1.0
-    assert abs(expectation(z, uniform)) <= 1e-16
-    assert abs(expectation(x, uniform) - 1.0) <= 1e-15
+    values = expectations(z, np.array([[1, 0], uniform], dtype=complex))
+    assert values[0] == 1.0
+    assert abs(values[1]) <= 1e-16
+    assert abs(expectations(x, uniform[None].astype(complex))[0] - 1.0) <= 1e-15
 
 
 def test_expectation_real_for_random_hermitian():
@@ -376,8 +374,8 @@ def test_expectation_real_for_random_hermitian():
         for _ in range(10):
             psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             psi /= np.linalg.norm(psi)
-            # the imaginary-residue assertion lives inside expectation()
-            value = expectation(a, psi)
+            # the imaginary-residue assertion lives inside expectations()
+            value = expectations(a, psi[None])[0]
             assert np.isreal(value)
 
 

@@ -22,7 +22,7 @@ def test_parse_single_factor():
 def test_parse_weighted_sum_two_qubits():
     expr = parse_operator_expr("0.5*X0 + 0.5*X1")
     assert expr.num_qubits == 2
-    assert expr.dimension == 4
+    assert expr.to_matrix().shape == (4, 4)
     expected = 0.5 * (np.kron(X, I2) + np.kron(I2, X))
     np.testing.assert_array_equal(expr.to_matrix(), expected)
     # hand Kronecker product, frozen

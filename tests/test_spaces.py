@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from symqm import (
-    StatePoint,
     SymplecticSpace,
     from_real_coords,
     hermitian_inner,
-    norm,
     symplectic_form,
     to_real_coords,
 )
-from symqm.errors import DimensionMismatchError, NormalizationError
+from symqm.errors import DimensionMismatchError
 
 
 def test_space_validation():
@@ -188,30 +186,6 @@ def test_bootstrap_sign_invariant():
                 expect = lambda p: np.vdot(p, a @ p).real
                 d_fd = (expect(psi + h * y) - expect(psi - h * y)) / (2 * h)
                 assert abs(symplectic_form(x_field, y, sp) - d_fd) <= 1e-6 * scale
-
-
-def test_norm_examples():
-    assert norm([1, 0]) == 1.0
-    assert norm(np.array([3, 4]) / 5) == 1.0
-    assert norm([0, 0]) == 0.0
-
-
-def test_state_point_normalized_flag():
-    StatePoint([1, 0], normalized=True)
-    with pytest.raises(NormalizationError):
-        StatePoint([1, 1], normalized=True)
-    unit = StatePoint.unit([3, 4])
-    assert abs(np.linalg.norm(unit.amplitudes) - 1) <= 1e-12
-    with pytest.raises(NormalizationError):
-        StatePoint.unit([0, 0])
-
-
-def test_state_point_immutable_and_array_like():
-    psi = StatePoint([1j, 2])
-    with pytest.raises(ValueError):
-        psi.amplitudes[0] = 0
-    np.testing.assert_array_equal(np.asarray(psi), [1j, 2])
-    assert psi.dim == 2
 
 
 def test_tangent_vector_round_trip():
