@@ -40,23 +40,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="symqm",
         description="Verify quantum-function axioms, evolve states and test reconstructions.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    common.add_argument("--out", default="./out", help="output directory (default ./out)")
-    common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    common.add_argument("--tol-scale", type=float, default=1.0,
+    parser.add_argument("command", choices=tuple(_COMMANDS),
+                        help="verify: the quantum-function axioms (and bracket identity); "
+                             "evolve: the Hamilton flow against the spectral propagator; "
+                             "bracket: the bracket-commutator report for an operator pair; "
+                             "reconstruct: the reconstruction map and the quantum-function equation")
+    parser.add_argument("--scenario", required=True, help="path to a scenario JSON file")
+    parser.add_argument("--out", default="./out", help="output directory (default ./out)")
+    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    parser.add_argument("--tol-scale", type=float, default=1.0,
                         help="multiply every tolerance by this factor")
-    common.add_argument("--quiet", action="store_true", help="suppress per-check output")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify", parents=[common],
-                   help="check the quantum-function axioms (and bracket identity)")
-    sub.add_parser("evolve", parents=[common],
-                   help="integrate the Hamilton flow and compare with the spectral propagator")
-    sub.add_parser("bracket", parents=[common],
-                   help="bracket-commutator report for an operator pair")
-    sub.add_parser("reconstruct", parents=[common],
-                   help="verify the reconstruction map and the quantum-function equation")
+    parser.add_argument("--quiet", action="store_true", help="suppress per-check output")
     return parser
 
 

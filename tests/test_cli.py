@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import symqm.sampling
 from symqm.cli import main
 from symqm.sampling import random_unit_states
 
@@ -193,20 +192,23 @@ def test_finite_flow_report_has_no_nonfinite_row(tmp_path):
 def test_each_command_draws_its_samples_once(tmp_path, monkeypatch):
     # verify (axioms and bracket report) and reconstruct (reconstruction and
     # QFE residual) sample the same states; one command draws them once.
-    calls = []
-    draw = symqm.sampling.random_unit_state
+    # cache_clear also resets the counters, so they are read as each command clears.
+    infos = []
+    clear = random_unit_states.cache_clear
 
-    def counted(*args):
-        calls.append(args)
-        return draw(*args)
+    def recorded_clear():
+        infos.append(random_unit_states.cache_info())
+        clear()
 
-    monkeypatch.setattr(symqm.sampling, "random_unit_state", counted)
-    random_unit_states.cache_clear()
+    monkeypatch.setattr(random_unit_states, "cache_clear", recorded_clear)
+    clear()
     scenario = _scenario(tmp_path, {"second_operator": "X0"})
     for command in ("verify", "reconstruct"):
-        calls.clear()
+        infos.clear()
         assert _run(command, scenario, tmp_path / command) == 0
-        assert len(calls) == 30  # the scenario's samples
+        (info,) = infos
+        assert info.misses == 1  # one draw of the scenario's samples
+        assert info.hits >= 1  # that the other check reads
         # The draw does not outlive its command.
         assert random_unit_states.cache_info().currsize == 0
 
@@ -286,6 +288,21 @@ def test_cli_imports_no_scipy():
 def test_bad_usage_exit_code(capsys):
     assert main(["verify"]) == 2  # --scenario is required
     capsys.readouterr()
+
+
+def test_missing_or_unknown_command_exit_code(tmp_path, capsys):
+    assert main([]) == 2
+    assert "command" in capsys.readouterr().err
+    scenario = _scenario(tmp_path)
+    assert main(["frobnicate", "--scenario", str(scenario)]) == 2
+    assert "frobnicate" in capsys.readouterr().err
+
+
+def test_help_names_every_command(capsys):
+    assert main(["--help"]) == 0
+    text = capsys.readouterr().out
+    for command in ("verify", "evolve", "bracket", "reconstruct"):
+        assert command in text
 
 
 def test_seed_override_changes_report(tmp_path):
