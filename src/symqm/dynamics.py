@@ -15,14 +15,18 @@ Cayley's step.  There midpoint and Cayley take that one step, with no
 fixed-point iteration: they report 0 solver iterations and never raise
 ``NonConvergenceError``, since ``I - (dt/2) K`` is invertible for every
 ``dt``.  Midpoint, Cayley and RK4 then take every step as ``psi + Q psi``
-with one precomputed increment matrix ``Q`` (the increment form, not
-``(I + Q) psi``, whose round-off in ``I + Q`` drifts the norm), and a run of
-steps takes its states from one product with a table of step powers
-``(I + Q)^j - I``.  The operator's dtype decides the arithmetic of ``Q``, for
-every method: a float64 ``H`` builds it from real solves and products, and
-only ``Q`` itself is complex; a complex ``H`` builds it in complex arithmetic.  Generic observables keep the per-step fixed-point and
-RK4 loops; ``solver_tol`` and ``solver_max_iter`` govern only that
-fixed-point loop.
+with a precomputed increment ``Q`` (the increment form, not ``(I + Q) psi``,
+whose round-off in ``I + Q`` drifts the norm), and a run of steps takes its
+states from one product with a table of step powers ``(I + Q)^j - I``.  ``Q``
+is a rational function of ``H``, so it never couples two connected blocks of
+``H``'s nonzero pattern (the operator's ``sectors``, the parity sectors of an
+open Ising chain): it is built and stepped one stacked ``(k, s, s)`` sector
+matrix per block size, and a matrix that is one block is the case ``k = 1``.
+The operator's dtype decides the arithmetic of ``Q``, for every method: a
+float64 ``H`` builds it from real solves and products, and only ``Q`` itself
+is complex; a complex ``H`` builds it in complex arithmetic.  Generic
+observables keep the per-step fixed-point and RK4 loops; ``solver_tol`` and
+``solver_max_iter`` govern only that fixed-point loop.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .operators import (
     SpectralData,
     _coordinates,
     _row_blocks,
+    _sector_blocks,
     _spectral_drift,
     spectral_decompose,
 )
@@ -179,103 +184,131 @@ def _rk4_step(field, psi, dt):
     return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """The writable view of the diagonal of every matrix of a C-ordered ``(..., s, s)`` stack."""
+    s = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (s * s,))[..., ::s + 1]
+
+
 def _step_powers(q: np.ndarray, reach: int) -> np.ndarray:
-    """``D_j = (I + Q)^j - I`` for ``j = 1 .. reach``, stacked as ``(reach * n, n)`` rows.
+    """``D_j = (I + Q)^j - I`` for ``j = 1 .. reach`` of each matrix of a ``(k, s, s)`` stack,
+    as a ``(k, reach * s, s)`` stack of tables.
 
-    ``psi + D_j psi`` is ``j`` steps ``psi + Q psi`` from ``psi``, so the first
-    ``j * n`` rows times ``psi`` give the increments of ``j`` steps at once.
-    Built as ``D_j = (Q D_(j-1) + Q) + D_(j-1)``: ``I + Q`` is never formed.
-    A table of one step is ``Q`` itself, not a copy of the flow's largest matrix.
+    ``psi + D_j psi`` is ``j`` steps ``psi + Q psi`` from ``psi``, so the first ``j * s``
+    rows of a sector's table times its ``psi`` give the increments of ``j`` steps at once.
+    Built as ``D_j = (Q D_(j-1) + Q) + D_(j-1)``, one stacked product per power, then
+    copied into the table: ``I + Q`` is never formed.  A table of one step is ``Q`` itself, not a copy of the flow's largest
+    stack.
 
-    The table ends before its first power that is not finite.  A mode the
-    state never enters may grow without bound (RK4 on a large eigenvalue),
-    and ``0 * inf`` would then make every increment NaN though the per-step
-    recurrence keeps that mode at 0; a shorter table only makes shorter runs.
+    The tables end before their first power that is not finite in any sector.  A mode the
+    state never enters may grow without bound (RK4 on a large eigenvalue), and ``0 * inf``
+    would then make every increment NaN though the per-step recurrence keeps that mode at
+    0; a shorter table only makes shorter runs.
     """
     if reach == 1:
         return q
-    table = np.empty((reach,) + q.shape, dtype=complex)
-    table[0] = q
+    k, s = q.shape[:2]
+    table = np.empty((k, reach, s, s), dtype=complex)
+    table[:, 0] = power = q
     with np.errstate(over="ignore", invalid="ignore"):
-        for previous, power in zip(table, table[1:]):
-            np.matmul(q, previous, out=power)
+        for j in range(1, reach):
+            # Contiguous operands: on the strided stacks table[:, j] the products took twice as long.
+            previous, power = power, q @ power
             power += q
             power += previous
-    if not np.isfinite(table[-1]).all():  # a sum with a non-finite term stays non-finite
-        reach = int(np.argmin(np.isfinite(table).all(axis=(1, 2))))
-    return table[:reach].reshape(-1, q.shape[0])
+            table[:, j] = power
+    if not np.isfinite(table[:, -1]).all():  # a sum with a non-finite term stays non-finite
+        reach = int(np.argmin(np.isfinite(table).all(axis=(0, 2, 3))))
+    return table[:, :reach].reshape(k, reach * s, s)
 
 
 def _increment(h: np.ndarray, method: str, dt: float, hbar: float) -> np.ndarray:
-    """The complex ``Q`` of one step ``psi + Q psi`` of ``method`` on ``K = -(i/hbar) H``.
+    """The complex ``Q`` of one step ``psi + Q psi`` of ``method`` on ``K = -(i/hbar) H``, for
+    each matrix ``H`` of a ``(..., s, s)`` stack: the operator's sectors, or one matrix.
 
     Midpoint and Cayley take ``Q = 2 (I - A)^{-1} A`` with ``A = (dt/2) K``, RK4
     ``dK + (dK)^2/2 + (dK)^3/6 + (dK)^4/24``.  The operator's dtype decides the arithmetic.  A
-    complex ``H`` takes them as written: one complex solve, or RK4 in Horner form.  A float64
-    ``H`` builds ``Q`` in real arithmetic, whose parts are written into ``Q``, the one complex
-    array it makes.  Cayley: ``Y = (I + M^2)^{-1} M`` with ``M = tau H``, ``tau = dt / 2 hbar``,
-    and ``Q = -2 M Y - 2i Y``, from one real solve and two real products.  RK4:
-    ``Re Q = u^2 (u^2/24 - I/2)`` and ``Im Q = u (u^2/6 - I)`` with ``u = (dt/hbar) H``, from three
-    real products.
+    complex ``H`` takes them as written: one stacked complex solve, or RK4 in Horner form.  A
+    float64 ``H`` builds ``Q`` in real arithmetic, whose parts are written into ``Q``, the one
+    complex stack it makes.  Cayley: ``Y = (I + M^2)^{-1} M`` with ``M = tau H``,
+    ``tau = dt / 2 hbar``, and ``Q = -2 M Y - 2i Y``, from one stacked real solve and two real
+    products.  RK4: ``Re Q = u^2 (u^2/24 - I/2)`` and ``Im Q = u (u^2/6 - I)`` with
+    ``u = (dt/hbar) H``, from three real products.  Each matrix of the stack gets the bits of
+    its own 2-D call.
     """
-    n = h.shape[0]
     if np.iscomplexobj(h):
         a = (0.5 * dt) * ((-1j / hbar) * h)
-        eye = np.eye(n, dtype=complex)
         if method == "rk4":  # in Horner form
+            eye = np.eye(h.shape[-1], dtype=complex)
             a *= 2.0  # dt K
             return a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
-        q = np.linalg.solve(np.subtract(eye, a, out=eye), a)  # (I - A) X = A, I - A in place
+        lhs = np.zeros_like(a)
+        _diagonal(lhs)[...] = 1.0
+        q = np.linalg.solve(np.subtract(lhs, a, out=lhs), a)  # (I - A) X = A, I - A in place
         q *= 2.0  # Q = 2X, doubled exactly
         return q
     if method == "rk4":
         u = (dt / hbar) * h
         u2 = u @ u
-        q = np.empty((n, n), dtype=complex)
+        q = np.empty(u.shape, dtype=complex)
         part = u2 / 6.0
-        part.flat[::n + 1] -= 1.0
+        _diagonal(part)[...] -= 1.0
         q.imag = u @ part
         np.divide(u2, 24.0, out=part)
-        part.flat[::n + 1] -= 0.5
+        _diagonal(part)[...] -= 0.5
         q.real = u2 @ part
         return q
     m = (0.5 * dt / hbar) * h
     square = m @ m
-    square.flat[::n + 1] += 1.0  # I + M^2
+    _diagonal(square)[...] += 1.0  # I + M^2
     y = np.linalg.solve(square, m)
     square = None
-    q = np.empty((n, n), dtype=complex)
+    q = np.empty(m.shape, dtype=complex)
     np.multiply(m @ y, -2.0, out=q.real)
     np.multiply(y, -2.0, out=q.imag)
     return q
 
 
 def _linear_flow(f: ObservableFunction, psi, cfg: IntegratorConfig, states) -> None:
-    """Midpoint, Cayley or RK4 on ``f = <H>``, each step ``psi + Q psi``, into ``states``.
+    """Midpoint, Cayley or RK4 on ``f = <H>``, each step ``psi + Q psi``, into ``states``,
+    one sector of ``H`` at a time.
 
-    ``Q`` comes from :func:`_increment`, in real arithmetic for a float64 ``H``.  Each run of
-    ``r <= held`` steps from ``psi`` is ``psi + D_j psi`` for ``j = 1 .. r``, one product
-    with the table of :func:`_step_powers`, which ``reach`` keeps within
-    ``_BLOCK_ENTRIES`` entries.  The states match the per-step recurrence to
-    round-off, and are bit-identical to it where the table holds one step.
+    ``Q`` is a function of ``H``, so it never couples two connected blocks of ``H``'s
+    nonzero pattern, the operator's :attr:`~symqm.operators.HermitianOperator.sectors`.
+    Each size group of sectors takes its ``(k, s, s)`` stack of increments from
+    :func:`_increment`, in real arithmetic for a float64 ``H``, and its tables from
+    :func:`_step_powers`; ``reach`` keeps the tables of every sector together within
+    ``_BLOCK_ENTRIES`` entries.  A group's ``psi`` is gathered once into its ``(k, s)``
+    rows, each run of ``r <= held`` steps is ``psi + D_j psi`` for ``j = 1 .. r``, one
+    stacked product per group, and the kept rows are scattered into ``states``.  The
+    states match the whole-matrix recurrence to round-off; a matrix that is one sector is
+    the ``k = 1`` case and gets the bits of the whole-matrix flow, which are those of the
+    per-step recurrence where the table holds one step.
     """
-    n = psi.shape[0]
-    reach = max(1, min(_ROW_BLOCK, _BLOCK_ENTRIES // n**2, cfg.steps))
-    q = _increment(f.operator.matrix, cfg.method, cfg.dt, f.space.hbar)
-    table = _step_powers(q, reach)
-    q = None  # the flow keeps no n x n matrix but its table
+    op = f.operator
+    sectors = op.sectors
+    entries = sum(idx.size * idx.shape[1] for idx in sectors)
+    reach = max(1, min(_ROW_BLOCK, _BLOCK_ENTRIES // entries, cfg.steps))
+    tables = [_step_powers(_increment(_sector_blocks(op.matrix, idx), cfg.method, cfg.dt, f.space.hbar), reach)
+              for idx in sectors]
+    # reach, or fewer where the powers of a sector overflow
+    held = min(table.shape[1] // idx.shape[1] for idx, table in zip(sectors, tables))
 
-    held = table.shape[0] // n  # reach, or fewer where the powers overflow
-    run = np.empty((held + 1, n), dtype=complex)
-    run[0] = psi
+    runs = [np.empty((idx.shape[0], held + 1, idx.shape[1]), dtype=complex) for idx in sectors]
+    for idx, run in zip(sectors, runs):
+        run[:, 0] = psi[idx]
     for done in range(0, cfg.steps, held):  # psi + D_j psi, written in place
         r = min(held, cfg.steps - done)
-        np.dot(table[:r * n], run[0], out=run[1:r + 1].reshape(-1))
-        run[1:r + 1] += run[0]
         first = cfg.stride - done % cfg.stride  # the run's first stored step, counted from its start
-        kept = run[first:r + 1:cfg.stride]
-        states[(done + first) // cfg.stride:][:len(kept)] = kept
-        run[0] = run[r]
+        start = (done + first) // cfg.stride
+        for idx, table, run in zip(sectors, tables, runs):
+            k, s = idx.shape
+            flat = run.reshape(k, -1)
+            np.matmul(table[:, :r * s], flat[:, :s, None], out=flat[:, s:(r + 1) * s, None])
+            run[:, 1:r + 1] += run[:, :1]
+            kept = run[:, first:r + 1:cfg.stride]
+            states[start:start + kept.shape[1], idx] = kept.transpose(1, 0, 2)
+            run[:, 0] = run[:, r]
 
 
 def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig) -> Trajectory:

@@ -187,20 +187,21 @@ class HermitianOperator:
         solver and has a float64 eigenbasis; a complex one, the complex
         Hermitian solver and a complex128 eigenbasis.  Each connected block of
         the nonzero pattern is decomposed apart, one stacked solver call per
-        block size (:func:`_block_eigh`).  The order comes from the eigenvalues
-        alone, and each column's gauge from its own block: a column is zero off
-        its block, whose rows ascend, so the block holds the column's first
-        largest entry.  The gauged blocks are then written once into the
-        eigenvector matrix, of the matrix's dtype, at their final columns.
-        Only runs of equal eigenvalues are ordered on the full columns, as for
-        a matrix that is one block.
+        block size of :attr:`sectors` (:func:`_block_eigh`), the one search for
+        the blocks that the linear flow reads too.  The order comes from the
+        eigenvalues alone, and each column's gauge from its own block: a
+        column is zero off its block, whose rows ascend, so the block holds the
+        column's first largest entry.  The gauged blocks are then written once
+        into the eigenvector matrix, of the matrix's dtype, at their final
+        columns.  Only runs of equal eigenvalues are ordered on the full
+        columns, as for a matrix that is one block.
         """
         m = self.matrix
         # Allocated before the solver's arrays: allocated after them, it raised
         # the peak resident memory of a process that decomposes n = 512 twice.
         vecs = np.empty(m.shape, dtype=m.dtype)
         try:
-            stacks = _block_eigh(m)
+            stacks = _block_eigh(m, self.sectors)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
         vals = np.concatenate([stack_vals.ravel() for _, stack_vals, _ in stacks])
@@ -230,6 +231,24 @@ class HermitianOperator:
         vals.setflags(write=False)  # made here, so SpectralData adopts both
         vecs.setflags(write=False)
         return SpectralData(vals, vecs, degenerate)
+
+    @functools.cached_property
+    def sectors(self) -> tuple[np.ndarray, ...]:
+        """The connected blocks of the nonzero pattern, found once: one read-only ``(k, s)``
+        index stack per block size ``s``, ascending in ``s``.
+
+        Row ``j`` of a stack holds one block's ascending indices, and a size's blocks follow
+        their lowest indices (:func:`_connected_blocks`).  Every function of the matrix keeps
+        them apart (the two parity sectors of an open Ising chain, say): the decomposition
+        solves them one stacked call per size, and the linear flow steps them so.  A matrix
+        that is one block has the one stack ``[arange(n)]``.
+        """
+        blocks = _connected_blocks(self.matrix)
+        stacks = tuple(np.stack([b for b in blocks if b.size == size])
+                       for size in sorted({b.size for b in blocks}))  # np.unique would import numpy.ma
+        for idx in stacks:
+            idx.setflags(write=False)
+        return stacks
 
 
 def _fix_gauge(vecs: np.ndarray) -> np.ndarray:
@@ -279,23 +298,23 @@ def _connected_blocks(m: np.ndarray) -> list[np.ndarray]:
     return np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
 
 
-def _block_eigh(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``np.linalg.eigh`` of ``m``, one block of :func:`_connected_blocks` at a time.
+def _sector_blocks(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The ``(k, s, s)`` stack of the blocks ``m[idx[j]][:, idx[j]]`` of one index stack of
+    :attr:`HermitianOperator.sectors`; a matrix that is one block is the view ``m[None]``."""
+    return m[None] if idx.shape[1] == m.shape[0] else m[idx[:, :, None], idx[:, None, :]]
 
-    The blocks of each size go to one stacked ``eigh`` call, ascending in size,
-    which returns ``(idx, eigenvalues, eigenvectors)``: row ``k`` of ``idx`` holds
-    block ``k``'s ascending row indices into ``m``, and entry ``k`` of the solver's
-    stacks its data for ``m[idx[k]][:, idx[k]]``.  A stacked call gives each block
-    the bits of its own call, and a matrix that is one block goes to ``eigh``
-    unchanged, so its data is that of ``eigh(m)``.
+
+def _block_eigh(m: np.ndarray, sectors) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``np.linalg.eigh`` of ``m``, one stacked call per index stack of ``sectors``.
+
+    ``sectors`` are the operator's :attr:`HermitianOperator.sectors`, ascending in
+    block size.  Each call returns ``(idx, eigenvalues, eigenvectors)``: row ``k`` of
+    ``idx`` holds block ``k``'s ascending row indices into ``m``, and entry ``k`` of
+    the solver's stacks its data for ``m[idx[k]][:, idx[k]]``.  A stacked call gives
+    each block the bits of its own call, and a matrix that is one block goes to
+    ``eigh`` unchanged, so its data is that of ``eigh(m)``.
     """
-    n = m.shape[0]
-    blocks = _connected_blocks(m)
-    stacks = []
-    for size in sorted({b.size for b in blocks}):  # np.unique would import numpy.ma
-        idx = np.stack([b for b in blocks if b.size == size])
-        stacks.append((idx, *np.linalg.eigh(m[None] if size == n else m[idx[:, :, None], idx[:, None, :]])))
-    return stacks
+    return [(idx, *np.linalg.eigh(_sector_blocks(m, idx))) for idx in sectors]
 
 
 @dataclass(frozen=True)

@@ -96,21 +96,24 @@ def random_unit_states(n: int, seed, count: int) -> np.ndarray:
 
     One seeding pass: the ``SeedSequence([seed, i])`` words of every row are hashed at once,
     each row's PCG64 ``(state, inc)`` is set by ``pcg64_set_seed``'s two LCG steps into one
-    reused generator, and each row is built and normalized as ``random_unit_state`` does it."""
+    reused generator, and each row is built and normalized as ``random_unit_state`` does it.
+    The normals of a row are drawn into one reused ``2n`` row and written as the parts of
+    its complex row, so the draw holds no buffer of its size but the result."""
     count = int(count)
     if count >= 1 << 32:  # each row index is one uint32 entropy word
         raise ValueError("count must be below 2**32")
     words = _seed_states(int(seed), count).tolist()
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
-    normals = np.empty((count, 2 * n))
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(normals, words):
+    normals = np.empty(2 * n)
+    states = np.empty((count, n), dtype=complex)
+    for out, (s_hi, s_lo, i_hi, i_lo) in zip(states, words):
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
-        generator.standard_normal(out=row)
-    states = normals[:, :n] + 1j * normals[:, n:]
+        generator.standard_normal(out=normals)
+        out.real, out.imag = normals[:n], normals[n:]  # the bits of g[:n] + 1j * g[n:]
     norms = np.sqrt([v.real.dot(v.real) + v.imag.dot(v.imag) for v in states])  # np.linalg.norm's sum
     states /= norms[:, None]
     states.setflags(write=False)

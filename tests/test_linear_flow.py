@@ -22,9 +22,11 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import symqm.dynamics
+import symqm.operators
 from symqm import (IntegratorConfig, ObservableFunction, SymplecticSpace, integrate, make_hermitian,
                    parse_operator_expr, trajectory_diagnostics)
 from symqm.errors import NonConvergenceError
+from symqm.operators import _BLOCK_ENTRIES, _ROW_BLOCK
 from symqm.sampling import random_hermitian, random_unit_state
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "symqm-hypothesis")
@@ -110,6 +112,34 @@ def _complex_increment(h, method, dt, hbar):
     q = np.linalg.solve(np.subtract(eye, a, out=eye), a)
     q *= 2.0
     return q
+
+
+def _real_increment(h, method, dt, hbar):
+    """``Q`` by the real formulas on one whole float64 matrix, with ``.flat`` diagonals."""
+    n = h.shape[0]
+    q = np.empty((n, n), dtype=complex)
+    if method == "rk4":
+        u = (dt / hbar) * h
+        u2 = u @ u
+        part = u2 / 6.0
+        part.flat[::n + 1] -= 1.0
+        q.imag = u @ part
+        np.divide(u2, 24.0, out=part)
+        part.flat[::n + 1] -= 0.5
+        q.real = u2 @ part
+        return q
+    m = (0.5 * dt / hbar) * h
+    square = m @ m
+    square.flat[::n + 1] += 1.0
+    y = np.linalg.solve(square, m)
+    np.multiply(m @ y, -2.0, out=q.real)
+    np.multiply(y, -2.0, out=q.imag)
+    return q
+
+
+def _whole_increment(h, method, dt, hbar):
+    """``Q`` of the whole matrix, by the formula of its dtype."""
+    return (_complex_increment if np.iscomplexobj(h) else _real_increment)(h, method, dt, hbar)
 
 
 def _symmetric(n, seed):
@@ -204,9 +234,10 @@ def test_divergent_step_raises_at_the_reference_step(hbar, options, max_iter):
     assert (err.value.step, err.value.iterations) == (ref.value.step, ref.value.iterations)
 
 
-def _at_reach(monkeypatch, reach, n):
-    """Let the step-power table of an ``n``-dimensional flow hold ``reach`` steps."""
-    monkeypatch.setattr(symqm.dynamics, "_BLOCK_ENTRIES", reach * n * n)
+def _at_reach(monkeypatch, reach, h):
+    """Let the step-power tables of a flow on ``h`` hold ``reach`` steps."""
+    entries = sum(idx.size * idx.shape[1] for idx in h.sectors)
+    monkeypatch.setattr(symqm.dynamics, "_BLOCK_ENTRIES", reach * entries)
 
 
 # 1 is the per-step recurrence; 7 divides neither 300 nor a block; 256 is a block.
@@ -237,10 +268,9 @@ def _empty_fast_mode():
 ])
 def test_run_boundaries_move_nothing(monkeypatch, flow, method, options):
     f, psi = flow()
-    n = psi.shape[0]
     runs = []
     for reach in REACHES:
-        _at_reach(monkeypatch, reach, n)
+        _at_reach(monkeypatch, reach, f.operator)
         runs.append(integrate(f, psi, IntegratorConfig(method, **options)))
     assert np.isfinite(runs[0].states).all()
     for traj in runs[1:]:
@@ -261,7 +291,7 @@ def test_run_boundaries_keep_the_divergent_step(monkeypatch, hbar, options, max_
     cfg = IntegratorConfig("midpoint", solver_max_iter=max_iter, **options)
     raised = set()
     for reach in REACHES:
-        _at_reach(monkeypatch, reach, 4)
+        _at_reach(monkeypatch, reach, h)
         with pytest.raises(NonConvergenceError) as err:
             integrate(_generic(h, f.space), psi, cfg)
         raised.add((err.value.step, err.value.iterations))
@@ -299,3 +329,177 @@ def test_long_flow_holds_its_states_once():
     # the norms a block at a time; a copy of each peaked at 2.05x, one norm over
     # all states at 1.80x.
     assert peak <= 1.25 * sum(arr.nbytes for arr in arrays)
+
+
+# The sector flow: each connected block of H's pattern stepped apart.
+
+
+def _pauli_operator(expr, q=3):
+    return make_hermitian(parse_operator_expr(expr).to_matrix(num_qubits=q))
+
+
+def _chain_operator(q, extra=""):
+    terms = [f"0.5*X{k}*X{k + 1}" for k in range(q - 1)] + [f"0.3*Z{k}" for k in range(q)]
+    return _pauli_operator(" + ".join(terms) + extra, q)
+
+
+def _interleaved_blocks(real):
+    """Dense random blocks of sizes 1, 3, 4, 3 and 1 on shuffled indices: groups of unequal sizes."""
+    rng = np.random.default_rng(33)
+    perm = rng.permutation(12)
+    m = np.zeros((12, 12), dtype=float if real else complex)
+    for idx in np.split(perm, [1, 4, 8, 11]):
+        g = rng.standard_normal((idx.size, idx.size))
+        if not real:
+            g = g + 1j * rng.standard_normal((idx.size, idx.size))
+        m[np.ix_(idx, idx)] = g + g.conj().T
+    return make_hermitian(m)
+
+
+def _growing():
+    """A slow 2 x 2 sector that RK4 grows by about 1.5 per step (dt * 1.5 = 3), and three
+    singleton sectors that the state never enters: a zero mode and two fast modes, whose
+    step powers overflow within a run."""
+    m = np.diag([1.0, 0.0, 100.0, 1.0, 80.0])
+    m[0, 3] = m[3, 0] = 0.5
+    return make_hermitian(m)
+
+
+SECTORED = {
+    "chain3": (lambda: _chain_operator(3), [(2, 4)]),
+    "chain9": (lambda: _chain_operator(9), [(2, 256)]),
+    "diagonal": (lambda: _pauli_operator("0.3*Z0 + 0.2*Z1 + 0.1*Z2"), [(8, 1)]),
+    "interleaved-real": (lambda: _interleaved_blocks(True), [(2, 1), (2, 3), (1, 4)]),
+    "interleaved-complex": (lambda: _interleaved_blocks(False), [(2, 1), (2, 3), (1, 4)]),
+    "Y0*I2": (lambda: _pauli_operator("Y0*I2"), [(4, 2)]),
+}
+
+
+def _recurrence(q, psi, steps, stride):
+    """The stored states of the whole-matrix recurrence ``psi + Q psi``, one step at a time."""
+    states = [psi]
+    for step in range(1, steps + 1):
+        psi = psi + q @ psi
+        if step % stride == 0:
+            states.append(psi)
+    return np.array(states)
+
+
+def _assert_rows_close(states, reference):
+    # Round-off of each stored row, relative to its own size (the growing flow reaches 1e50).
+    assert np.isfinite(reference).all()
+    scale = np.maximum(np.max(np.abs(reference), axis=1), 1.0)
+    assert np.max(np.abs(states - reference).max(axis=1) / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("method", ["cayley", "midpoint", "rk4"])
+@pytest.mark.parametrize("name", sorted(SECTORED))
+def test_sector_flow_matches_the_whole_matrix_recurrence(name, method, stride):
+    build, shapes = SECTORED[name]
+    h = build()
+    assert [idx.shape for idx in h.sectors] == shapes
+    n, hbar, dt = h.dim, 0.7, 0.05
+    f = ObservableFunction.expectation_of(h, SymplecticSpace(n, hbar=hbar))
+    psi = random_unit_state(n, 5, 1)
+    traj = integrate(f, psi, IntegratorConfig(method, dt, STEPS, stride=stride))
+    reference = _recurrence(_whole_increment(h.matrix, "rk4" if method == "rk4" else "cayley", dt, hbar),
+                            psi, STEPS, stride)
+    np.testing.assert_array_equal(traj.solver_iterations, 0)
+    _assert_rows_close(traj.states, reference)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_growing_sector_flow_cuts_its_tables(stride):
+    h = _growing()
+    assert [idx.shape for idx in h.sectors] == [(3, 1), (1, 2)]
+    dt, hbar = 2.0, 1.0
+    # The fast sectors' powers overflow well before a run of 256 steps.
+    fast = h.matrix[2:3, 2:3][None]
+    fast_q = symqm.dynamics._increment(fast, "rk4", dt, hbar)
+    assert symqm.dynamics._step_powers(fast_q, _ROW_BLOCK).shape[1] < 64
+    f = ObservableFunction.expectation_of(h, SymplecticSpace(5, hbar=hbar))
+    psi = np.array([0.6, 0.0, 0.0, 0.8, 0.0], dtype=complex)
+    traj = integrate(f, psi, IntegratorConfig("rk4", dt, STEPS, stride=stride))
+    reference = _recurrence(_whole_increment(h.matrix, "rk4", dt, hbar), psi, STEPS, stride)
+    assert np.max(np.abs(reference[-1])) > 1e40  # the flow grows
+    _assert_rows_close(traj.states, reference)
+
+
+def _whole_matrix_flow(h, method, dt, hbar, psi, steps, stride):
+    """The flow on the whole matrix: one 2-D ``Q``, one 2-D table of step powers within
+    ``_BLOCK_ENTRIES`` entries, and one ``np.dot`` per run."""
+    n = psi.shape[0]
+    q = _whole_increment(h, "rk4" if method == "rk4" else "cayley", dt, hbar)
+    reach = max(1, min(_ROW_BLOCK, _BLOCK_ENTRIES // n**2, steps))
+    table = q
+    if reach > 1:
+        table = np.empty((reach, n, n), dtype=complex)
+        table[0] = q
+        for previous, power in zip(table, table[1:]):
+            np.matmul(q, previous, out=power)
+            power += q
+            power += previous
+        table = table.reshape(-1, n)
+    states = np.empty((steps // stride + 1, n), dtype=complex)
+    states[0] = psi
+    run = np.empty((reach + 1, n), dtype=complex)
+    run[0] = psi
+    for done in range(0, steps, reach):
+        r = min(reach, steps - done)
+        np.dot(table[:r * n], run[0], out=run[1:r + 1].reshape(-1))
+        run[1:r + 1] += run[0]
+        first = stride - done % stride
+        kept = run[first:r + 1:stride]
+        states[(done + first) // stride:][:len(kept)] = kept
+        run[0] = run[r]
+    return states
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("method", ["cayley", "midpoint", "rk4"])
+@pytest.mark.parametrize("build", [lambda: _chain_operator(3, " + 0.2*Y0*Z1"), lambda: make_hermitian(random_hermitian(6, 4))],
+                         ids=["chain+Y0Z1", "random"])
+def test_one_sector_flow_keeps_the_whole_matrix_bits(build, method, stride):
+    h = build()
+    assert [idx.shape for idx in h.sectors] == [(1, h.dim)]
+    f = ObservableFunction.expectation_of(h, SymplecticSpace(h.dim, hbar=0.7))
+    psi = random_unit_state(h.dim, 9, 1)
+    traj = integrate(f, psi, IntegratorConfig(method, 0.05, STEPS, stride=stride))
+    whole = _whole_matrix_flow(h.matrix, method, 0.05, 0.7, psi, STEPS, stride)
+    np.testing.assert_array_equal(traj.states, whole)
+
+
+@pytest.mark.parametrize("decompose_first", [True, False])
+def test_decomposition_and_flow_share_one_search(monkeypatch, decompose_first):
+    calls = []
+    search = symqm.operators._connected_blocks
+
+    def counted(m):
+        calls.append(m.shape)
+        return search(m)
+
+    monkeypatch.setattr(symqm.operators, "_connected_blocks", counted)
+    h = _chain_operator(4)
+    f = ObservableFunction.expectation_of(h, SymplecticSpace(16))
+    steps = [lambda: symqm.spectral_decompose(h),
+             lambda: integrate(f, random_unit_state(16, 1, 1), IntegratorConfig("cayley", 0.05, 10))]
+    for step in steps if decompose_first else steps[::-1]:
+        step()
+        assert calls == [(16, 16)]  # the first one searches, the second reads its blocks
+
+
+def test_sector_flow_peak_memory():
+    h = _chain_operator(9)
+    n = h.dim
+    f = ObservableFunction.expectation_of(h, SymplecticSpace(n))
+    psi = np.ones(n) / np.sqrt(n)
+    tracemalloc.start()
+    try:
+        integrate(f, psi, IntegratorConfig("cayley", 1e-3, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The increment and its temporaries per parity sector of 256: 1.53x of a complex
+    # n x n matrix; the whole-matrix increment peaked at 2.52x.
+    assert peak <= 1.75 * n * n * 16
