@@ -185,9 +185,9 @@ def _rk4_step(field, psi, dt):
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
-    """The writable view of the diagonal of every matrix of a C-ordered ``(..., s, s)`` stack."""
-    s = a.shape[-1]
-    return a.reshape(a.shape[:-2] + (s * s,))[..., ::s + 1]
+    """The writable view of the diagonal of every matrix of a ``(..., s, s)`` stack, in any
+    memory order (a reshape of a stack that is not C-ordered would be a copy)."""
+    return np.einsum("...ii->...i", a)
 
 
 def _step_powers(q: np.ndarray, reach: int) -> np.ndarray:
@@ -242,7 +242,7 @@ def _increment(h: np.ndarray, method: str, dt: float, hbar: float) -> np.ndarray
             eye = np.eye(h.shape[-1], dtype=complex)
             a *= 2.0  # dt K
             return a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
-        lhs = np.zeros_like(a)
+        lhs = np.zeros(a.shape, dtype=complex)
         _diagonal(lhs)[...] = 1.0
         q = np.linalg.solve(np.subtract(lhs, a, out=lhs), a)  # (I - A) X = A, I - A in place
         q *= 2.0  # Q = 2X, doubled exactly

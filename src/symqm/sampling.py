@@ -39,6 +39,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# Floats in a draw's reused block of normals (32 KiB): 4 rows at n = 512, 128 at n = 16.
+_DRAW_ENTRIES = 2**12
 
 
 def _uint32_words(value: int) -> list:
@@ -97,23 +99,26 @@ def random_unit_states(n: int, seed, count: int) -> np.ndarray:
     One seeding pass: the ``SeedSequence([seed, i])`` words of every row are hashed at once,
     each row's PCG64 ``(state, inc)`` is set by ``pcg64_set_seed``'s two LCG steps into one
     reused generator, and each row is built and normalized as ``random_unit_state`` does it.
-    The normals of a row are drawn into one reused ``2n`` row and written as the parts of
-    its complex row, so the draw holds no buffer of its size but the result."""
+    The normals are drawn a block of rows at a time into one reused buffer of at most
+    ``_DRAW_ENTRIES`` floats, so the draw holds no buffer of its size but the result."""
     count = int(count)
     if count >= 1 << 32:  # each row index is one uint32 entropy word
         raise ValueError("count must be below 2**32")
     words = _seed_states(int(seed), count).tolist()
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
-    normals = np.empty(2 * n)
+    rows = max(1, _DRAW_ENTRIES // (2 * n))
+    block = np.empty((min(rows, count), 2 * n))
     states = np.empty((count, n), dtype=complex)
-    for out, (s_hi, s_lo, i_hi, i_lo) in zip(states, words):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        generator.standard_normal(out=normals)
-        out.real, out.imag = normals[:n], normals[n:]  # the bits of g[:n] + 1j * g[n:]
+    for start in range(0, count, rows):
+        g = block[:count - start]
+        for row, (s_hi, s_lo, i_hi, i_lo) in zip(g, words[start:start + rows]):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            generator.standard_normal(out=row)
+        np.add(g[:, :n], 1j * g[:, n:], out=states[start:start + len(g)])
     norms = np.sqrt([v.real.dot(v.real) + v.imag.dot(v.imag) for v in states])  # np.linalg.norm's sum
     states /= norms[:, None]
     states.setflags(write=False)

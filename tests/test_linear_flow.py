@@ -356,6 +356,15 @@ def _interleaved_blocks(real):
     return make_hermitian(m)
 
 
+def _transposed(real):
+    """A one-block operator that adopts, without a copy, the read-only F-ordered transpose
+    of another's matrix: a stack of its blocks is not C-ordered."""
+    g = random_hermitian(6, 4)
+    h = make_hermitian(make_hermitian(g.real if real else g).matrix.T)
+    assert h.matrix.flags.f_contiguous and not h.matrix.flags.c_contiguous
+    return h
+
+
 def _growing():
     """A slow 2 x 2 sector that RK4 grows by about 1.5 per step (dt * 1.5 = 3), and three
     singleton sectors that the state never enters: a zero mode and two fast modes, whose
@@ -372,6 +381,8 @@ SECTORED = {
     "interleaved-real": (lambda: _interleaved_blocks(True), [(2, 1), (2, 3), (1, 4)]),
     "interleaved-complex": (lambda: _interleaved_blocks(False), [(2, 1), (2, 3), (1, 4)]),
     "Y0*I2": (lambda: _pauli_operator("Y0*I2"), [(4, 2)]),
+    "transposed-real": (lambda: _transposed(True), [(1, 6)]),
+    "transposed-complex": (lambda: _transposed(False), [(1, 6)]),
 }
 
 
@@ -458,8 +469,9 @@ def _whole_matrix_flow(h, method, dt, hbar, psi, steps, stride):
 
 @pytest.mark.parametrize("stride", [1, 3])
 @pytest.mark.parametrize("method", ["cayley", "midpoint", "rk4"])
-@pytest.mark.parametrize("build", [lambda: _chain_operator(3, " + 0.2*Y0*Z1"), lambda: make_hermitian(random_hermitian(6, 4))],
-                         ids=["chain+Y0Z1", "random"])
+@pytest.mark.parametrize("build", [lambda: _chain_operator(3, " + 0.2*Y0*Z1"), lambda: make_hermitian(random_hermitian(6, 4)),
+                                   lambda: _transposed(False)],
+                         ids=["chain+Y0Z1", "random", "transposed"])
 def test_one_sector_flow_keeps_the_whole_matrix_bits(build, method, stride):
     h = build()
     assert [idx.shape for idx in h.sectors] == [(1, h.dim)]
