@@ -45,7 +45,6 @@ from .dynamics import (
 from .quantum_function import (
     QuantumFunction,
     RowwiseMap,
-    AxiomTolerances,
     AxiomReport,
     ReconstructionReport,
     from_operator,

@@ -1,7 +1,9 @@
 """Command-line drivers: verify | evolve | bracket | reconstruct.
 
 Each command loads a scenario file, runs its checks (writing a CSV
-trajectory where applicable) and returns its report; ``_run`` writes every
+trajectory where applicable) and returns its report.  The library only
+measures residuals; ``_judge`` decides every verdict, each against the
+scenario's tolerance (see ``DEFAULT_TOLERANCES``).  ``_run`` writes every
 deterministic JSON report into the output directory and exits 0 when every
 residual is within tolerance, 1 on failed checks, 2 on usage or configuration errors.
 """
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,6 @@ from .dynamics import integrate, phase_residuals, spectral_deviation, trajectory
 from .errors import ScenarioError, SymqmError, _count, _positive
 from .operators import spectral_decompose
 from .quantum_function import (
-    AxiomTolerances,
     RowwiseMap,
     from_operator,
     qfe_residual,
@@ -54,31 +55,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(quiet: bool, name: str, value: float, tol: float, ok: bool) -> None:
-    if not quiet:
-        print(f"{name}: residual={value:.6e} tol={tol:.3e} {'PASS' if ok else 'FAIL'}")
-
-
-def _judge(quiet: bool, prefix: str, measured: dict) -> dict:
-    """``residual <= tol`` for each ``name: (residual, tol)``, printing one line each."""
+def _judge(quiet: bool, label: str, measured: dict) -> dict:
+    """Every verdict of the CLI: ``residual <= tol`` for each ``name: (residual, tol)``, so a
+    NaN residual fails, printing one line each under ``label.format(name)``."""
     checks = {}
     for name, (value, tol) in measured.items():
-        checks[name] = value <= tol
-        _emit(quiet, f"{prefix}.{name}", value, tol, checks[name])
+        checks[name] = ok = value <= tol
+        if not quiet:
+            print(f"{label.format(name)}: residual={value:.6e} tol={tol:.3e} {'PASS' if ok else 'FAIL'}")
     return checks
-
-
-def _axiom_tolerances(scenario: Scenario) -> AxiomTolerances:
-    return AxiomTolerances(**{field.name: scenario.tolerance(f"axiom_{field.name}")
-                              for field in fields(AxiomTolerances)})
 
 
 def _bracket_section(scenario: Scenario, quiet: bool) -> dict:
     report = bracket_commutator_report(scenario.operator, scenario.second_operator, scenario.space,
                                        scenario.samples, scenario.seed)
-    fd_tol = scenario.tolerance("bracket_finite_difference") * report.scale
-    checks = _judge(quiet, "bracket_commutator", {
-        "analytic": (report.analytic_max, scenario.tolerance("bracket_analytic") * report.scale),
+    fd_tol = scenario.tolerances["bracket_finite_difference"] * report.scale
+    checks = _judge(quiet, "bracket_commutator.{}", {
+        "analytic": (report.analytic_max, scenario.tolerances["bracket_analytic"] * report.scale),
         "finite_difference": (report.finite_difference_max, fd_tol),
         "field_check": (report.field_check_max, fd_tol),
     })
@@ -99,15 +92,19 @@ def _nonfinite_state(traj, quiet: bool) -> dict:
 
 
 def _cmd_verify(scenario: Scenario, paths: dict, quiet: bool) -> dict:
-    qf = from_operator(scenario.operator, scenario.space)
-    axioms = verify_axioms(qf, scenario.samples, scenario.seed,
-                           _axiom_tolerances(scenario))
-    _judge(quiet, "axiom", {name: (getattr(axioms, name), tol)
-                            for name, tol in asdict(axioms.tolerances).items()})
-    report = {"axioms": axioms.as_dict(), "passed": axioms.passed}
+    axioms = asdict(verify_axioms(from_operator(scenario.operator, scenario.space),
+                                  scenario.samples, scenario.seed))
+    tolerances = {name.removeprefix("axiom_"): tol for name, tol in scenario.tolerances.items()
+                  if name.startswith("axiom_")}
+    residuals = {name: axioms.pop(name) for name in tolerances}
+    checks = _judge(quiet, "axiom.{}", {name: (residuals[name], tol) for name, tol in tolerances.items()})
+    passed = all(checks.values())
+    report = {"axioms": {"residuals": residuals, "tolerances": tolerances, "checks": checks,
+                         **axioms, "passed": passed},
+              "passed": passed}
     if scenario.second_operator is not None:
         report["bracket_commutator"] = _bracket_section(scenario, quiet)
-        report["passed"] = axioms.passed and report["bracket_commutator"]["passed"]
+        report["passed"] = passed and report["bracket_commutator"]["passed"]
     return report
 
 
@@ -132,9 +129,9 @@ def _cmd_evolve(scenario: Scenario, paths: dict, quiet: bool) -> dict:
                                 traj.times, hbar)
     worst_phase = float(np.max(residuals))
 
-    checks = _judge(quiet, "evolve", {
-        "deviation_from_exact": (deviation, scenario.tolerance("evolve_deviation")),
-        "phase_evolution": (worst_phase, scenario.tolerance("evolve_phase")),
+    checks = _judge(quiet, "evolve.{}", {
+        "deviation_from_exact": (deviation, scenario.tolerances["evolve_deviation"]),
+        "phase_evolution": (worst_phase, scenario.tolerances["evolve_phase"]),
     })
 
     write_trajectory_csv(traj, paths["trajectory"])
@@ -172,9 +169,9 @@ def _cmd_reconstruct(scenario: Scenario, paths: dict, quiet: bool) -> dict:
                        seed=scenario.seed)
 
     # qf comes from an operator, so the analytic flow residual is never None.
-    tol_an = scenario.tolerance("reconstruction_analytic")
-    tol_fd = scenario.tolerance("reconstruction_finite_difference")
-    checks = _judge(quiet, "reconstruction", {
+    tol_an = scenario.tolerances["reconstruction_analytic"]
+    tol_fd = scenario.tolerances["reconstruction_finite_difference"]
+    checks = _judge(quiet, "reconstruction.{}", {
         "flow_equation_analytic": (rec.flow_equation_residual_analytic, tol_an),
         "flow_equation_finite_difference": (rec.flow_equation_residual_fd, tol_fd),
         "field_check": (rec.field_check_residual, tol_fd),
@@ -182,10 +179,9 @@ def _cmd_reconstruct(scenario: Scenario, paths: dict, quiet: bool) -> dict:
         "norm": (rec.norm_residual, tol_an),
         "stationary": (rec.stationary_residual, tol_an),
         "intertwining": (rec.intertwining_residual,
-                         scenario.tolerance("reconstruction_intertwining")),
+                         scenario.tolerances["reconstruction_intertwining"]),
     })
-    checks["qfe"] = qfe <= scenario.tolerance("qfe")
-    _emit(quiet, f"qfe[{scenario.phi_map}]", qfe, scenario.tolerance("qfe"), checks["qfe"])
+    checks.update(_judge(quiet, f"qfe[{scenario.phi_map}]", {"qfe": (qfe, scenario.tolerances["qfe"])}))
 
     return {
         "reconstruction": asdict(rec),

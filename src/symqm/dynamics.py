@@ -203,7 +203,8 @@ def _step_powers(q: np.ndarray, reach: int) -> np.ndarray:
     The tables end before their first power that is not finite in any sector.  A mode the
     state never enters may grow without bound (RK4 on a large eigenvalue), and ``0 * inf``
     would then make every increment NaN though the per-step recurrence keeps that mode at
-    0; a shorter table only makes shorter runs.
+    0; a shorter table only makes shorter runs.  ``Q`` itself stays where it is not finite
+    (a large ``dt * |H| / hbar``): runs of one step, whose states show the overflow.
     """
     if reach == 1:
         return q
@@ -218,7 +219,7 @@ def _step_powers(q: np.ndarray, reach: int) -> np.ndarray:
             power += previous
             table[:, j] = power
     if not np.isfinite(table[:, -1]).all():  # a sum with a non-finite term stays non-finite
-        reach = int(np.argmin(np.isfinite(table).all(axis=(0, 2, 3))))
+        reach = max(1, int(np.argmin(np.isfinite(table).all(axis=(0, 2, 3)))))
     return table[:, :reach].reshape(k, reach * s, s)
 
 

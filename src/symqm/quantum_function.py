@@ -17,15 +17,16 @@ the coordinates over the rows of a matrix of states, in one call:
 :func:`verify_axioms` and :func:`verify_reconstruction` measure the
 residuals through one core, a matrix of seeded unit states, drawn once,
 with its quantum coordinates and value residuals; each report reduces them
-its own way.  The reconstruction map (:func:`reconstruction_map`, a
-:class:`RowwiseMap` of the coordinates) sends phase-space points back to a
-Hilbert-space picture, and the residual of the quantum-function equation
-``i*hbar*{<Phi|A|Phi>, Phi} = A Phi`` tests arbitrary candidate maps ``Phi``.
+its own way, and neither judges them.  The reconstruction map
+(:func:`reconstruction_map`, a :class:`RowwiseMap` of the coordinates) sends
+phase-space points back to a Hilbert-space picture, and the residual of the
+quantum-function equation ``i*hbar*{<Phi|A|Phi>, Phi} = A Phi`` tests
+arbitrary candidate maps ``Phi``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -59,7 +60,6 @@ from .spaces import SymplecticSpace, _as_complex_vector, _frozen, hermitian_inne
 __all__ = [
     "QuantumFunction",
     "RowwiseMap",
-    "AxiomTolerances",
     "AxiomReport",
     "ReconstructionReport",
     "from_operator",
@@ -150,24 +150,9 @@ def from_operator(a: HermitianOperator, space: SymplecticSpace) -> QuantumFuncti
 
 
 @dataclass(frozen=True)
-class AxiomTolerances:
-    """Per-axiom residual tolerances."""
-
-    decomposition: float = 1e-10
-    bracket: float = 1e-10
-    normalization: float = 1e-10
-    stationary_delta: float = 1e-10
-    stationary_value: float = 1e-10
-
-    @classmethod
-    def finite_difference(cls) -> "AxiomTolerances":
-        """Looser defaults for quantum functions checked with numeric brackets."""
-        return cls(1e-5, 1e-5, 1e-5, 1e-5, 1e-5)
-
-
-@dataclass(frozen=True)
 class AxiomReport:
-    """Residuals of the quantum-function axioms over sampled states."""
+    """Residuals of the quantum-function axioms over sampled states, measured and not
+    judged: the CLI holds them against the scenario's ``axiom_*`` tolerances."""
 
     decomposition: float
     bracket: float
@@ -178,27 +163,6 @@ class AxiomReport:
     seed: int
     method: str
     degenerate_flag: bool
-    tolerances: AxiomTolerances
-
-    def checks(self) -> dict:
-        """Residual vs tolerance verdict per axiom."""
-        return {name: getattr(self, name) <= tol for name, tol in asdict(self.tolerances).items()}
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks().values())
-
-    def as_dict(self) -> dict:
-        return {
-            "residuals": {name: getattr(self, name) for name in asdict(self.tolerances)},
-            "tolerances": asdict(self.tolerances),
-            "checks": self.checks(),
-            "samples": self.samples,
-            "seed": self.seed,
-            "method": self.method,
-            "degenerate_flag": self.degenerate_flag,
-            "passed": self.passed,
-        }
 
 
 def _coordinate_rows(qf: QuantumFunction, states: np.ndarray) -> np.ndarray:
@@ -241,7 +205,6 @@ def _stationary_blocks(qf: QuantumFunction):
 
 
 def verify_axioms(qf: QuantumFunction, samples: int, seed: int,
-                  tol: AxiomTolerances | None = None,
                   method: str = "auto") -> AxiomReport:
     """Measure the four axiom residuals on seeded random unit states.
 
@@ -252,12 +215,10 @@ def verify_axioms(qf: QuantumFunction, samples: int, seed: int,
     residuals come from the core shared with :func:`verify_reconstruction`;
     every ``i*hbar*{f, u_n}`` is compared with ``a_n u_n``, the analytic
     ones (``X_f(psi) = -(i/hbar) A psi``) as products over all samples.
-    This report reduces by max-abs, normalization as ``|sum_n |u_n|^2 - 1|``.
-    A NaN residual fails.
+    This report reduces by max-abs, normalization as ``|sum_n |u_n|^2 - 1|``;
+    a residual that is NaN stays NaN.  It holds no verdict.
     """
     analytic = _use_closed_form(method, qf.operator_backed)
-    if tol is None:
-        tol = AxiomTolerances() if analytic else AxiomTolerances.finite_difference()
 
     states, coords, value = _sampled_rows(qf, samples, seed)
     stationary_delta = stationary_value = 0.0
@@ -276,7 +237,6 @@ def verify_axioms(qf: QuantumFunction, samples: int, seed: int,
         seed=int(seed),
         method="analytic" if analytic else "finite_difference",
         degenerate_flag=qf.degenerate_flag,
-        tolerances=tol,
     )
 
 

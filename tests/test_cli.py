@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symqm.cli import main
+from symqm.cli import _judge, main
 from symqm.sampling import random_unit_states
+from symqm.scenario import DEFAULT_TOLERANCES
 
 
 def _scenario(tmp_path, extra=None, name="scenario.json"):
@@ -56,6 +58,58 @@ def test_verify_unreachable_tolerance_fails(tmp_path):
     assert _run("verify", scenario, tmp_path / "out", "--tol-scale", "1e-10") == 1
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
     assert report["passed"] is False
+
+
+# The check lines of each command, in order: label, tol= text and verdict.
+_CHECK_LINES = {
+    "verify": [(f"axiom.{name}", "1.000e-10", "PASS") for name in
+               ("decomposition", "bracket", "normalization", "stationary_delta", "stationary_value")]
+    + [("bracket_commutator.analytic", "1.781e-09", "PASS"),
+       ("bracket_commutator.finite_difference", "1.781e-05", "PASS"),
+       ("bracket_commutator.field_check", "1.781e-05", "PASS")],
+    "evolve": [("evolve.deviation_from_exact", "1.000e-05", "PASS"),
+               ("evolve.phase_evolution", "1.000e-05", "PASS")],
+    "reconstruct": [(f"reconstruction.{name}", tol, "PASS") for name, tol in (
+        ("flow_equation_analytic", "1.000e-10"), ("flow_equation_finite_difference", "1.000e-05"),
+        ("field_check", "1.000e-05"), ("value", "1.000e-10"), ("norm", "1.000e-10"),
+        ("stationary", "1.000e-10"), ("intertwining", "1.000e-05"))]
+    + [("qfe[constant]", "1.000e-05", "FAIL")],
+}
+_CHECK_LINES["bracket"] = _CHECK_LINES["verify"][5:]
+
+
+@pytest.mark.parametrize("command", sorted(_CHECK_LINES))
+def test_check_lines_name_each_verdict(tmp_path, capsys, command):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"operator": "0.5*X0*X1 + 0.3*Z0 + 0.3*Z1", "second_operator": "Y0*I1",
+                                    "phi_map": "constant", "samples": 10}))
+    expected = _CHECK_LINES[command]
+    passed = all(verdict == "PASS" for _, _, verdict in expected)
+    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == (0 if passed else 1)
+    lines = capsys.readouterr().out.splitlines()
+    pattern = re.compile(r"(\S+): residual=\S+ tol=(\S+) (PASS|FAIL)")
+    assert [pattern.fullmatch(line).groups() for line in lines[:-1]] == expected
+    assert lines[-1] == ("OK" if passed else "FAILED")
+
+
+def test_axiom_section_judges_the_scaled_tolerances(tmp_path):
+    # Z0's bracket residual is exactly 0; the chain's is round-off, above 1e-30.
+    scenario = _scenario(tmp_path, {"operator": "0.5*X0*X1 + 0.3*Z0 + 0.3*Z1",
+                                    "tolerances": {"axiom_bracket": 1e-30}})
+    assert _run("verify", scenario, tmp_path / "out", "--tol-scale", "1.5") == 1
+    axioms = json.loads((tmp_path / "out" / "verify_report.json").read_text())["axioms"]
+    defaults = {**DEFAULT_TOLERANCES, "axiom_bracket": 1e-30}
+    assert axioms["tolerances"] == {name.removeprefix("axiom_"): tol * 1.5
+                                    for name, tol in defaults.items() if name.startswith("axiom_")}
+    assert axioms["checks"] == {name: residual <= axioms["tolerances"][name]
+                                for name, residual in axioms["residuals"].items()}
+    assert axioms["checks"]["bracket"] is False and axioms["passed"] is False
+
+
+def test_judge_fails_a_nan_residual(capsys):
+    assert _judge(False, "x.{}", {"a": (np.nan, 1.0), "b": (0.5, 1.0)}) == {"a": False, "b": True}
+    assert capsys.readouterr().out == ("x.a: residual=nan tol=1.000e+00 FAIL\n"
+                                       "x.b: residual=5.000000e-01 tol=1.000e+00 PASS\n")
 
 
 def test_bracket_requires_second_operator(tmp_path):
@@ -167,6 +221,21 @@ def test_overflowing_flow_warns_nothing_and_names_the_row(tmp_path, command):
     report = json.loads((tmp_path / "out" / f"{command}_report.json").read_text())
     # The norm column overflows to inf first (row 186); the state itself at row 372.
     assert report["first_nonfinite_state"] == {"row": 372, "t": 1860}
+
+
+@pytest.mark.parametrize("command", ["evolve", "reconstruct"])
+@pytest.mark.parametrize("extra", [{"operator": "1e100*X0"}, {"operator": "Z0", "hbar": 1e-300}])
+def test_overflowing_first_step_fails_with_a_report(tmp_path, command, extra):
+    # RK4's one-step increment Q overflows at this dt * |H| / hbar; its table of step
+    # powers was cut to 0 powers, and both commands ended in a range() traceback.
+    scenario = _scenario(tmp_path, {**extra, "integrator": {"method": "rk4", "dt": 0.001, "steps": 10}})
+    out = _run_in_subprocess(command, scenario, tmp_path / "out")
+    assert out.returncode == 1
+    assert out.stderr == ""
+    assert "FAILED" in out.stdout
+    report = json.loads((tmp_path / "out" / f"{command}_report.json").read_text())
+    assert report["passed"] is False
+    assert report["first_nonfinite_state"] == {"row": 1, "t": 0.001}
 
 
 @pytest.mark.parametrize("command", ["evolve", "reconstruct"])

@@ -115,8 +115,8 @@ def test_tolerance_overrides(tmp_path):
     sc = load_scenario(_write(tmp_path, {
         "operator": "Z0", "tolerances": {"axiom_bracket": 1e-8},
     }))
-    assert sc.tolerance("axiom_bracket") == 1e-8
-    assert sc.tolerance("qfe") == DEFAULT_TOLERANCES["qfe"]
+    assert sc.tolerances["axiom_bracket"] == 1e-8
+    assert sc.tolerances["qfe"] == DEFAULT_TOLERANCES["qfe"]
 
     with pytest.raises(ScenarioError, match="tolerances"):
         load_scenario(_write(tmp_path, {"operator": "Z0", "tolerances": {"bogus": 1e-3}}))
