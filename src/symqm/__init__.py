@@ -37,9 +37,8 @@ from .dynamics import (
     Trajectory,
     TrajectoryDiagnostics,
     integrate,
-    phase_residuals,
     phase_evolution_residual,
-    spectral_deviation,
+    spectral_residuals,
     trajectory_diagnostics,
 )
 from .quantum_function import (

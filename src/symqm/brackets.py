@@ -118,7 +118,8 @@ class ComplexFunction:
         if (self.vector is None) == (self.func is None):
             raise ValueError("exactly one of vector= or func= must be given")
         if self.vector is not None:  # kept float64 if real, as a column of a real eigenbasis
-            v = self.space.check_dim(_frozen(self.vector, None), "coordinate vector")
+            v = _frozen(self.vector, None)
+            self.space.check_dim(v, "coordinate vector")
             object.__setattr__(self, "vector", v)
 
     @classmethod

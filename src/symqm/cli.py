@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .brackets import ObservableFunction, bracket_commutator_report
-from .dynamics import integrate, phase_residuals, spectral_deviation, trajectory_diagnostics
+from .dynamics import integrate, spectral_residuals, trajectory_diagnostics
 from .errors import ScenarioError, SymqmError, _count, _positive
 from .operators import spectral_decompose
 from .quantum_function import (
@@ -122,11 +122,8 @@ def _cmd_evolve(scenario: Scenario, paths: dict, quiet: bool) -> dict:
     f = ObservableFunction.expectation_of(scenario.operator, scenario.space)
     traj = integrate(f, scenario.initial_state, scenario.integrator)
 
-    hbar = scenario.space.hbar
-    deviation = spectral_deviation(traj, spectral, hbar)
+    deviation, residuals = spectral_residuals(traj, spectral, scenario.space.hbar)
     diagnostics = trajectory_diagnostics(traj)
-    residuals = phase_residuals(traj.states, spectral.eigenvectors, spectral.eigenvalues,
-                                traj.times, hbar)
     worst_phase = float(np.max(residuals))
 
     checks = _judge(quiet, "evolve.{}", {

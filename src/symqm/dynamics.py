@@ -27,6 +27,9 @@ float64 ``H`` builds it from real solves and products, and only ``Q`` itself
 is complex; a complex ``H`` builds it in complex arithmetic.  Generic
 observables keep the per-step fixed-point and RK4 loops; ``solver_tol`` and
 ``solver_max_iter`` govern only that fixed-point loop.
+
+A trajectory meets its spectral reference in one pass of ``operators._spectral_drift``,
+which :func:`spectral_residuals` and :func:`phase_evolution_residual` reduce.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import (ComplexFunction, ObservableFunction, _complex_values, _observable_values,
+from .brackets import (ComplexFunction, ObservableFunction, _complex_values, _largest, _observable_values,
                        hamiltonian_vector_field)
 from .errors import (
     DimensionMismatchError,
@@ -50,6 +53,7 @@ from .operators import (
     _ROW_BLOCK,
     SpectralData,
     _coordinates,
+    _product,
     _row_blocks,
     _sector_blocks,
     _spectral_drift,
@@ -62,9 +66,8 @@ __all__ = [
     "Trajectory",
     "TrajectoryDiagnostics",
     "integrate",
-    "phase_residuals",
     "phase_evolution_residual",
-    "spectral_deviation",
+    "spectral_residuals",
     "trajectory_diagnostics",
 ]
 
@@ -383,54 +386,43 @@ def integrate(f: ObservableFunction, xi0, cfg: IntegratorConfig) -> Trajectory:
     )
 
 
-def phase_residuals(states, basis, eigenvalues, times, hbar: float) -> np.ndarray:
-    """Phase-evolution residual of every eigen-coordinate along a trajectory.
-
-    The coordinates are ``C = states @ basis.conj()``, so ``C[k, n]`` is
-    ``u_n(xi(t_k)) = <phi_n|xi(t_k)>`` for the columns ``phi_n`` of
-    ``basis``.  Returns, for every ``n``,
-    ``max_k |u_n(xi(t_k)) - exp(-i a_n (t_k - t_0) / hbar) u_n(xi(t_0))|``,
-    the column maxima of the drift of ``operators._spectral_drift``; a NaN
-    coordinate makes its residual NaN.
-    """
-    v = np.asarray(basis)
-    residuals = np.zeros(v.shape[1])
-    for drift in _spectral_drift(lambda block: _coordinates(block, v),
-                                 np.asarray(states, dtype=complex), eigenvalues, times, hbar):
-        residuals = np.maximum(residuals, np.max(np.abs(drift), axis=0))
-    return residuals
-
-
 def phase_evolution_residual(u: ComplexFunction, a: float, traj: Trajectory) -> float:
     """Max deviation of ``u`` along the trajectory from pure phase rotation.
 
     Measures ``max_k |u(xi(t_k)) - exp(-i a (t_k - t_0) / hbar) u(xi(t_0))|``
     with ``hbar`` of ``u.space``, which vanishes when ``i*hbar*{f, u} = a u``
     holds along the flow of ``f`` and grows to order one when ``a`` is
-    wrong.  This is :func:`phase_residuals` for the one coordinate ``u``: a
-    coordinate functional ``u = <phi|.>`` is evaluated on all stored steps
+    wrong.  The values of ``u`` are the one coordinate of a pass of
+    ``operators._spectral_drift``, reduced as in :func:`spectral_residuals`:
+    a coordinate functional ``u = <phi|.>`` is evaluated on all stored steps
     by one product, a generic ``u`` by one call per step.
     """
     u.space.check_dim(traj.states[0], "state")
-    # The values of u are their own coordinates in the one-vector basis (1).
     values = _complex_values(u, traj.states)[:, None]
-    return float(phase_residuals(values, np.ones((1, 1)), [a], traj.times, u.space.hbar)[0])
+    residual = 0.0
+    for _, coords, exact in _spectral_drift(lambda block: block, values, [a], traj.times, u.space.hbar):
+        residual = np.maximum(residual, _largest(np.abs(coords - exact)))
+    return float(residual)
 
 
-def spectral_deviation(traj: Trajectory, spectral: SpectralData, hbar: float) -> float:
-    """Max distance of the stored states from the spectral solution.
+def spectral_residuals(traj: Trajectory, spectral: SpectralData, hbar: float) -> tuple[float, np.ndarray]:
+    """The trajectory against the spectral solution of the eigenpairs ``(a, V)`` of ``spectral``,
+    in one pass of ``operators._spectral_drift``: ``(deviation, residuals)``.
 
-    Returns ``max_k ||xi(t_k) - V exp(-i a (t_k - t_0) / hbar) V^H xi(t_0)||``
-    for the eigenpairs ``(a, V)`` of ``spectral``, propagating one block of
-    stored steps at a time.
+    With ``C = xi V^*`` the eigen-coordinates of the stored states and
+    ``E = exp(-i a (t - t_0) / hbar) C_0`` their spectral evolution, ``residuals[n]`` is the
+    phase-evolution residual ``max_k |C[k, n] - E[k, n]|`` of eigen-coordinate ``n``, and
+    ``deviation`` is ``max_k ||xi(t_k) - V E_k||``, measured in state space, so that it also
+    tests the eigenvectors.  A NaN state makes both NaN.
     """
-    elapsed = traj.times - traj.times[0]
-    deviation = 0.0
-    for rows in _row_blocks(len(traj), traj.dim):
-        exact = spectral.propagate(traj.states[0], elapsed[rows], hbar)
-        gaps = np.linalg.norm(traj.states[rows] - exact, axis=1)
-        deviation = float(np.maximum(deviation, np.max(gaps)))
-    return deviation
+    v = spectral.eigenvectors
+    deviation, residuals = 0.0, np.zeros(v.shape[1])
+    for rows, coords, exact in _spectral_drift(lambda block: _coordinates(block, v), traj.states,
+                                               spectral.eigenvalues, traj.times, hbar):
+        residuals = np.maximum(residuals, np.max(np.abs(coords - exact), axis=0))
+        gaps = np.linalg.norm(traj.states[rows] - _product(exact, v.T), axis=1)
+        deviation = np.maximum(deviation, np.max(gaps))
+    return float(deviation), residuals
 
 
 def trajectory_diagnostics(traj: Trajectory) -> TrajectoryDiagnostics:

@@ -107,16 +107,17 @@ def _evolved_coefficients(coeffs, eigenvalues, elapsed, hbar: float) -> np.ndarr
 
 
 def _spectral_drift(coordinates, states: np.ndarray, eigenvalues, times, hbar: float):
-    """Yield ``C - exp(-i a (t - t_0) / hbar) C_0`` per block of :func:`_row_blocks` of ``states``,
-    ``C = coordinates(block)`` their eigen-coordinates; ``C_0``, row 0 of the first
-    block's product, cancels the ``t_0`` row exactly, and a NaN coordinate stays NaN."""
+    """The one place a trajectory meets its spectral reference: yield ``(rows, C, E)`` per block of
+    :func:`_row_blocks` of ``states``, ``C = coordinates(states[rows])`` and
+    ``E = exp(-i a (t - t_0) / hbar) C_0``; ``C_0``, row 0 of the first block's product, makes
+    ``C - E`` vanish exactly at ``t_0``, and a NaN coordinate stays NaN."""
     elapsed = np.asarray(times, dtype=float) - float(times[0])
     c0 = None
     for rows in _row_blocks(states.shape[0], max(states.shape[1], len(eigenvalues))):
         coords = coordinates(states[rows])
         if c0 is None:
             c0 = coords[0].copy()
-        yield coords - _evolved_coefficients(c0, eigenvalues, elapsed[rows], hbar)
+        yield rows, coords, _evolved_coefficients(c0, eigenvalues, elapsed[rows], hbar)
 
 
 @dataclass(frozen=True)

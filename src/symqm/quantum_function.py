@@ -292,9 +292,9 @@ def verify_reconstruction(qf: QuantumFunction, traj, samples: int = 100,
     flow residual takes the closed-form ``X_f``, checked in ``field_check_residual``.
     """
     intertwining = 0.0
-    for drift in _spectral_drift(lambda block: _coordinate_rows(qf, block), traj.states,
-                                 qf.eigenvalues, traj.times, qf.space.hbar):
-        intertwining = np.maximum(intertwining, _largest(np.linalg.norm(drift, axis=1)))
+    for _, coords, exact in _spectral_drift(lambda block: _coordinate_rows(qf, block), traj.states,
+                                            qf.eigenvalues, traj.times, qf.space.hbar):
+        intertwining = np.maximum(intertwining, _largest(np.linalg.norm(coords - exact, axis=1)))
 
     states, coords, value = _sampled_rows(qf, samples, seed)
     field, check = _checked_field(qf.f, states, seed) if qf.f.operator is not None else (None, None)

@@ -29,6 +29,7 @@ from symqm import (
     IntegratorConfig,
     ObservableFunction,
     RowwiseMap,
+    SpectralData,
     SymplecticSpace,
     Trajectory,
     bracket_commutator_report,
@@ -37,12 +38,11 @@ from symqm import (
     integrate,
     make_hermitian,
     phase_evolution_residual,
-    phase_residuals,
     poisson_bracket,
     quantum_function_from_qfe,
     reconstruction_map,
     spectral_decompose,
-    spectral_deviation,
+    spectral_residuals,
     trajectory_diagnostics,
     verify_axioms,
     verify_reconstruction,
@@ -170,13 +170,12 @@ def test_phase_residuals_and_deviation_match_reference(n):
         basis = qf.coordinates
         ref = _reference_phase(basis, qf.eigenvalues, traj, hbar)
         assert np.min(ref) > 1e-3
-        new = phase_residuals(traj.states, basis, qf.eigenvalues, traj.times, hbar)
+        deviation, new = spectral_residuals(traj, spectral_decompose(op), hbar)
         _close(new, ref)
         wrapped = [phase_evolution_residual(u, a, traj)
                    for u, a in zip(qf.eigenfunctions, qf.eigenvalues)]
         _close(wrapped, ref)
-        _close(spectral_deviation(traj, spectral_decompose(op), hbar),
-               _reference_deviation(basis, qf.eigenvalues, traj, hbar))
+        _close(deviation, _reference_deviation(basis, qf.eigenvalues, traj, hbar))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -186,12 +185,13 @@ def test_flow_residuals_match_reference(n):
     basis = qf.coordinates
     psi0 = random_unit_state(n, 7, n)
     traj = integrate(qf.f, psi0, IntegratorConfig("cayley", 1e-2, STEPS))
-    _ulps(phase_residuals(traj.states, basis, qf.eigenvalues, traj.times, 1.0),
-          _reference_phase(basis, qf.eigenvalues, traj, 1.0), 1.0)
-    _ulps(spectral_deviation(traj, spectral_decompose(qf.f.operator), 1.0),
-          _reference_deviation(basis, qf.eigenvalues, traj, 1.0), 1.0)
+    spectral = spectral_decompose(qf.f.operator)
+    deviation, residuals = spectral_residuals(traj, spectral, 1.0)
+    _ulps(residuals, _reference_phase(basis, qf.eigenvalues, traj, 1.0), 1.0)
+    _ulps(deviation, _reference_deviation(basis, qf.eigenvalues, traj, 1.0), 1.0)
     # The a -> a+1 control stays of order one.
-    wrong = phase_residuals(traj.states, basis, qf.eigenvalues + 1.0, traj.times, 1.0)
+    shifted = SpectralData(spectral.eigenvalues + 1.0, spectral.eigenvectors, spectral.degenerate_flag)
+    _, wrong = spectral_residuals(traj, shifted, 1.0)
     _close(wrong, _reference_phase(basis, qf.eigenvalues + 1.0, traj, 1.0))
     assert np.max(wrong) > 0.1
 
@@ -232,10 +232,9 @@ def test_nan_state_propagates_to_phase_and_deviation():
     states = traj.states.copy()
     states[STEPS - 2, 1] = np.nan
     broken = dataclasses.replace(traj, states=states)
-    basis = qf.coordinates
-    assert np.all(np.isnan(phase_residuals(broken.states, basis, qf.eigenvalues,
-                                           broken.times, 1.0)))
-    assert np.isnan(spectral_deviation(broken, spectral_decompose(qf.f.operator), 1.0))
+    deviation, residuals = spectral_residuals(broken, spectral_decompose(qf.f.operator), 1.0)
+    assert np.all(np.isnan(residuals))
+    assert np.isnan(deviation)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -7,12 +7,14 @@ from symqm import (
     ComplexFunction,
     IntegratorConfig,
     ObservableFunction,
+    SpectralData,
     SymplecticSpace,
     from_operator,
     integrate,
     make_hermitian,
     phase_evolution_residual,
     spectral_decompose,
+    spectral_residuals,
     trajectory_diagnostics,
 )
 from symqm.dynamics import Trajectory
@@ -217,6 +219,22 @@ def test_phase_evolution_residual_wrong_eigenvalue():
     expected = 2 * abs(u0(UNIFORM))
     assert bad >= 0.5
     assert abs(bad - expected) <= 1e-9
+
+
+def test_spectral_residuals_deviation_tests_the_eigenvectors():
+    # Eigenvectors scaled by 2 scale the eigen-coordinates and their spectral evolution alike,
+    # so the phase residuals only double; mapped back to states, V E is 4 xi and the deviation
+    # ||xi - 4 xi|| is 3.  A deviation taken in eigen-coordinates would miss the defect.
+    h = make_hermitian(random_hermitian(5, 3))
+    f = ObservableFunction.expectation_of(h, SymplecticSpace(5))
+    traj = integrate(f, random_unit_state(5, 4), IntegratorConfig("cayley", 0.01, 600))
+    spectral = spectral_decompose(h)
+    deviation, residuals = spectral_residuals(traj, spectral, 1.0)
+    assert deviation <= 1e-2 and np.max(residuals) <= 1e-2
+    scaled = SpectralData(spectral.eigenvalues, 2 * spectral.eigenvectors, spectral.degenerate_flag)
+    wrong, doubled = spectral_residuals(traj, scaled, 1.0)
+    assert abs(wrong - 3.0) <= 0.05
+    assert np.all(doubled <= 2 * residuals + 1e-15)
 
 
 def test_trajectory_diagnostics_exact_and_midpoint():

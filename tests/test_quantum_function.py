@@ -58,6 +58,17 @@ def test_from_operator_pauli_z():
     assert not qf.degenerate_flag
 
 
+def test_eigenfunction_vectors_are_views_of_a_real_eigenbasis():
+    qf = from_operator(make_hermitian([[0.5, 1.0, 0.0], [1.0, -0.5, 0.3], [0.0, 0.3, 2.0]]),
+                       SymplecticSpace(3))
+    assert qf.coordinates.dtype == np.float64
+    for k, u in enumerate(qf.eigenfunctions):
+        assert u.vector.dtype == np.float64
+        assert not u.vector.flags.writeable
+        assert np.shares_memory(u.vector, qf.coordinates)
+        np.testing.assert_array_equal(u.vector, qf.coordinates[:, k])
+
+
 def test_from_operator_identity_degenerate():
     qf = from_operator(make_hermitian(np.eye(2)), SPACE)
     assert qf.degenerate_flag

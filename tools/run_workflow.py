@@ -10,7 +10,9 @@ temporary copy of the working tree (the files git tracks or does not
 ignore), with ``PYTHONPATH`` set to the copy's ``src`` and a ``symqm``
 script on ``PATH`` that runs ``symqm.cli`` with this interpreter, as the
 installed entry point would.  Each step's exit code is printed, and the
-script exits 1 if any step failed.
+script exits 1 if any step failed.  Reading the workflow needs PyYAML,
+which no extra of the package names; without it the script exits with a
+one-line message.
 
 Usage, from the root of a checkout::
 
@@ -28,7 +30,10 @@ import tempfile
 import time
 from pathlib import Path
 
-import yaml
+try:
+    import yaml
+except ImportError:
+    sys.exit("tools/run_workflow.py needs PyYAML to read the workflow file (import yaml failed)")
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
